@@ -131,10 +131,10 @@ SUITE_SCALES = {
 
 
 def _transform(points, shift, rotation, scale):
-    # broadcast-multiply-sum instead of matmul: the reduction order depends
-    # only on d, so each row evaluates bitwise-identically at any batch size
-    diff = points - shift
-    return scale * (diff[:, None, :] * rotation).sum(axis=-1)
+    # unoptimized einsum sums each row in an order fixed by d alone, so a row is
+    # bitwise-identical at any batch size, offset or alignment, with no (m, d, d)
+    # temporary; `@` (or optimize=True) goes to BLAS, whose blocking follows m
+    return scale * np.einsum("ij,kj->ik", points - shift, rotation)
 
 
 @dataclass(eq=False)

@@ -1,10 +1,10 @@
 """The full optimizer loop (orthogonal init + archive learning + elite
 mutation) and the baseline PSO loop, with per-iteration trace recording.
 
-Every iteration costs exactly n evaluations (one sweep over the swarm) and
-the loop only starts an iteration it can fully afford, so the budget is never
-exceeded and the evaluation trace reconciles exactly.  Runs are bitwise
-deterministic for a fixed (config, spec, seed).
+Every iteration costs exactly n evaluations (one sweep over the swarm).  A sweep
+starts only while `used + n < budget`, so one that would end exactly on the budget
+is skipped; a run ends within [budget - n, budget] evaluations and the trace
+reconciles exactly.  Runs are bitwise deterministic for a fixed (config, spec, seed).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The comparative criteria (8 and 9) execute the full 25-paired-run protocol on
-the emulated suite at d=10 and take a few minutes of CPU; everything else is
-fast.  Run with `pytest tests/test_acceptance.py -s` to see the status lines.
+The criteria built on the 25-paired-run protocol at d=10 (4, 5, 8 and 9) take
+a few minutes of CPU and are marked `slow`; everything else is fast.  Run with
+`pytest tests/test_acceptance.py -s` to see the status lines.
 """
 
 import itertools
@@ -93,6 +93,7 @@ def test_criterion_3_determinism(tmp_path):
           f"({len(outputs[0])} files)")
 
 
+@pytest.mark.slow
 def test_criterion_4_monotonicity(comparison_records):
     violations = sum(
         int((np.diff(rec.errors) > 0).any())
@@ -104,6 +105,7 @@ def test_criterion_4_monotonicity(comparison_records):
           f"({total} runs checked)")
 
 
+@pytest.mark.slow
 def test_criterion_5_budget_accounting(comparison_records):
     ok = True
     for records in comparison_records.values():
@@ -147,6 +149,7 @@ def test_criterion_7_scheme_selection_oracle():
           "(27 fitness triples covering all 13 weak orderings)")
 
 
+@pytest.mark.slow
 def test_criterion_8_comparative_performance(comparison_records):
     suite = make_suite(SUITE_SEED, DIMENSION)
     wins_multimodal = 0
@@ -169,6 +172,7 @@ def test_criterion_8_comparative_performance(comparison_records):
           f"{' '.join(details)}, total optimizer time {wall:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation_direction(comparison_records):
     spec = make_suite(SUITE_SEED, DIMENSION)[2]  # rastrigin, multimodal
     full_median = np.median([r.best_error for r in comparison_records[("rastrigin", "opsom")]])

@@ -1,7 +1,9 @@
 """Tests for the experiment harness: statistics, CSV output, paired seeding,
 parallel execution, and the CLI."""
 
+import hashlib
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from opsom.harness import (
 from opsom.objective import base_spec
 from opsom.optimizer import OptimizerConfig, run_opsom
 from opsom.ortho_init import OrthogonalArray, verify_oa
+
+GOLDEN = Path(__file__).parent / "golden" / "criterion3.sha256"
 
 
 class TestRunSeed:
@@ -150,6 +154,23 @@ class TestOutputs:
             out = write_outputs(cfg, execute(cfg))
             texts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert texts[0] == texts[1]
+
+    def test_golden_digests(self, tmp_path):
+        """Every file of the acceptance criterion-3 invocation matches its pinned SHA-256.
+
+        The digests were taken with numpy 2.4.6 on scipy-openblas 0.3.31 (one
+        thread).  A refactor must leave them unchanged; a change that alters
+        output bits on purpose regenerates `tests/golden/criterion3.sha256`
+        with `sha256sum *` in the output directory and says why.
+        """
+        flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--runs", "2", "--seed", "11",
+                 "--pop", "8", "--budget", "2000", "--out", str(tmp_path)]
+        assert main(flags) == 0
+        pinned = dict(line.split()[::-1] for line in GOLDEN.read_text().splitlines())
+        actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert actual.keys() == pinned.keys()
+        changed = sorted(name for name in pinned if actual[name] != pinned[name])
+        assert not changed, f"{len(changed)} of {len(pinned)} outputs changed: {changed}"
 
 
 class TestCli:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsom.objective import (
     BudgetExceeded,
@@ -17,8 +19,11 @@ from opsom.objective import (
     evaluate,
     evaluate_batch,
     make_suite,
+    _transform,
     random_rotation,
 )
+
+SUITE_DIMS = (2, 3, 10, 30, 50)
 
 
 def counter(budget=1_000_000):
@@ -179,8 +184,9 @@ class TestSuiteInvariants:
             assert np.isfinite(values).all(), spec.id
 
     def test_optimum_exact_at_shift(self):
-        for spec in make_suite(5, 8):
-            assert evaluate(spec, spec.shift, counter()) == spec.f_opt, spec.id
+        for d in (8,) + SUITE_DIMS:
+            for spec in make_suite(5, d):
+                assert evaluate(spec, spec.shift, counter()) == spec.f_opt, (spec.id, d)
 
     def test_values_never_below_f_opt(self):
         # required for the non-increasing error trace
@@ -214,3 +220,44 @@ class TestSuiteInvariants:
         for spec in make_suite(0, 10):
             err = np.abs(spec.rotation @ spec.rotation.T - np.eye(10)).max()
             assert err <= 1e-9, spec.id
+
+
+def assert_same_bits(actual, expected, what):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.tobytes() == expected.tobytes(), f"{what}: max |diff| {np.abs(actual - expected).max():.3e}"
+
+
+class TestBatchInvariance:
+    """A row's value depends on that row alone, never on the batch around it.
+
+    Checked bitwise through `evaluate_batch`, the call the optimizer makes, on
+    every suite function.
+    """
+
+    @pytest.mark.parametrize("d", SUITE_DIMS)
+    @settings(max_examples=10, deadline=None)
+    @given(suite_seed=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40))
+    def test_rows_independent_of_batch_layout(self, d, suite_seed, seed, m):
+        points = np.random.default_rng(seed).uniform(-100, 100, (m, d))
+        embedded = np.empty(m * d + 1)[1:].reshape(m, d)  # one element into a larger buffer
+        embedded[...] = points
+        for spec in make_suite(suite_seed, d):
+            full = evaluate_batch(spec, points, counter())
+            alone = [evaluate_batch(spec, points[i : i + 1], counter())[0] for i in range(m)]
+            assert_same_bits(alone, full, f"{spec.id} rows alone")
+            for k in range(1, m):
+                assert_same_bits(evaluate_batch(spec, points[:k], counter()), full[:k], f"{spec.id} prefix {k}")
+                assert_same_bits(evaluate_batch(spec, points[k:], counter()), full[k:], f"{spec.id} offset {k}")
+            assert_same_bits(evaluate_batch(spec, embedded, counter()), full, f"{spec.id} embedded copy")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), d=st.sampled_from(SUITE_DIMS),
+           scale=st.sampled_from([1.0, 0.0512, 10.0]))
+    def test_transform_matches_matmul_reference(self, seed, m, d, scale):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-100, 100, (m, d))
+        shift = rng.uniform(-80, 80, d)
+        rotation = random_rotation(rng, d)
+        reference = scale * ((points - shift) @ rotation.T)
+        worst = np.abs(_transform(points, shift, rotation, scale) - reference).max()
+        assert worst <= 1e-12 * np.abs(reference).max()
