@@ -1,84 +1,23 @@
 """Orthogonally initialized particle swarm optimizer with archive learning
 and elite mutation, a baseline PSO, an emulated four-category benchmark
-suite, and a deterministic experiment harness."""
+suite, and a deterministic experiment harness.
 
-from .archives import ArchiveEntry, ArchiveSet, push_chi, push_psi, refresh_phi, sample_representatives
-from .learning import Scheme, SchemeChoice, regular_velocity_update, select_scheme
-from .mutation import elite_mutate, mutate_elites
-from .objective import (
-    BudgetExceeded,
-    EvaluationCounter,
-    ObjectiveSpec,
-    SearchBounds,
-    base_spec,
-    describe_suite,
-    error_of,
-    evaluate,
-    evaluate_batch,
-    make_suite,
-)
-from .optimizer import (
-    OptimizerConfig,
-    RunRecord,
-    diversity,
-    exploration_ratio,
-    run,
-    run_opsom,
-    run_pso,
-)
-from .ortho_init import OrthogonalArray, build_initial_swarm, construct_oa, map_to_search_space, verify_oa
-from .swarm_core import Particle, PsoParams, SwarmState, handle_bounds, pso_step, sort_and_split, update_bests
-from .harness import ExperimentConfig, SummaryStats, execute, main, run_seed, summarize, write_outputs
+The package root exports the library entry points; everything else is
+imported from its submodule (e.g. `opsom.harness.main` for the CLI).
+"""
+
+from .objective import ObjectiveSpec, SearchBounds, make_suite
+from .optimizer import OptimizerConfig, RunRecord, run
+from .swarm_core import PsoParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchiveEntry",
-    "ArchiveSet",
-    "BudgetExceeded",
-    "EvaluationCounter",
-    "ExperimentConfig",
     "ObjectiveSpec",
     "OptimizerConfig",
-    "OrthogonalArray",
-    "Particle",
     "PsoParams",
     "RunRecord",
-    "Scheme",
-    "SchemeChoice",
     "SearchBounds",
-    "SummaryStats",
-    "SwarmState",
-    "base_spec",
-    "build_initial_swarm",
-    "construct_oa",
-    "describe_suite",
-    "diversity",
-    "elite_mutate",
-    "error_of",
-    "evaluate",
-    "evaluate_batch",
-    "execute",
-    "exploration_ratio",
-    "handle_bounds",
-    "main",
     "make_suite",
-    "map_to_search_space",
-    "mutate_elites",
-    "pso_step",
-    "push_chi",
-    "push_psi",
-    "refresh_phi",
-    "regular_velocity_update",
     "run",
-    "run_opsom",
-    "run_pso",
-    "run_seed",
-    "sample_representatives",
-    "select_scheme",
-    "sort_and_split",
-    "summarize",
-    "update_bests",
-    "verify_oa",
-    "write_outputs",
 ]

@@ -9,43 +9,57 @@ the newest when full, so the latest global best is never lost from chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .swarm_core import SwarmState
 
 
-@dataclass(eq=False)
-class ArchiveEntry:
-    """A stored (position, fitness) pair; the fitness is never re-evaluated."""
+class BoundedArchive:
+    """Fixed-capacity (position, fitness) rows in push order, oldest first.
 
-    position: np.ndarray
-    fitness: float
+    Rows `[0, len)` of `positions`/`fitness` are occupied; stored fitnesses are
+    never re-evaluated.
+    """
+
+    def __init__(self, capacity: int, dimension: int):
+        self.positions = np.empty((capacity, dimension))
+        self.fitness = np.empty(capacity)
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def push(self, position: np.ndarray, fitness: float, rng: np.random.Generator) -> None:
+        """Append a row; when full, first evict a uniformly random older row.
+
+        The eviction draw and the shift of the later rows reproduce `list.pop(k)`
+        on a list ordered by push time, so the newest row always survives.
+        """
+        cap = len(self.fitness)
+        if self.size < cap:
+            self.size += 1
+        else:
+            k = int(rng.integers(0, cap))
+            self.positions[k:-1] = self.positions[k + 1 :]
+            self.fitness[k:-1] = self.fitness[k + 1 :]
+        self.positions[self.size - 1] = position
+        self.fitness[self.size - 1] = fitness
 
 
 class ArchiveSet:
-    """The three archives for a swarm of a fixed even size."""
+    """The three archives for a swarm of a fixed even size and dimension."""
 
-    def __init__(self, population_size: int):
+    def __init__(self, population_size: int, dimension: int):
         if population_size < 2 or population_size % 2:
             raise ValueError(f"population size must be even and >= 2, got {population_size}")
         self.phi_capacity = population_size // 2
         self.psi_capacity = population_size
         self.chi_capacity = population_size
-        # phi is kept as arrays (it is rebuilt wholesale every iteration and
-        # indexed by rank in the hot loop); psi/chi are event-driven lists
-        self.phi_positions = np.empty((0, 0))
+        # phi is rebuilt wholesale every iteration and indexed by rank
+        self.phi_positions = np.empty((0, dimension))
         self.phi_fitness = np.empty(0)
-        self.psi: list[ArchiveEntry] = []
-        self.chi: list[ArchiveEntry] = []
-
-    @property
-    def phi(self) -> list[ArchiveEntry]:
-        return [
-            ArchiveEntry(self.phi_positions[i].copy(), float(self.phi_fitness[i]))
-            for i in range(len(self.phi_fitness))
-        ]
+        self.psi = BoundedArchive(self.psi_capacity, dimension)
+        self.chi = BoundedArchive(self.chi_capacity, dimension)
 
 
 def refresh_phi(archives: ArchiveSet, state: SwarmState) -> ArchiveSet:
@@ -60,33 +74,13 @@ def refresh_phi(archives: ArchiveSet, state: SwarmState) -> ArchiveSet:
     return archives
 
 
-def _push(entries: list[ArchiveEntry], entry: ArchiveEntry, capacity: int, rng: np.random.Generator) -> None:
-    entries.append(entry)
-    while len(entries) > capacity:
-        # evict uniformly at random among everything but the newest entry
-        entries.pop(int(rng.integers(0, len(entries) - 1)))
-
-
-def push_psi(archives: ArchiveSet, entry: ArchiveEntry, rng: np.random.Generator) -> ArchiveSet:
+def push_psi(archives: ArchiveSet, position: np.ndarray, fitness: float, rng: np.random.Generator) -> ArchiveSet:
     """Record a personal best that strictly improved this iteration."""
-    _push(archives.psi, entry, archives.psi_capacity, rng)
+    archives.psi.push(position, fitness, rng)
     return archives
 
 
-def push_chi(archives: ArchiveSet, entry: ArchiveEntry, rng: np.random.Generator) -> ArchiveSet:
+def push_chi(archives: ArchiveSet, position: np.ndarray, fitness: float, rng: np.random.Generator) -> ArchiveSet:
     """Record a global best that strictly improved this iteration."""
-    _push(archives.chi, entry, archives.chi_capacity, rng)
+    archives.chi.push(position, fitness, rng)
     return archives
-
-
-def sample_representatives(
-    archives: ArchiveSet, rng: np.random.Generator
-) -> tuple[ArchiveEntry, ArchiveEntry, ArchiveEntry]:
-    """Draw one uniformly random entry from each archive, independently."""
-    if len(archives.phi_fitness) == 0 or not archives.psi or not archives.chi:
-        raise LookupError("cannot sample representatives from an empty archive")
-    p = int(rng.integers(0, len(archives.phi_fitness)))
-    q = int(rng.integers(0, len(archives.psi)))
-    s = int(rng.integers(0, len(archives.chi)))
-    rep_phi = ArchiveEntry(archives.phi_positions[p].copy(), float(archives.phi_fitness[p]))
-    return rep_phi, archives.psi[q], archives.chi[s]

@@ -1,46 +1,15 @@
-"""Scheme selection and the archive-guided velocity update for regular particles.
+"""The archive-guided velocity update for regular particles.
 
 The three schemes share one update rule and differ only in which archive
 supplies the guide: the representative with the best fitness wins, with ties
-resolved in favor of phi, then psi, then chi.  The update replaces the fixed
-inertia weight with a fresh uniform draw per dimension.
+resolved in favor of phi, then psi, then chi (see `optimizer._archive_guides`).
+The update replaces the fixed inertia weight with a fresh uniform draw per
+dimension.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
-
-from .archives import ArchiveEntry
-
-
-class Scheme(enum.Enum):
-    """Which archive supplied the guide for a regular-particle update."""
-
-    PHI = 1
-    PSI = 2
-    CHI = 3
-
-
-@dataclass(eq=False)
-class SchemeChoice:
-    which: Scheme
-    guide_position: np.ndarray
-
-
-def select_scheme(rep_phi: ArchiveEntry, rep_psi: ArchiveEntry, rep_chi: ArchiveEntry) -> SchemeChoice:
-    """Pick the scheme whose representative has the best fitness.
-
-    Ties go to the earlier archive in the order phi > psi > chi.
-    """
-    reps = (rep_phi, rep_psi, rep_chi)
-    fits = [rep.fitness for rep in reps]
-    if not all(np.isfinite(fits)):
-        raise ValueError("representative fitnesses must be finite")
-    k = fits.index(min(fits))
-    return SchemeChoice(which=list(Scheme)[k], guide_position=reps[k].position)
 
 
 def regular_velocity_update(

@@ -29,42 +29,6 @@ def draw_partners(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndar
     return g, h
 
 
-def elite_mutate(
-    j: int,
-    phi_position: np.ndarray,
-    elite_positions: np.ndarray,
-    rng: np.random.Generator,
-    bounds: SearchBounds,
-    *,
-    delta1: np.ndarray | None = None,
-    delta2: np.ndarray | None = None,
-    partners: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Mutated position for the j-th elite given the full elite snapshot.
-
-    x' = x + delta1*(phi_j - x) + delta2*(x_g - x_h), clamped into the box.
-    delta1/delta2/partners override the random draws (test hooks).
-    """
-    elite_positions = np.asarray(elite_positions, dtype=float)
-    m, d = elite_positions.shape
-    if m < 3:
-        raise ValueError(f"elite subgroup must have at least 3 members, got {m}")
-    if partners is None:
-        pool = np.delete(np.arange(m), j)
-        g, h = rng.choice(pool, size=2, replace=False)
-    else:
-        g, h = partners
-        if g == h or g == j or h == j:
-            raise ValueError("partners must be distinct from each other and from j")
-    if delta1 is None:
-        delta1 = rng.uniform(size=d)
-    if delta2 is None:
-        delta2 = rng.uniform(size=d)
-    x = elite_positions[j]
-    mutated = x + delta1 * (phi_position - x) + delta2 * (elite_positions[g] - elite_positions[h])
-    return np.clip(mutated, bounds.lower, bounds.upper)
-
-
 def mutate_elites(
     elite_positions: np.ndarray,
     phi_positions: np.ndarray,
@@ -75,7 +39,12 @@ def mutate_elites(
     delta2: np.ndarray | None = None,
     partners: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Vectorized mutation of the whole elite subgroup from one snapshot."""
+    """Mutate the whole elite subgroup from one snapshot.
+
+    Row j becomes x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), clamped
+    into the box, with g, h from `draw_partners`.  delta1/delta2/partners
+    override the random draws (test hooks).
+    """
     elite_positions = np.asarray(elite_positions, dtype=float)
     m, d = elite_positions.shape
     if partners is None:

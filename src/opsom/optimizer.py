@@ -1,5 +1,6 @@
-"""The full optimizer loop (orthogonal init + archive learning + elite
-mutation) and the baseline PSO loop, with per-iteration trace recording.
+"""One run loop for both algorithms - the full optimizer (orthogonal init +
+archive learning + elite mutation) and the baseline PSO - with per-iteration
+trace recording.
 
 Every iteration costs exactly n evaluations (one sweep over the swarm).  A sweep
 starts only while `used + n < budget`, so one that would end exactly on the budget
@@ -15,12 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .archives import ArchiveEntry, ArchiveSet, push_chi, push_psi, refresh_phi
+from .archives import ArchiveSet, push_chi, push_psi, refresh_phi
 from .learning import regular_velocity_update
 from .mutation import mutate_elites
 from .objective import EvaluationCounter, ObjectiveSpec, error_of, evaluate_batch
 from .ortho_init import array_shape, build_initial_swarm
-from .swarm_core import PsoParams, SwarmState, handle_bounds, pso_step, sort_and_split, update_bests
+from .swarm_core import PsoParams, SwarmState, baseline_velocity, handle_bounds, pso_step, sort_and_split, update_bests
 
 ALGORITHMS = ("opsom", "pso")
 
@@ -45,18 +46,22 @@ class OptimizerConfig:
     def resolved_budget(self, dimension: int) -> int:
         return 10_000 * dimension if self.budget is None else self.budget
 
+    @property
+    def uses_oa(self) -> bool:
+        return self.algorithm == "opsom" and not self.no_oa
+
     def validate(self, spec: ObjectiveSpec) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.population < 6 or self.population % 2:
             raise ValueError(f"population must be even and >= 6, got {self.population}")
-        _, oa_rows, _ = array_shape(self.oa_levels, spec.dimension)
+        # orthogonal init scores every array row, topping up to n when the array is smaller
+        init_cost = self.population
+        if self.uses_oa:
+            init_cost = max(init_cost, array_shape(self.oa_levels, spec.dimension)[1])
         budget = self.resolved_budget(spec.dimension)
-        if budget < self.population + oa_rows:
-            raise ValueError(
-                f"budget {budget} cannot cover initialization "
-                f"(population {self.population} + {oa_rows} array rows)"
-            )
+        if budget < init_cost:
+            raise ValueError(f"budget {budget} cannot cover initialization ({init_cost} evaluations)")
 
 
 @dataclass(eq=False)
@@ -123,18 +128,13 @@ class _Trace:
         )
 
 
-def _uniform_init(n, spec, counter, rng):
-    positions = rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(n, spec.dimension))
-    return positions, evaluate_batch(spec, positions, counter)
-
-
 def _seed_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig, rng) -> None:
     refresh_phi(archives, state)
     if config.no_archives:
         return
     for i in range(state.n):
-        push_psi(archives, ArchiveEntry(state.pbest_positions[i].copy(), float(state.pbest_fitness[i])), rng)
-    push_chi(archives, ArchiveEntry(state.gbest_position.copy(), state.gbest_fitness), rng)
+        push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], rng)
+    push_chi(archives, state.gbest_position, state.gbest_fitness, rng)
 
 
 def _archive_guides(archives: ArchiveSet, m: int, rng):
@@ -146,19 +146,10 @@ def _archive_guides(archives: ArchiveSet, m: int, rng):
     p = rng.integers(0, len(archives.phi_fitness), size=m)
     q = rng.integers(0, len(archives.psi), size=m)
     s = rng.integers(0, len(archives.chi), size=m)
-    psi_fit = np.array([archives.psi[i].fitness for i in q])
-    chi_fit = np.array([archives.chi[i].fitness for i in s])
-    rep_fit = np.column_stack([archives.phi_fitness[p], psi_fit, chi_fit])
-    which = np.argmin(rep_fit, axis=1)  # first minimum == phi > psi > chi priority
-    guides = np.empty((m, archives.phi_positions.shape[1]))
-    for row in range(m):
-        if which[row] == 0:
-            guides[row] = archives.phi_positions[p[row]]
-        elif which[row] == 1:
-            guides[row] = archives.psi[q[row]].position
-        else:
-            guides[row] = archives.chi[s[row]].position
-    return guides
+    rep_fit = np.stack([archives.phi_fitness[p], archives.psi.fitness[q], archives.chi.fitness[s]])
+    which = np.argmin(rep_fit, axis=0)  # first minimum == phi > psi > chi priority
+    reps = (archives.phi_positions[p], archives.psi.positions[q], archives.chi.positions[s])
+    return np.choose(which[:, None], reps)
 
 
 def _opsom_iteration(
@@ -181,7 +172,6 @@ def _opsom_iteration(
 
     X, V = state.positions, state.velocities
     gbest = state.gbest_position
-    vmax = params.v_max(spec.bounds)
     new_positions = X.copy()
     new_velocities = V.copy()
 
@@ -190,18 +180,17 @@ def _opsom_iteration(
         if config.no_archives:
             # archive learning disabled: plain baseline velocity update
             r = rng.uniform(size=(2, m, state.dimension))
-            velocity = (
-                params.inertia * V[learner_idx]
-                + params.cognitive * r[0] * (state.pbest_positions[learner_idx] - X[learner_idx])
-                + params.social * r[1] * (gbest - X[learner_idx])
+            velocity = baseline_velocity(
+                params, spec.bounds, V[learner_idx], X[learner_idx],
+                state.pbest_positions[learner_idx], gbest, r[0], r[1],
             )
-            velocity = np.clip(velocity, -vmax, vmax)
         else:
             guides = _archive_guides(archives, m, rng)
             r = rng.uniform(size=(3, m, state.dimension))
             r1 = np.full((m, state.dimension), params.inertia) if config.fixed_inertia else r[0]
             velocity = regular_velocity_update(
-                V[learner_idx], X[learner_idx], guides, gbest, vmax, rng, r1=r1, r2=r[1], r3=r[2]
+                V[learner_idx], X[learner_idx], guides, gbest, params.v_max(spec.bounds), rng,
+                r1=r1, r2=r[1], r3=r[2],
             )
         position, velocity = handle_bounds(X[learner_idx] + velocity, velocity, spec.bounds)
         new_positions[learner_idx] = position
@@ -224,70 +213,44 @@ def _opsom_iteration(
     refresh_phi(archives, state)
     if not config.no_archives:
         for i in np.flatnonzero(improved):
-            push_psi(archives, ArchiveEntry(state.pbest_positions[i].copy(), float(state.pbest_fitness[i])), rng)
+            push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], rng)
         if state.gbest_fitness < previous_gbest:
-            push_chi(archives, ArchiveEntry(state.gbest_position.copy(), state.gbest_fitness), rng)
+            push_chi(archives, state.gbest_position, state.gbest_fitness, rng)
     state.iteration += 1
 
 
-def run_opsom(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:
-    """Run the full optimizer on one problem and return its trace."""
-    config.validate(spec)
-    start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    n = config.population
-    budget = config.resolved_budget(spec.dimension)
-    counter = EvaluationCounter(budget=budget)
-
-    if config.no_oa:
-        positions, fitness = _uniform_init(n, spec, counter, rng)
-    else:
-        positions, fitness = build_initial_swarm(n, spec, counter, rng, levels=config.oa_levels)
-    state = SwarmState(positions, np.zeros_like(positions), fitness)
-    archives = ArchiveSet(n)
-    _seed_archives(archives, state, config, rng)
-
-    trace = _Trace(spec)
-    trace.snap(state, counter)
-    if observer is not None:
-        observer(state, archives)
-    while counter.used + n < budget:
-        _opsom_iteration(state, archives, config, spec, counter, rng)
-        trace.snap(state, counter)
-        if observer is not None:
-            observer(state, archives)
-    return trace.record(config, spec, state, budget, time.perf_counter() - start)
-
-
-def run_pso(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:
-    """Run the baseline PSO on one problem and return its trace."""
-    config.validate(spec)
-    start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    n = config.population
-    budget = config.resolved_budget(spec.dimension)
-    counter = EvaluationCounter(budget=budget)
-
-    positions, fitness = _uniform_init(n, spec, counter, rng)
-    state = SwarmState(positions, np.zeros_like(positions), fitness)
-    archives = ArchiveSet(n)  # unused by the baseline; kept for a uniform observer signature
-
-    trace = _Trace(spec)
-    trace.snap(state, counter)
-    if observer is not None:
-        observer(state, archives)
-    while counter.used + n < budget:
-        pso_step(state, config.pso_params, spec, counter, rng)
-        trace.snap(state, counter)
-        if observer is not None:
-            observer(state, archives)
-    return trace.record(config, spec, state, budget, time.perf_counter() - start)
-
-
 def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:
-    """Dispatch to the configured algorithm."""
-    if config.algorithm == "opsom":
-        return run_opsom(config, spec, observer)
-    if config.algorithm == "pso":
-        return run_pso(config, spec, observer)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
+    """Run the configured algorithm on one problem and return its trace.
+
+    `observer(state, archives)` is called after initialization and after every
+    iteration; it reads the live state and archives and must not modify them.
+    """
+    config.validate(spec)
+    start = time.perf_counter()
+    rng = np.random.default_rng(config.seed)
+    n = config.population
+    budget = config.resolved_budget(spec.dimension)
+    counter = EvaluationCounter(budget=budget)
+
+    if config.uses_oa:
+        positions, fitness = build_initial_swarm(n, spec, counter, rng, levels=config.oa_levels)
+    else:
+        positions = rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(n, spec.dimension))
+        fitness = evaluate_batch(spec, positions, counter)
+    state = SwarmState(positions, np.zeros_like(positions), fitness)
+    archives = ArchiveSet(n, spec.dimension)  # left empty by the baseline
+    opsom = config.algorithm == "opsom"
+    if opsom:
+        _seed_archives(archives, state, config, rng)
+
+    trace = _Trace(spec)
+    while True:
+        trace.snap(state, counter)
+        if observer is not None:
+            observer(state, archives)
+        if counter.used + n >= budget:
+            return trace.record(config, spec, state, budget, time.perf_counter() - start)
+        if opsom:
+            _opsom_iteration(state, archives, config, spec, counter, rng)
+        else:
+            pso_step(state, config.pso_params, spec, counter, rng)

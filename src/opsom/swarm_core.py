@@ -1,7 +1,6 @@
 """Swarm state, baseline PSO updates, boundary handling, and best bookkeeping.
 
-State is kept as (n, d) arrays for speed; `Particle` is a per-index snapshot
-view for inspection and tests.  All fitness comparisons are minimizing and
+State is kept as (n, d) arrays.  All fitness comparisons are minimizing and
 personal/global bests are replaced only on strict improvement, so plateaus
 never churn positions.
 """
@@ -36,17 +35,6 @@ class PsoParams:
         return self.v_max_fraction * bounds.span
 
 
-@dataclass(eq=False)
-class Particle:
-    """Snapshot of one particle's state."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    fitness: float
-    pbest_position: np.ndarray
-    pbest_fitness: float
-
-
 class SwarmState:
     """Positions, velocities, fitnesses, and best-so-far memory of a swarm."""
 
@@ -75,19 +63,6 @@ class SwarmState:
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
-
-    def particle(self, i: int) -> Particle:
-        return Particle(
-            position=self.positions[i].copy(),
-            velocity=self.velocities[i].copy(),
-            fitness=float(self.fitness[i]),
-            pbest_position=self.pbest_positions[i].copy(),
-            pbest_fitness=float(self.pbest_fitness[i]),
-        )
-
-    @property
-    def particles(self) -> list[Particle]:
-        return [self.particle(i) for i in range(self.n)]
 
 
 def handle_bounds(position: np.ndarray, velocity: np.ndarray, bounds: SearchBounds) -> tuple[np.ndarray, np.ndarray]:
@@ -123,6 +98,26 @@ def sort_and_split(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     return order[:half], order[half:]
 
 
+def baseline_velocity(
+    params: PsoParams,
+    bounds: SearchBounds,
+    velocity: np.ndarray,
+    position: np.ndarray,
+    pbest_position: np.ndarray,
+    gbest_position: np.ndarray,
+    r1: np.ndarray,
+    r2: np.ndarray,
+) -> np.ndarray:
+    """New velocity w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to +-v_max."""
+    vmax = params.v_max(bounds)
+    velocity = (
+        params.inertia * velocity
+        + params.cognitive * r1 * (pbest_position - position)
+        + params.social * r2 * (gbest_position - position)
+    )
+    return np.clip(velocity, -vmax, vmax)
+
+
 def pso_step(
     state: SwarmState,
     params: PsoParams,
@@ -135,31 +130,22 @@ def pso_step(
 ) -> SwarmState:
     """One synchronous baseline PSO iteration over the whole swarm.
 
-    If the budget cannot cover the full sweep, only the first affordable
-    particles are moved and re-evaluated; with no budget left the state is
-    returned untouched.  `r1`/`r2` override the per-dimension uniform draws
-    (test hook).
+    The sweep costs n evaluations; if the budget cannot cover it,
+    `BudgetExceeded` is raised and the state is left untouched.  `r1`/`r2`
+    override the per-dimension uniform draws (test hook).
     """
-    n, d = state.positions.shape
-    m = min(n, counter.remaining)
-    if m == 0:
-        return state
+    shape = state.positions.shape
     if r1 is None:
-        r1 = rng.uniform(size=(n, d))
+        r1 = rng.uniform(size=shape)
     if r2 is None:
-        r2 = rng.uniform(size=(n, d))
-    vmax = params.v_max(spec.bounds)
-    velocity = (
-        params.inertia * state.velocities
-        + params.cognitive * r1 * (state.pbest_positions - state.positions)
-        + params.social * r2 * (state.gbest_position - state.positions)
+        r2 = rng.uniform(size=shape)
+    velocity = baseline_velocity(
+        params, spec.bounds, state.velocities, state.positions, state.pbest_positions, state.gbest_position, r1, r2
     )
-    np.clip(velocity, -vmax, vmax, out=velocity)
     position, velocity = handle_bounds(state.positions + velocity, velocity, spec.bounds)
-    fitness = evaluate_batch(spec, position[:m], counter)
-    state.positions[:m] = position[:m]
-    state.velocities[:m] = velocity[:m]
-    state.fitness[:m] = fitness
+    state.fitness = evaluate_batch(spec, position, counter)
+    state.positions = position
+    state.velocities = velocity
     update_bests(state)
     state.iteration += 1
     return state

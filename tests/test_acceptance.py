@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from opsom.archives import ArchiveEntry
+from opsom.archives import ArchiveSet, push_chi, push_psi
 from opsom.harness import main, run_seed
-from opsom.learning import Scheme, regular_velocity_update, select_scheme
-from opsom.mutation import elite_mutate
+from opsom.learning import regular_velocity_update
+from opsom.mutation import mutate_elites
 from opsom.objective import EvaluationCounter, SearchBounds, base_spec, make_suite
-from opsom.optimizer import OptimizerConfig, run, run_opsom
+from opsom.optimizer import OptimizerConfig, _archive_guides, run
 from opsom.ortho_init import construct_oa, map_to_search_space, verify_oa
 from opsom.swarm_core import PsoParams, SwarmState, pso_step
 
@@ -122,13 +122,13 @@ def test_criterion_6_archive_invariants():
     observed = []
 
     def observer(state, archives):
-        chi_min = min(e.fitness for e in archives.chi)
+        chi_min = archives.chi.fitness[: len(archives.chi)].min()
         observed.append((
             len(archives.phi_fitness), len(archives.psi), len(archives.chi),
             chi_min == state.gbest_fitness,
         ))
 
-    run_opsom(OptimizerConfig(population=POPULATION, budget=20_000, seed=1), spec, observer=observer)
+    run(OptimizerConfig(population=POPULATION, budget=20_000, seed=1), spec, observer=observer)
     ok = all(
         phi == POPULATION // 2 and psi <= POPULATION and chi <= POPULATION and chi_tracks
         for phi, psi, chi, chi_tracks in observed
@@ -140,11 +140,16 @@ def test_criterion_6_archive_invariants():
 def test_criterion_7_scheme_selection_oracle():
     ok = True
     for fits in itertools.product([1.0, 2.0, 3.0], repeat=3):
-        reps = [ArchiveEntry(np.array([float(i)]), fits[i]) for i in range(3)]
-        choice = select_scheme(*reps)
+        # one entry per archive, positioned at its archive's index (phi 0, psi 1, chi 2)
+        archives = ArchiveSet(2, 1)
+        archives.phi_positions = np.array([[0.0]])
+        archives.phi_fitness = np.array([fits[0]])
+        rng = np.random.default_rng(0)
+        push_psi(archives, np.array([1.0]), fits[1], rng)
+        push_chi(archives, np.array([2.0]), fits[2], rng)
+        guide = _archive_guides(archives, 1, rng)
         brute = min(range(3), key=lambda i: (fits[i], i))
-        ok &= choice.which is list(Scheme)[brute]
-        ok &= choice.guide_position[0] == float(brute)
+        ok &= guide[0, 0] == float(brute)
     check(7, "scheme selection matches brute-force argmin with phi>psi>chi ties", ok,
           "(27 fitness triples covering all 13 weak orderings)")
 
@@ -180,7 +185,7 @@ def test_criterion_9_ablation_direction(comparison_records):
     details = [f"full={full_median:.4g}"]
     for flag in ("no_oa", "no_archives", "no_mutation"):
         errors = [
-            run_opsom(
+            run(
                 OptimizerConfig(population=POPULATION, budget=BUDGET,
                                 seed=run_seed(BASE_SEED, r), **{flag: True}),
                 spec,
@@ -243,19 +248,18 @@ def test_criterion_10_equation_level_oracles():
     for _ in range(100):
         m, d = 6, 4
         elite_positions = rng.uniform(-100, 100, (m, d))
-        phi = rng.uniform(-100, 100, d)
-        j = int(rng.integers(0, m))
-        others = [i for i in range(m) if i != j]
-        g, h = rng.choice(others, size=2, replace=False)
-        d1, d2 = rng.uniform(size=(2, d))
-        out = elite_mutate(j, phi, elite_positions, rng, spec.bounds,
-                           delta1=d1, delta2=d2, partners=(int(g), int(h)))
-        for k in range(d):
-            x = (elite_positions[j, k]
-                 + d1[k] * (phi[k] - elite_positions[j, k])
-                 + d2[k] * (elite_positions[g, k] - elite_positions[h, k]))
-            x = min(max(x, -100.0), 100.0)
-            worst = max(worst, abs(x - out[k]))
+        phi = rng.uniform(-100, 100, (m, d))
+        g, h = np.array([rng.choice([i for i in range(m) if i != j], size=2, replace=False)
+                         for j in range(m)]).T
+        d1, d2 = rng.uniform(size=(2, m, d))
+        out = mutate_elites(elite_positions, phi, spec.bounds, rng, delta1=d1, delta2=d2, partners=(g, h))
+        for j in range(m):
+            for k in range(d):
+                x = (elite_positions[j, k]
+                     + d1[j, k] * (phi[j, k] - elite_positions[j, k])
+                     + d2[j, k] * (elite_positions[g[j], k] - elite_positions[h[j], k]))
+                x = min(max(x, -100.0), 100.0)
+                worst = max(worst, abs(x - out[j, k]))
 
     check(10, "update equations match direct-formula oracles to 1e-12", worst <= 1e-12,
           f"(max deviation {worst:.2e} over 300 random states)")

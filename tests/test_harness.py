@@ -2,12 +2,16 @@
 parallel execution, and the CLI."""
 
 import hashlib
+import os
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opsom
 from opsom.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -20,10 +24,17 @@ from opsom.harness import (
     write_outputs,
 )
 from opsom.objective import base_spec
-from opsom.optimizer import OptimizerConfig, run_opsom
+from opsom.optimizer import OptimizerConfig, run
 from opsom.ortho_init import OrthogonalArray, verify_oa
 
-GOLDEN = Path(__file__).parent / "golden" / "criterion3.sha256"
+GOLDEN = Path(__file__).parent / "golden"
+# pinned output digests: file stem -> flags added to the criterion-3 invocation
+GOLDEN_CASES = {
+    "criterion3": [],
+    "no_archives": ["--no-archives"],
+    "no_mutation_fixed_inertia": ["--no-mutation", "--fixed-inertia"],
+    "no_oa": ["--no-oa"],
+}
 
 
 class TestRunSeed:
@@ -120,7 +131,7 @@ class TestExecute:
 
 class TestCsv:
     def test_header_and_shape(self):
-        rec = run_opsom(OptimizerConfig(population=6, budget=300, seed=1), base_spec("sphere", 2))
+        rec = run(OptimizerConfig(population=6, budget=300, seed=1), base_spec("sphere", 2))
         text = format_convergence_csv(rec)
         lines = text.strip().splitlines()
         assert lines[0] == CSV_HEADER == "iteration,evals,best_error,diversity,exploration_pct"
@@ -128,7 +139,7 @@ class TestCsv:
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
     def test_floats_round_trip(self):
-        rec = run_opsom(OptimizerConfig(population=6, budget=300, seed=1), base_spec("sphere", 2))
+        rec = run(OptimizerConfig(population=6, budget=300, seed=1), base_spec("sphere", 2))
         row = format_convergence_csv(rec).strip().splitlines()[1].split(",")
         assert float(row[2]) == rec.errors[0]
         assert float(row[3]) == rec.diversities[0]
@@ -156,21 +167,24 @@ class TestOutputs:
         assert texts[0] == texts[1]
 
     def test_golden_digests(self, tmp_path):
-        """Every file of the acceptance criterion-3 invocation matches its pinned SHA-256.
+        """Every file of the acceptance criterion-3 invocation, alone and with each
+        ablation flag set, matches its pinned SHA-256.
 
         The digests were taken with numpy 2.4.6 on scipy-openblas 0.3.31 (one
         thread).  A refactor must leave them unchanged; a change that alters
-        output bits on purpose regenerates `tests/golden/criterion3.sha256`
-        with `sha256sum *` in the output directory and says why.
+        output bits on purpose regenerates `tests/golden/<case>.sha256` with
+        `sha256sum *` in the output directory and says why.
         """
         flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--runs", "2", "--seed", "11",
-                 "--pop", "8", "--budget", "2000", "--out", str(tmp_path)]
-        assert main(flags) == 0
-        pinned = dict(line.split()[::-1] for line in GOLDEN.read_text().splitlines())
-        actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-        assert actual.keys() == pinned.keys()
-        changed = sorted(name for name in pinned if actual[name] != pinned[name])
-        assert not changed, f"{len(changed)} of {len(pinned)} outputs changed: {changed}"
+                 "--pop", "8", "--budget", "2000"]
+        for case, extra in GOLDEN_CASES.items():
+            out = tmp_path / case
+            assert main(flags + extra + ["--out", str(out)]) == 0
+            pinned = dict(line.split()[::-1] for line in (GOLDEN / f"{case}.sha256").read_text().splitlines())
+            actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            assert actual.keys() == pinned.keys(), case
+            changed = sorted(name for name in pinned if actual[name] != pinned[name])
+            assert not changed, f"{case}: {len(changed)} of {len(pinned)} outputs changed: {changed}"
 
 
 class TestCli:
@@ -189,6 +203,16 @@ class TestCli:
         assert status == 0
         assert (tmp_path / "exp" / "summary.txt").exists()
         assert len(list((tmp_path / "exp").glob("*.csv"))) == 20
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        # `python -m opsom.harness` warns (an error under -W error) when importing
+        # the package has already imported the harness module
+        src = str(Path(opsom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        argv = ["-W", "error::RuntimeWarning", "-m", "opsom.harness", "oa", "--levels", "2", "--factors", "3"]
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1 1 1", "1 2 2", "2 1 2", "2 2 1"]
 
     def test_compare_requires_two_algorithms(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,48 +1,52 @@
-"""Tests for scheme selection and the archive-guided velocity update."""
+"""Tests for guide selection and the archive-guided velocity update."""
 
 import itertools
 
 import numpy as np
-import pytest
 
-from opsom.archives import ArchiveEntry
-from opsom.learning import Scheme, regular_velocity_update, select_scheme
+from opsom.archives import ArchiveSet, push_chi, push_psi
+from opsom.learning import regular_velocity_update
+from opsom.optimizer import _archive_guides
 
 
-def rep(fitness, value=None):
-    return ArchiveEntry(np.full(2, value if value is not None else fitness), float(fitness))
+def singleton_archives(fits, positions):
+    """phi, psi and chi holding one (position, fitness) entry each, in that order."""
+    positions = [np.asarray(p, dtype=float) for p in positions]
+    a = ArchiveSet(2, len(positions[0]))
+    a.phi_positions = positions[0][None, :].copy()
+    a.phi_fitness = np.array([fits[0]], dtype=float)
+    rng = np.random.default_rng(0)
+    push_psi(a, positions[1], fits[1], rng)
+    push_chi(a, positions[2], fits[2], rng)
+    return a
+
+
+def guide_for(fits, values=None):
+    """The guide the optimizer resolves from one representative per archive;
+    each entry's position is filled with its value (default: its fitness)."""
+    values = fits if values is None else values
+    archives = singleton_archives(fits, [np.full(2, float(v)) for v in values])
+    return _archive_guides(archives, 1, np.random.default_rng(0))[0]
 
 
 class TestSelectScheme:
     def test_clear_minimum_phi(self):
-        choice = select_scheme(rep(1.0), rep(2.0), rep(3.0))
-        assert choice.which is Scheme.PHI
-        np.testing.assert_array_equal(choice.guide_position, [1.0, 1.0])
+        np.testing.assert_array_equal(guide_for((1.0, 2.0, 3.0)), [1.0, 1.0])
 
     def test_tie_prefers_phi(self):
-        choice = select_scheme(rep(5.0, value=-1.0), rep(5.0, value=-2.0), rep(7.0))
-        assert choice.which is Scheme.PHI
-        np.testing.assert_array_equal(choice.guide_position, [-1.0, -1.0])
+        np.testing.assert_array_equal(guide_for((5.0, 5.0, 7.0), values=(-1.0, -2.0, 7.0)), [-1.0, -1.0])
 
     def test_clear_minimum_psi(self):
-        choice = select_scheme(rep(9.0), rep(2.0), rep(4.0))
-        assert choice.which is Scheme.PSI
+        np.testing.assert_array_equal(guide_for((9.0, 2.0, 4.0)), [2.0, 2.0])
 
     def test_clear_minimum_chi(self):
-        assert select_scheme(rep(9.0), rep(8.0), rep(4.0)).which is Scheme.CHI
+        np.testing.assert_array_equal(guide_for((9.0, 8.0, 4.0)), [4.0, 4.0])
 
     def test_exhaustive_orderings_match_brute_force(self):
         # all 27 fitness triples over {1,2,3} cover every weak ordering of 3 elements
         for fits in itertools.product([1.0, 2.0, 3.0], repeat=3):
-            reps = [rep(f, value=i) for i, f in enumerate(fits)]
-            choice = select_scheme(*reps)
             expected = min(range(3), key=lambda i: (fits[i], i))
-            assert choice.which is list(Scheme)[expected], fits
-            np.testing.assert_array_equal(choice.guide_position, reps[expected].position)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            select_scheme(rep(float("nan")), rep(1.0), rep(2.0))
+            np.testing.assert_array_equal(guide_for(fits, values=(0.0, 1.0, 2.0)), [expected] * 2, err_msg=str(fits))
 
 
 class TestRegularVelocityUpdate:
@@ -99,15 +103,14 @@ class TestRegularVelocityUpdate:
         guide = rng.uniform(-50, 50, 4)
         r1, r2, r3 = rng.uniform(size=(3, 4))
         outs = []
-        for which in Scheme:
-            reps = {s: rep(9.0) for s in Scheme}
-            entry = ArchiveEntry(guide, 0.0)
-            reps[which] = entry
-            choice = select_scheme(reps[Scheme.PHI], reps[Scheme.PSI], reps[Scheme.CHI])
-            assert choice.which is which
-            outs.append(
-                regular_velocity_update(v, x, choice.guide_position, gbest, 40.0, rng, r1=r1, r2=r2, r3=r3)
-            )
+        for which in range(3):
+            fits = [9.0, 9.0, 9.0]
+            fits[which] = 0.0
+            positions = [rng.uniform(-50, 50, 4) for _ in range(3)]
+            positions[which] = guide
+            chosen = _archive_guides(singleton_archives(fits, positions), 1, rng)[0]
+            np.testing.assert_array_equal(chosen, guide)
+            outs.append(regular_velocity_update(v, x, chosen, gbest, 40.0, rng, r1=r1, r2=r2, r3=r3))
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[1], outs[2])
 

@@ -12,8 +12,6 @@ from opsom.optimizer import (
     diversity,
     exploration_ratio,
     run,
-    run_opsom,
-    run_pso,
 )
 from opsom.ortho_init import array_shape
 from opsom.swarm_core import PsoParams, SwarmState, pso_step
@@ -43,30 +41,41 @@ class TestConfig:
             OptimizerConfig(algorithm="genetic").validate(SPEC)
 
     def test_rejects_infeasible_budget(self):
-        # d = 10 with two levels needs a 16-row array: budget must cover 40 + 16
-        with pytest.raises(ValueError):
-            OptimizerConfig(population=40, budget=55).validate(SPEC)
-        OptimizerConfig(population=40, budget=56).validate(SPEC)
+        # orthogonal init scores max(n, array rows): 16 rows at d = 10, 64 at d = 50;
+        # uniform init (pso, or no_oa) scores exactly n
+        spec50 = base_spec("rastrigin", 50)
+        for spec, cost, kw in (
+            (SPEC, 40, {}),
+            (SPEC, 40, dict(algorithm="pso")),
+            (SPEC, 40, dict(no_oa=True)),
+            (spec50, 64, {}),
+            (spec50, 40, dict(algorithm="pso")),
+        ):
+            with pytest.raises(ValueError):
+                OptimizerConfig(population=40, budget=cost - 1, **kw).validate(spec)
+            # the cheapest accepted budget pays for initialization and nothing more
+            rec = run(OptimizerConfig(population=40, budget=cost, **kw), spec)
+            assert rec.evaluations.tolist() == [cost]
 
 
 class TestDeterminism:
     def test_opsom_bitwise_reproducible(self):
-        a = run_opsom(small_config(), SPEC)
-        b = run_opsom(small_config(), SPEC)
+        a = run(small_config(), SPEC)
+        b = run(small_config(), SPEC)
         np.testing.assert_array_equal(a.errors, b.errors)
         np.testing.assert_array_equal(a.evaluations, b.evaluations)
         np.testing.assert_array_equal(a.diversities, b.diversities)
         assert a.best_error == b.best_error
 
     def test_pso_bitwise_reproducible(self):
-        a = run_pso(small_config(algorithm="pso"), SPEC)
-        b = run_pso(small_config(algorithm="pso"), SPEC)
+        a = run(small_config(algorithm="pso"), SPEC)
+        b = run(small_config(algorithm="pso"), SPEC)
         np.testing.assert_array_equal(a.errors, b.errors)
         assert a.best_error == b.best_error
 
     def test_seeds_differ(self):
-        a = run_opsom(small_config(seed=1), SPEC)
-        b = run_opsom(small_config(seed=2), SPEC)
+        a = run(small_config(seed=1), SPEC)
+        b = run(small_config(seed=2), SPEC)
         assert not np.array_equal(a.errors, b.errors)
 
 
@@ -75,55 +84,55 @@ class TestBudgetAccounting:
         # budget of exactly n + rows leaves no room for a full sweep
         _, rows, _ = array_shape(2, SPEC.dimension)
         n = 40
-        rec = run_opsom(OptimizerConfig(population=n, budget=n + rows, seed=0), SPEC)
+        rec = run(OptimizerConfig(population=n, budget=n + rows, seed=0), SPEC)
         assert len(rec.iterations) == 1
         assert rec.iterations[0] == 0
 
     def test_trace_reconciles_exactly(self):
-        for algo, runner in (("opsom", run_opsom), ("pso", run_pso)):
-            rec = runner(small_config(algorithm=algo, population=8, budget=1_000), SPEC)
+        for algo in ("opsom", "pso"):
+            rec = run(small_config(algorithm=algo, population=8, budget=1_000), SPEC)
             init = rec.evaluations[0]
             np.testing.assert_array_equal(rec.evaluations, init + 8 * np.arange(len(rec.evaluations)))
             assert rec.budget - 8 <= rec.evaluations[-1] <= rec.budget
 
     def test_opsom_init_cost(self):
         # 8 < 16 array rows: all 16 rows evaluated, best 8 kept
-        rec = run_opsom(small_config(population=8, budget=1_000), SPEC)
+        rec = run(small_config(population=8, budget=1_000), SPEC)
         assert rec.evaluations[0] == 16
         # uniform init costs exactly n
-        rec = run_opsom(small_config(population=8, budget=1_000, no_oa=True), SPEC)
+        rec = run(small_config(population=8, budget=1_000, no_oa=True), SPEC)
         assert rec.evaluations[0] == 8
 
     def test_never_exceeds_budget(self):
         for budget in (56, 57, 99, 100, 101, 199):
-            rec = run_opsom(small_config(population=8, budget=budget), SPEC)
+            rec = run(small_config(population=8, budget=budget), SPEC)
             assert rec.evaluations[-1] <= budget
 
 
 class TestTraceInvariants:
     def test_error_column_non_increasing(self):
-        for runner, algo in ((run_opsom, "opsom"), (run_pso, "pso")):
-            rec = runner(small_config(algorithm=algo, budget=4_000), SPEC)
+        for algo in ("opsom", "pso"):
+            rec = run(small_config(algorithm=algo, budget=4_000), SPEC)
             assert (np.diff(rec.errors) <= 0).all()
             assert rec.best_error == rec.errors[-1]
 
     def test_evaluations_strictly_increasing(self):
-        rec = run_opsom(small_config(budget=4_000), SPEC)
+        rec = run(small_config(budget=4_000), SPEC)
         assert (np.diff(rec.evaluations) > 0).all()
 
     def test_iteration_column(self):
-        rec = run_opsom(small_config(budget=4_000), SPEC)
+        rec = run(small_config(budget=4_000), SPEC)
         np.testing.assert_array_equal(rec.iterations, np.arange(len(rec.iterations)))
 
     def test_wall_time_and_metadata(self):
-        rec = run_opsom(small_config(), SPEC)
+        rec = run(small_config(), SPEC)
         assert rec.wall_time >= 0.0
         assert rec.function_id == "rastrigin" and rec.algorithm == "opsom"
         assert rec.dimension == 10 and rec.population == 8 and rec.seed == 3
 
     def test_archives_never_empty_after_seeding(self):
         sizes = []
-        run_opsom(small_config(budget=2_000), SPEC, observer=lambda s, a: sizes.append(
+        run(small_config(budget=2_000), SPEC, observer=lambda s, a: sizes.append(
             (len(a.phi_fitness), len(a.psi), len(a.chi))
         ))
         assert all(p == 4 and q >= 1 and c >= 1 for p, q, c in sizes)
@@ -158,7 +167,7 @@ class TestAblations:
             population=8, budget=10_000,
             no_oa=True, no_archives=True, no_mutation=True, fixed_inertia=True,
         )
-        archives = ArchiveSet(8)
+        archives = ArchiveSet(8, 10)
         refresh_phi(archives, state_a)
         _opsom_iteration(state_a, archives, config, SPEC, EvaluationCounter(budget=100), _ConstantRng())
         pso_step(state_b, config.pso_params, SPEC, EvaluationCounter(budget=100), _ConstantRng())
@@ -177,7 +186,7 @@ class TestAblations:
             return original(elite_positions, phi_positions, bounds, rng, **kw)
 
         monkeypatch.setattr(mod, "mutate_elites", spy)
-        rec = run_opsom(small_config(budget=500), SPEC)
+        rec = run(small_config(budget=500), SPEC)
         iterations = len(rec.iterations) - 1
         assert calls == [(4, 10)] * iterations
 
@@ -194,21 +203,21 @@ class TestAblations:
             return original_guides(archives, m, rng)
 
         monkeypatch.setattr(mod, "_archive_guides", spy)
-        run_opsom(small_config(budget=500, no_mutation=True), SPEC)
+        run(small_config(budget=500, no_mutation=True), SPEC)
         assert not calls
         # the whole swarm, elites included, goes through the archive-guided sweep
         assert guide_shapes and all(m == 8 for m in guide_shapes)
 
     def test_no_archives_skips_psi_and_chi(self):
         sizes = []
-        run_opsom(small_config(budget=1_000, no_archives=True), SPEC,
+        run(small_config(budget=1_000, no_archives=True), SPEC,
                   observer=lambda s, a: sizes.append((len(a.phi_fitness), len(a.psi), len(a.chi))))
         assert all(p == 4 and q == 0 and c == 0 for p, q, c in sizes)
 
     def test_ablation_flags_change_the_trajectory(self):
-        base = run_opsom(small_config(budget=2_000), SPEC)
+        base = run(small_config(budget=2_000), SPEC)
         for flag in ("no_oa", "no_archives", "no_mutation", "fixed_inertia"):
-            variant = run_opsom(small_config(budget=2_000, **{flag: True}), SPEC)
+            variant = run(small_config(budget=2_000, **{flag: True}), SPEC)
             assert not np.array_equal(base.errors, variant.errors), flag
 
 

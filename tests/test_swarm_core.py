@@ -4,7 +4,7 @@ bookkeeping, and the elite/regular split."""
 import numpy as np
 import pytest
 
-from opsom.objective import EvaluationCounter, SearchBounds, base_spec
+from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec
 from opsom.swarm_core import (
     PsoParams,
     SwarmState,
@@ -47,17 +47,6 @@ class TestSwarmState:
         assert state.gbest_fitness == 0.0
         np.testing.assert_array_equal(state.gbest_position, [0.0, 0.0])
         np.testing.assert_array_equal(state.pbest_fitness, state.fitness)
-
-    def test_particle_snapshot_is_a_copy(self):
-        state = make_state([[1.0, 2.0], [3.0, 4.0]])
-        p = state.particle(0)
-        p.position[0] = 99.0
-        assert state.positions[0, 0] == 1.0
-        assert p.fitness == 5.0
-
-    def test_particles_list(self):
-        state = make_state([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
-        assert len(state.particles) == 4
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -172,25 +161,19 @@ class TestPsoStep:
         np.testing.assert_allclose(state.positions[0], np.array([2.0, -1.0]) + v, atol=1e-15)
         assert state.iteration == 1
 
-    def test_budget_partial_sweep_moves_prefix_only(self):
+    def test_unaffordable_sweep_raises_and_leaves_state_untouched(self):
+        # the run loop only starts affordable sweeps; a direct call that cannot
+        # pay for all n evaluations fails before any particle moves
         spec = base_spec("sphere", 2)
-        state = make_state([[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]], velocities=np.ones((3, 2)))
-        before = state.positions.copy()
-        c = EvaluationCounter(budget=2)
-        pso_step(state, PsoParams(), spec, c, np.random.default_rng(1))
-        assert c.used == 2
-        assert not np.array_equal(state.positions[0], before[0])
-        np.testing.assert_array_equal(state.positions[2], before[2])
-
-    def test_exhausted_budget_returns_state_untouched(self):
-        spec = base_spec("sphere", 2)
-        state = make_state([[5.0, 5.0]], velocities=[[1.0, 1.0]])
-        c = EvaluationCounter(budget=3)
-        c.spend(3)
-        before = state.positions.copy()
-        pso_step(state, PsoParams(), spec, c, np.random.default_rng(1))
-        np.testing.assert_array_equal(state.positions, before)
-        assert state.iteration == 0
+        for budget in (0, 2):
+            state = make_state([[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]], velocities=np.ones((3, 2)))
+            before = state.positions.copy()
+            c = EvaluationCounter(budget=budget)
+            with pytest.raises(BudgetExceeded):
+                pso_step(state, PsoParams(), spec, c, np.random.default_rng(1))
+            np.testing.assert_array_equal(state.positions, before)
+            np.testing.assert_array_equal(state.velocities, np.ones((3, 2)))
+            assert state.iteration == 0 and c.used == 0
 
     def test_invariants_over_many_steps(self):
         spec = base_spec("rastrigin", 5, shift=np.full(5, 10.0))
