@@ -68,9 +68,9 @@ def refresh_phi(archives: ArchiveSet, state: SwarmState) -> ArchiveSet:
     Entries are stored in ascending fitness order (ties toward the lower
     particle index), so phi[j] pairs with the j-th ranked elite particle.
     """
-    order = np.argsort(state.pbest_fitness, kind="stable")[: archives.phi_capacity]
-    archives.phi_positions = state.pbest_positions[order].copy()
-    archives.phi_fitness = state.pbest_fitness[order].copy()
+    order = state.pbest_fitness.argsort(kind="stable")[: archives.phi_capacity]
+    archives.phi_positions = state.pbest_positions[order]  # fancy indexing copies
+    archives.phi_fitness = state.pbest_fitness[order]
     return archives
 
 

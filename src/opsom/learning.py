@@ -38,4 +38,5 @@ def regular_velocity_update(
     if r3 is None:
         r3 = rng.uniform(size=shape)
     velocity = r1 * velocity + r2 * (guide_position - position) + r3 * (gbest_position - position)
-    return np.clip(velocity, -v_max, v_max)
+    np.maximum(velocity, -v_max, out=velocity)
+    return np.minimum(velocity, v_max, out=velocity)

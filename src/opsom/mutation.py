@@ -43,7 +43,8 @@ def mutate_elites(
 
     Row j becomes x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), clamped
     into the box, with g, h from `draw_partners`.  delta1/delta2/partners
-    override the random draws (test hooks).
+    override the random draws (test hooks); delta1 and delta2 come from one
+    (2, m, d) draw unless both are given.
     """
     elite_positions = np.asarray(elite_positions, dtype=float)
     m, d = elite_positions.shape
@@ -51,13 +52,14 @@ def mutate_elites(
         g, h = draw_partners(m, rng)
     else:
         g, h = partners
-    if delta1 is None:
-        delta1 = rng.uniform(size=(m, d))
-    if delta2 is None:
-        delta2 = rng.uniform(size=(m, d))
+    if delta1 is None or delta2 is None:
+        drawn = rng.random((2, m, d))
+        delta1 = drawn[0] if delta1 is None else delta1
+        delta2 = drawn[1] if delta2 is None else delta2
     mutated = (
         elite_positions
         + delta1 * (phi_positions - elite_positions)
         + delta2 * (elite_positions[g] - elite_positions[h])
     )
-    return np.clip(mutated, bounds.lower, bounds.upper)
+    np.maximum(mutated, bounds.lower, out=mutated)
+    return np.minimum(mutated, bounds.upper, out=mutated)

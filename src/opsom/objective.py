@@ -64,43 +64,54 @@ class EvaluationCounter:
 # minimum exactly 0.0 at z = 0, including in floating point.
 
 
+# Reductions call the ufunc's `reduce` directly: it is what np.sum, np.mean
+# and np.prod run underneath, in the same order, without their Python wrappers.
+
+
 def sphere(z):
-    return np.sum(z * z, axis=-1)
+    return np.add.reduce(z * z, -1)
 
 
 def bent_cigar(z):
-    return z[..., 0] ** 2 + 1e6 * np.sum(z[..., 1:] ** 2, axis=-1)
+    return z[..., 0] ** 2 + 1e6 * np.add.reduce(z[..., 1:] ** 2, -1)
 
 
 def rastrigin(z):
-    return np.sum(z * z - 10.0 * np.cos(TWO_PI * z) + 10.0, axis=-1)
+    return np.add.reduce(z * z - 10.0 * np.cos(TWO_PI * z) + 10.0, -1)
 
 
 def ackley(z):
-    rms = np.sqrt(np.mean(z * z, axis=-1))
-    mean_cos = np.mean(np.cos(TWO_PI * z), axis=-1)
+    d = z.shape[-1]
+    rms = np.sqrt(np.add.reduce(z * z, -1) / d)
+    mean_cos = np.add.reduce(np.cos(TWO_PI * z), -1) / d
     return (20.0 - 20.0 * np.exp(-0.2 * rms)) + (_E - np.exp(mean_cos))
 
 
 def griewank(z):
     d = z.shape[-1]
-    s = np.sum(z * z, axis=-1) / 4000.0
-    p = np.prod(np.cos(z / np.sqrt(np.arange(1.0, d + 1.0))), axis=-1)
+    s = np.add.reduce(z * z, -1) / 4000.0
+    p = np.multiply.reduce(np.cos(z / np.sqrt(np.arange(1.0, d + 1.0))), -1)
     return (1.0 + s) - p
 
 
 def schwefel(z):
     # Coordinates beyond |u| = 500 are folded back with a quadratic penalty so
-    # the global minimum stays exactly 0 at z = 0 for any box/rotation.
+    # the global minimum stays exactly 0 at z = 0 for any box/rotation.  The
+    # fold is computed only on the coordinates that need it.
     d = z.shape[-1]
     u = z + _SCHWEFEL_MU
-    au = np.abs(u)
-    m = np.mod(au, 500.0)
-    g_core = u * np.sin(np.sqrt(au))
-    g_hi = (500.0 - m) * np.sin(np.sqrt(np.abs(500.0 - m))) - (u - 500.0) ** 2 / (10000.0 * d)
-    g_lo = (m - 500.0) * np.sin(np.sqrt(np.abs(m - 500.0))) - (u + 500.0) ** 2 / (10000.0 * d)
-    g = np.where(u > 500.0, g_hi, np.where(u < -500.0, g_lo, g_core))
-    return np.sum(_SCHWEFEL_PEAK - g, axis=-1)
+    g = u * np.sin(np.sqrt(np.abs(u)))
+    hi = u > 500.0
+    if hi.any():
+        uh = u[hi]
+        m = np.mod(uh, 500.0)
+        g[hi] = (500.0 - m) * np.sin(np.sqrt(np.abs(500.0 - m))) - (uh - 500.0) ** 2 / (10000.0 * d)
+    lo = u < -500.0
+    if lo.any():
+        ul = u[lo]
+        m = np.mod(np.abs(ul), 500.0)
+        g[lo] = (m - 500.0) * np.sin(np.sqrt(np.abs(m - 500.0))) - (ul + 500.0) ** 2 / (10000.0 * d)
+    return np.add.reduce(_SCHWEFEL_PEAK - g, -1)
 
 
 BASE_FUNCTIONS = {
@@ -168,6 +179,12 @@ class HybridBlocks:
     rotation: np.ndarray
     bias: float = 0.0
     scales: tuple[float, ...] | None = None
+    # (base, scale, block) per block, fixed by the fields above
+    blocks: list[tuple[str, float, slice]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        scales = self.scales or (1.0,) * len(self.bases)
+        self.blocks = list(zip(self.bases, scales, self.block_slices(len(self.shift))))
 
     def block_slices(self, dimension: int) -> list[slice]:
         k = min(len(self.bases), dimension)
@@ -175,10 +192,9 @@ class HybridBlocks:
         return [slice(int(edges[i]), int(edges[i + 1])) for i in range(k)]
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        scales = self.scales or (1.0,) * len(self.bases)
         z = _transform(points, self.shift, self.rotation, 1.0)
         total = np.zeros(len(points))
-        for base, scale, block in zip(self.bases, scales, self.block_slices(points.shape[-1])):
+        for base, scale, block in self.blocks:
             total += BASE_FUNCTIONS[base](scale * z[:, block])
         return total + self.bias
 
@@ -197,25 +213,29 @@ class WeightedComposite:
     components: tuple[ShiftedBase, ...]
     sigmas: tuple[float, ...]
     bias: float = 0.0
+    # fixed by the fields above, so computed once rather than on every call
+    shifts: np.ndarray = field(init=False, repr=False)
+    width: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.shifts = np.stack([c.shift for c in self.components])
+        self.width = 2.0 * self.shifts.shape[-1] * np.asarray(self.sigmas) ** 2
 
     def component_values(self, points: np.ndarray) -> np.ndarray:
         return np.stack([c.values(points) for c in self.components], axis=1)
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        d = points.shape[-1]
-        shifts = np.stack([c.shift for c in self.components])
-        sq_dist = np.sum((points[:, None, :] - shifts[None, :, :]) ** 2, axis=-1)
-        sigmas = np.asarray(self.sigmas)
+        sq_dist = np.add.reduce((points[:, None, :] - self.shifts[None, :, :]) ** 2, -1)
         hit = sq_dist == 0.0
         vals = self.component_values(points)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.exp(-sq_dist / (2.0 * d * sigmas**2)) / np.sqrt(sq_dist)
-            wsum = w.sum(axis=1, keepdims=True)
+            w = np.exp(-sq_dist / self.width) / np.sqrt(sq_dist)
+            wsum = np.add.reduce(w, 1, keepdims=True)
             flat = wsum[:, 0] == 0.0  # all weights underflowed: fall back to equal weights
             if flat.any():
                 w[flat] = 1.0
                 wsum[flat] = w.shape[1]
-            out = np.sum((w / wsum) * vals, axis=1)
+            out = np.add.reduce((w / wsum) * vals, 1)
         hit_rows = hit.any(axis=1)
         if hit_rows.any():
             first = np.argmax(hit[hit_rows], axis=1)
@@ -260,16 +280,23 @@ def evaluate(spec: ObjectiveSpec, point, counter: EvaluationCounter) -> float:
     point = np.asarray(point, dtype=float)
     if point.shape != (spec.dimension,):
         raise ValueError(f"point has shape {point.shape}, expected ({spec.dimension},)")
-    counter.spend(1)
-    return float(spec.fn.values(point[None, :])[0])
+    return float(evaluate_batch(spec, point[None, :], counter)[0])
 
 
 def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvaluationCounter) -> np.ndarray:
-    """Evaluate an (m, d) batch of points, charging m evaluations at once."""
+    """Evaluate an (m, d) batch of points, charging m evaluations at once.
+
+    A batch with any non-finite value (NaN or +-inf) raises ValueError naming
+    the function and the number of such rows, before any of it is used.
+    """
     if points.ndim != 2 or points.shape[1] != spec.dimension:
         raise ValueError(f"points have shape {points.shape}, expected (m, {spec.dimension})")
     counter.spend(len(points))
-    return spec.fn.values(points)
+    values = spec.fn.values(points)
+    if not np.isfinite(values).all():
+        bad = len(values) - int(np.isfinite(values).sum())
+        raise ValueError(f"{spec.id}: {bad} of {len(values)} rows evaluated to NaN or +-inf")
+    return values
 
 
 def error_of(spec: ObjectiveSpec, best_fitness: float) -> float:

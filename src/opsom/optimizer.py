@@ -84,8 +84,10 @@ class RunRecord:
 
 def diversity(state: SwarmState) -> float:
     """Mean Euclidean distance of the particles from the swarm centroid."""
-    centroid = state.positions.mean(axis=0)
-    return float(np.linalg.norm(state.positions - centroid, axis=1).mean())
+    X = state.positions
+    n = len(X)
+    D = X - np.add.reduce(X, 0) / n
+    return float(np.add.reduce(np.sqrt(np.add.reduce(D * D, 1))) / n)
 
 
 def exploration_ratio(diversities: np.ndarray) -> np.ndarray:
@@ -143,13 +145,16 @@ def _archive_guides(archives: ArchiveSet, m: int, rng):
     Returns the (m, d) guide matrix: row-wise argmin fitness across the phi,
     psi, chi representatives, ties resolved in that priority order.
     """
-    p = rng.integers(0, len(archives.phi_fitness), size=m)
-    q = rng.integers(0, len(archives.psi), size=m)
-    s = rng.integers(0, len(archives.chi), size=m)
-    rep_fit = np.stack([archives.phi_fitness[p], archives.psi.fitness[q], archives.chi.fitness[s]])
-    which = np.argmin(rep_fit, axis=0)  # first minimum == phi > psi > chi priority
-    reps = (archives.phi_positions[p], archives.psi.positions[q], archives.chi.positions[s])
-    return np.choose(which[:, None], reps)
+    psi, chi = archives.psi, archives.chi
+    n_phi = len(archives.phi_fitness)
+    # one call draws the same values as three sized calls in turn; the offsets
+    # turn them into rows of the stacked phi | psi | chi tables
+    idx = rng.integers(0, [[n_phi], [len(psi)], [len(chi)]], size=(3, m))
+    idx += [[0], [n_phi], [n_phi + len(psi.fitness)]]
+    fitness = np.concatenate((archives.phi_fitness, psi.fitness, chi.fitness))
+    which = fitness[idx].argmin(0)  # first minimum == phi > psi > chi priority
+    positions = np.concatenate((archives.phi_positions, psi.positions, chi.positions))
+    return positions[idx[which, np.arange(m)]]
 
 
 def _opsom_iteration(
@@ -172,27 +177,27 @@ def _opsom_iteration(
 
     X, V = state.positions, state.velocities
     gbest = state.gbest_position
-    new_positions = X.copy()
+    # learners and mutated elites together cover every row
+    new_positions = np.empty_like(X)
     new_velocities = V.copy()
 
     m = len(learner_idx)
     if m:
+        x = X[learner_idx]
         if config.no_archives:
             # archive learning disabled: plain baseline velocity update
-            r = rng.uniform(size=(2, m, state.dimension))
+            r = rng.random((2, m, state.dimension))
             velocity = baseline_velocity(
-                params, spec.bounds, V[learner_idx], X[learner_idx],
-                state.pbest_positions[learner_idx], gbest, r[0], r[1],
+                params, spec.bounds, V[learner_idx], x, state.pbest_positions[learner_idx], gbest, r[0], r[1]
             )
         else:
             guides = _archive_guides(archives, m, rng)
-            r = rng.uniform(size=(3, m, state.dimension))
-            r1 = np.full((m, state.dimension), params.inertia) if config.fixed_inertia else r[0]
+            r = rng.random((3, m, state.dimension))
             velocity = regular_velocity_update(
-                V[learner_idx], X[learner_idx], guides, gbest, params.v_max(spec.bounds), rng,
-                r1=r1, r2=r[1], r3=r[2],
+                V[learner_idx], x, guides, gbest, params.v_max(spec.bounds), rng,
+                r1=params.inertia if config.fixed_inertia else r[0], r2=r[1], r3=r[2],
             )
-        position, velocity = handle_bounds(X[learner_idx] + velocity, velocity, spec.bounds)
+        position, velocity = handle_bounds(x + velocity, velocity, spec.bounds)
         new_positions[learner_idx] = position
         new_velocities[learner_idx] = velocity
 
@@ -212,7 +217,7 @@ def _opsom_iteration(
     update_bests(state)
     refresh_phi(archives, state)
     if not config.no_archives:
-        for i in np.flatnonzero(improved):
+        for i in improved.nonzero()[0]:
             push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], rng)
         if state.gbest_fitness < previous_gbest:
             push_chi(archives, state.gbest_position, state.gbest_fitness, rng)

@@ -68,20 +68,21 @@ class SwarmState:
 def handle_bounds(position: np.ndarray, velocity: np.ndarray, bounds: SearchBounds) -> tuple[np.ndarray, np.ndarray]:
     """Clamp out-of-box coordinates to the violated bound and zero their velocity."""
     outside = (position < bounds.lower) | (position > bounds.upper)
-    clipped = np.clip(position, bounds.lower, bounds.upper)
+    clipped = np.maximum(position, bounds.lower)
+    np.minimum(clipped, bounds.upper, out=clipped)
     return clipped, np.where(outside, 0.0, velocity)
 
 
 def update_bests(state: SwarmState) -> SwarmState:
     """Refresh personal and global bests from current fitness (strict improvement only)."""
     improved = state.fitness < state.pbest_fitness
-    if improved.any():
-        state.pbest_positions[improved] = state.positions[improved]
-        state.pbest_fitness[improved] = state.fitness[improved]
-    best = int(np.argmin(state.pbest_fitness))
-    if state.pbest_fitness[best] < state.gbest_fitness:
+    np.copyto(state.pbest_positions, state.positions, where=improved[:, None])
+    np.copyto(state.pbest_fitness, state.fitness, where=improved)
+    best = int(state.pbest_fitness.argmin())
+    best_fitness = float(state.pbest_fitness[best])
+    if best_fitness < state.gbest_fitness:
         state.gbest_position = state.pbest_positions[best].copy()
-        state.gbest_fitness = float(state.pbest_fitness[best])
+        state.gbest_fitness = best_fitness
     return state
 
 
@@ -93,7 +94,7 @@ def sort_and_split(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     """
     if state.n % 2:
         raise ValueError(f"population size must be even, got {state.n}")
-    order = np.argsort(state.fitness, kind="stable")
+    order = state.fitness.argsort(kind="stable")
     half = state.n // 2
     return order[:half], order[half:]
 
@@ -115,7 +116,8 @@ def baseline_velocity(
         + params.cognitive * r1 * (pbest_position - position)
         + params.social * r2 * (gbest_position - position)
     )
-    return np.clip(velocity, -vmax, vmax)
+    np.maximum(velocity, -vmax, out=velocity)
+    return np.minimum(velocity, vmax, out=velocity)
 
 
 def pso_step(
@@ -132,13 +134,13 @@ def pso_step(
 
     The sweep costs n evaluations; if the budget cannot cover it,
     `BudgetExceeded` is raised and the state is left untouched.  `r1`/`r2`
-    override the per-dimension uniform draws (test hook).
+    override the per-dimension uniform draws (test hook); both come from one
+    (2, n, d) draw unless both are given.
     """
-    shape = state.positions.shape
-    if r1 is None:
-        r1 = rng.uniform(size=shape)
-    if r2 is None:
-        r2 = rng.uniform(size=shape)
+    if r1 is None or r2 is None:
+        drawn = rng.random((2, *state.positions.shape))
+        r1 = drawn[0] if r1 is None else r1
+        r2 = drawn[1] if r2 is None else r2
     velocity = baseline_velocity(
         params, spec.bounds, state.velocities, state.positions, state.pbest_positions, state.gbest_position, r1, r2
     )

@@ -23,9 +23,35 @@ from opsom.harness import (
     summarize,
     write_outputs,
 )
-from opsom.objective import base_spec
+from opsom import harness
+from opsom.objective import ObjectiveSpec, SearchBounds, base_spec
 from opsom.optimizer import OptimizerConfig, run
 from opsom.ortho_init import OrthogonalArray, verify_oa
+
+
+class PoisonedSphere:
+    """Sphere whose batches, from the `after`-th call on, hold NaN on even rows and +inf on row 1."""
+
+    def __init__(self, after: int):
+        self.after = after
+        self.calls = 0
+
+    def values(self, points):
+        self.calls += 1
+        out = (points * points).sum(axis=1)
+        if self.calls >= self.after:
+            out[::2] = np.nan
+            out[1] = np.inf
+        return out
+
+
+def poisoned_spec(dimension: int, after: int = 3) -> ObjectiveSpec:
+    return ObjectiveSpec(
+        id="poisoned", category="unimodal", dimension=dimension, bounds=SearchBounds(),
+        shift=np.zeros(dimension), rotation=np.eye(dimension), f_opt=0.0, suite_seed=0,
+        fn=PoisonedSphere(after),
+    )
+
 
 GOLDEN = Path(__file__).parent / "golden"
 # pinned output digests: file stem -> flags added to the criterion-3 invocation
@@ -187,6 +213,31 @@ class TestOutputs:
             assert not changed, f"{case}: {len(changed)} of {len(pinned)} outputs changed: {changed}"
 
 
+class TestNonFiniteObjective:
+    """A batch with NaN or +-inf values fails the evaluation that produced it."""
+
+    @pytest.mark.parametrize("algorithm", ["opsom", "pso"])
+    def test_run_raises_at_the_first_bad_batch(self, algorithm):
+        seen = []
+        config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=True)
+        with pytest.raises(ValueError, match=r"^poisoned: 5 of 8 rows evaluated to NaN or \+-inf$"):
+            run(config, poisoned_spec(4), observer=lambda state, archives: seen.append(state.iteration))
+        # initialization and the first iteration were finite; the second iteration's batch raised
+        assert seen == [0, 1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cli_reports_error_and_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
+        # with --jobs 2 the error is raised in a worker process and re-raised here
+        monkeypatch.setattr(harness, "make_suite", lambda suite_seed, dim: [poisoned_spec(dim)])
+        status = main([
+            "run", "--algo", "opsom,pso", "--dim", "4", "--runs", "2", "--pop", "8", "--no-oa",
+            "--budget", "400", "--jobs", jobs, "--out", str(tmp_path / "z"),
+        ])
+        assert status == 1
+        assert "error: poisoned: 5 of 8 rows evaluated to NaN or +-inf" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
+
 class TestCli:
     def test_oa_subcommand_prints_verifiable_array(self, capsys):
         assert main(["oa", "--levels", "2", "--factors", "7"]) == 0
@@ -206,13 +257,15 @@ class TestCli:
 
     def test_module_entry_point_runs_without_runpy_warning(self):
         # `python -m opsom.harness` warns (an error under -W error) when importing
-        # the package has already imported the harness module
+        # the package has already imported the harness module; `python -m opsom`
+        # needs the package's __main__ module
         src = str(Path(opsom.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        argv = ["-W", "error::RuntimeWarning", "-m", "opsom.harness", "oa", "--levels", "2", "--factors", "3"]
-        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["1 1 1", "1 2 2", "2 1 2", "2 2 1"]
+        for module in ("opsom.harness", "opsom"):
+            argv = ["-W", "error::RuntimeWarning", "-m", module, "oa", "--levels", "2", "--factors", "3"]
+            proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, (module, proc.stderr)
+            assert proc.stdout.splitlines() == ["1 1 1", "1 2 2", "2 1 2", "2 2 1"], module
 
     def test_compare_requires_two_algorithms(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -114,6 +114,17 @@ class TestRegularVelocityUpdate:
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[1], outs[2])
 
+    def test_bitwise_equal_to_clip_form(self):
+        rng = np.random.default_rng(10)
+        v, x, guide = rng.uniform(-100, 100, (3, 20, 10))
+        gbest = rng.uniform(-100, 100, 10)
+        r1, r2, r3 = rng.uniform(size=(3, 20, 10))
+        for inertia in (r1, 0.729):  # drawn, and pinned by --fixed-inertia
+            expected = np.clip(inertia * v + r2 * (guide - x) + r3 * (gbest - x), -40.0, 40.0)
+            assert (np.abs(expected) == 40.0).any() and (np.abs(expected) < 40.0).any()
+            out = regular_velocity_update(v, x, guide, gbest, 40.0, rng, r1=inertia, r2=r2, r3=r3)
+            assert out.tobytes() == expected.tobytes()
+
     def test_batch_matches_per_particle(self):
         rng = np.random.default_rng(9)
         m, d = 6, 3

@@ -142,6 +142,18 @@ class TestMutateElites:
             row = scalar_mutation(j, phi[j], positions, d1[j], d2[j], int(g[j]), int(h[j]))
             np.testing.assert_array_equal(batch[j], row)
 
+    def test_bitwise_equal_to_clip_form(self):
+        rng = np.random.default_rng(7)
+        m, d = 20, 10
+        positions = rng.uniform(-100, 100, (m, d))
+        phi = rng.uniform(-100, 100, (m, d))
+        g, h = draw_partners(m, rng)
+        d1, d2 = rng.uniform(0, 2, size=(2, m, d))  # wide enough to push rows past both walls
+        expected = np.clip(positions + d1 * (phi - positions) + d2 * (positions[g] - positions[h]), -100.0, 100.0)
+        assert (np.abs(expected) == 100.0).any() and (np.abs(expected) < 100.0).any()
+        out = mutate_elites(positions, phi, BOUNDS, rng, delta1=d1, delta2=d2, partners=(g, h))
+        assert out.tobytes() == expected.tobytes()
+
     def test_all_outputs_inside_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(20):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsom.objective import (
+    _SCHWEFEL_MU,
+    _SCHWEFEL_PEAK,
     BudgetExceeded,
     EvaluationCounter,
     ObjectiveSpec,
@@ -20,7 +22,10 @@ from opsom.objective import (
     evaluate_batch,
     make_suite,
     _transform,
+    ackley,
+    griewank,
     random_rotation,
+    schwefel,
 )
 
 SUITE_DIMS = (2, 3, 10, 30, 50)
@@ -261,3 +266,103 @@ class TestBatchInvariance:
         reference = scale * ((points - shift) @ rotation.T)
         worst = np.abs(_transform(points, shift, rotation, scale) - reference).max()
         assert worst <= 1e-12 * np.abs(reference).max()
+
+
+# The kernels as they were written before their Python-wrapper calls were cut;
+# each rewrite must reproduce them bit for bit.
+
+
+def schwefel_three_branch(z):
+    d = z.shape[-1]
+    u = z + _SCHWEFEL_MU
+    au = np.abs(u)
+    m = np.mod(au, 500.0)
+    g_core = u * np.sin(np.sqrt(au))
+    g_hi = (500.0 - m) * np.sin(np.sqrt(np.abs(500.0 - m))) - (u - 500.0) ** 2 / (10000.0 * d)
+    g_lo = (m - 500.0) * np.sin(np.sqrt(np.abs(m - 500.0))) - (u + 500.0) ** 2 / (10000.0 * d)
+    g = np.where(u > 500.0, g_hi, np.where(u < -500.0, g_lo, g_core))
+    return np.sum(_SCHWEFEL_PEAK - g, axis=-1)
+
+
+def ackley_mean_form(z):
+    rms = np.sqrt(np.mean(z * z, axis=-1))
+    mean_cos = np.mean(np.cos(2.0 * np.pi * z), axis=-1)
+    return (20.0 - 20.0 * np.exp(-0.2 * rms)) + (float(np.exp(1.0)) - np.exp(mean_cos))
+
+
+def griewank_prod_form(z):
+    d = z.shape[-1]
+    s = np.sum(z * z, axis=-1) / 4000.0
+    p = np.prod(np.cos(z / np.sqrt(np.arange(1.0, d + 1.0))), axis=-1)
+    return (1.0 + s) - p
+
+
+def composite_stacking_shifts(fn, points):
+    d = points.shape[-1]
+    shifts = np.stack([c.shift for c in fn.components])
+    sq_dist = np.sum((points[:, None, :] - shifts[None, :, :]) ** 2, axis=-1)
+    sigmas = np.asarray(fn.sigmas)
+    hit = sq_dist == 0.0
+    vals = fn.component_values(points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.exp(-sq_dist / (2.0 * d * sigmas**2)) / np.sqrt(sq_dist)
+        wsum = w.sum(axis=1, keepdims=True)
+        flat = wsum[:, 0] == 0.0
+        if flat.any():
+            w[flat] = 1.0
+            wsum[flat] = w.shape[1]
+        out = np.sum((w / wsum) * vals, axis=1)
+    hit_rows = hit.any(axis=1)
+    if hit_rows.any():
+        first = np.argmax(hit[hit_rows], axis=1)
+        out[hit_rows] = vals[hit_rows, first]
+    return out + fn.bias
+
+
+# z coordinates whose u = z + mu lands on, or within a few ulps of, +-500
+SCHWEFEL_EDGES = np.array([
+    u - _SCHWEFEL_MU for edge in (500.0, -500.0) for u in edge + np.arange(-3, 4) * np.spacing(500.0)
+])
+
+
+class TestKernelOracles:
+    """Each rewritten kernel against its earlier form, compared bitwise."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), d=st.sampled_from(SUITE_DIMS),
+           spread=st.sampled_from([100.0, 1000.0, 5000.0]))
+    def test_schwefel_matches_three_branch_form(self, seed, m, d, spread):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-spread, spread, (m, d))
+        k = min(z.size, len(SCHWEFEL_EDGES))
+        z.flat[rng.choice(z.size, k, replace=False)] = SCHWEFEL_EDGES[:k]
+        assert_same_bits(schwefel(z), schwefel_three_branch(z), "schwefel")
+
+    def test_schwefel_edge_coordinates_reach_the_fold(self):
+        # the edges put u on both sides of each fold and exactly on +500; no
+        # double z gives u = -500 exactly, since -500 - mu is not a double
+        u = SCHWEFEL_EDGES + _SCHWEFEL_MU
+        assert 500.0 in u
+        for edge in (500.0, -500.0):
+            assert (u > edge).sum() >= 2 and (u < edge).sum() >= 2
+            assert np.abs(u - edge).min() <= np.spacing(500.0)
+        z = SCHWEFEL_EDGES[None, :]
+        assert_same_bits(schwefel(z), schwefel_three_branch(z), "schwefel edges")
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), d=st.sampled_from(SUITE_DIMS),
+           scale=st.sampled_from([0.01, 1.0, 32.0, 600.0]))
+    def test_ackley_and_griewank_match_numpy_mean_and_prod(self, seed, m, d, scale):
+        z = scale * np.random.default_rng(seed).uniform(-1, 1, (m, d))
+        assert_same_bits(ackley(z), ackley_mean_form(z), "ackley")
+        assert_same_bits(griewank(z), griewank_prod_form(z), "griewank")
+
+    @pytest.mark.parametrize("d", SUITE_DIMS)
+    def test_composite_matches_per_call_stacking(self, d):
+        rng = np.random.default_rng(d)
+        for spec in make_suite(4, d)[8:]:
+            points = rng.uniform(-100, 100, (30, d))
+            points[3] = spec.fn.components[1].shift  # on a shift: that component alone
+            points[7] = spec.fn.components[0].shift
+            points[11] = 1e5  # every weight underflows: equal weights
+            assert_same_bits(spec.fn.values(points), composite_stacking_shifts(spec.fn, points), spec.id)

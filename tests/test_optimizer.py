@@ -3,6 +3,8 @@ trace invariants, ablation behavior, and the diversity metrics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsom.archives import ArchiveSet, refresh_phi
 from opsom.objective import EvaluationCounter, base_spec, make_suite
@@ -150,6 +152,9 @@ class _ConstantRng:
     def uniform(self, low=0.0, high=1.0, size=None):
         return np.full(size, 0.5 * (low + high)) if size is not None else 0.5 * (low + high)
 
+    def random(self, size=None):
+        return self.uniform(size=size)
+
     def integers(self, low, high=None, size=None):
         lo = 0 if high is None else low
         return np.full(size, lo, dtype=int) if size is not None else lo
@@ -221,6 +226,41 @@ class TestAblations:
             assert not np.array_equal(base.errors, variant.errors), flag
 
 
+class TestRngIdentities:
+    """The generator identities that let one call replace several without moving
+    a single output bit (guide indices, velocity, mutation and PSO draws)."""
+
+    @staticmethod
+    def pair(seed, pre):
+        # `pre` single 32-bit-range draws leave the generator's half-used
+        # 64-bit buffer in either state before the compared calls
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (a, b):
+            for _ in range(pre):
+                rng.integers(0, 7)
+        return a, b
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), pre=st.integers(0, 3), m=st.integers(1, 60),
+           highs=st.lists(st.integers(1, 2**40), min_size=1, max_size=4))
+    def test_one_integers_call_with_array_high_equals_sized_calls(self, seed, pre, m, highs):
+        a, b = self.pair(seed, pre)
+        merged = a.integers(0, np.array(highs)[:, None], size=(len(highs), m))
+        one_by_one = np.stack([b.integers(0, high, size=m) for high in highs])
+        np.testing.assert_array_equal(merged, one_by_one)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), pre=st.integers(0, 3), k=st.integers(1, 4),
+           m=st.integers(1, 40), d=st.integers(1, 50))
+    def test_one_random_call_equals_uniform_calls(self, seed, pre, k, m, d):
+        a, b = self.pair(seed, pre)
+        merged = a.random((k, m, d))
+        one_by_one = np.stack([b.uniform(size=(m, d)) for _ in range(k)])
+        assert merged.tobytes() == one_by_one.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestDiversity:
     def test_identical_particles(self):
         state = SwarmState(np.ones((5, 3)), np.zeros((5, 3)), np.zeros(5))
@@ -237,6 +277,15 @@ class TestDiversity:
         centroid = positions.mean(axis=0)
         expected = np.mean([np.sqrt(((p - centroid) ** 2).sum()) for p in positions])
         assert diversity(state) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 100), d=st.integers(1, 60),
+           scale=st.sampled_from([1e-3, 1.0, 100.0, 1e6]))
+    def test_bitwise_equal_to_numpy_mean_and_norm(self, seed, n, d, scale):
+        positions = scale * np.random.default_rng(seed).uniform(-1, 1, (n, d))
+        state = SwarmState(positions, np.zeros((n, d)), np.zeros(n))
+        expected = float(np.linalg.norm(positions - positions.mean(0), axis=1).mean())
+        assert np.array_equal(diversity(state), expected)
 
 
 class TestExplorationRatio:

@@ -8,6 +8,7 @@ from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, bas
 from opsom.swarm_core import (
     PsoParams,
     SwarmState,
+    baseline_velocity,
     handle_bounds,
     pso_step,
     sort_and_split,
@@ -68,6 +69,17 @@ class TestHandleBounds:
         pos, vel = handle_bounds(np.array([-200.0, -200.0]), np.array([-1.0, -1.0]), SearchBounds())
         np.testing.assert_array_equal(pos, [-100.0, -100.0])
         np.testing.assert_array_equal(vel, [0.0, 0.0])
+
+    def test_bitwise_equal_to_clip_form(self):
+        rng = np.random.default_rng(4)
+        for bounds in (SearchBounds(), SearchBounds(-5.0, 32.0)):
+            position = rng.uniform(-3 * bounds.span, 3 * bounds.span, (40, 12))
+            position[0, :4] = [bounds.lower, bounds.upper, -0.0, 0.0]  # on the walls, signed zeros
+            velocity = rng.uniform(-50, 50, (40, 12))
+            pos, vel = handle_bounds(position, velocity, bounds)
+            outside = (position < bounds.lower) | (position > bounds.upper)
+            assert pos.tobytes() == np.clip(position, bounds.lower, bounds.upper).tobytes()
+            assert vel.tobytes() == np.where(outside, 0.0, velocity).tobytes()
 
 
 class TestUpdateBests:
@@ -160,6 +172,19 @@ class TestPsoStep:
         np.testing.assert_allclose(state.velocities[0], v, atol=1e-15)
         np.testing.assert_allclose(state.positions[0], np.array([2.0, -1.0]) + v, atol=1e-15)
         assert state.iteration == 1
+
+    def test_velocity_bitwise_equal_to_clip_form(self):
+        rng = np.random.default_rng(6)
+        bounds, params = SearchBounds(), PsoParams()
+        vmax = params.v_max(bounds)
+        v, x, pbest = rng.uniform(-100, 100, (3, 20, 10))
+        gbest = rng.uniform(-100, 100, 10)
+        r1, r2 = rng.uniform(size=(2, 20, 10))
+        expected = np.clip(
+            params.inertia * v + params.cognitive * r1 * (pbest - x) + params.social * r2 * (gbest - x), -vmax, vmax
+        )
+        assert (np.abs(expected) == vmax).any() and (np.abs(expected) < vmax).any()
+        assert baseline_velocity(params, bounds, v, x, pbest, gbest, r1, r2).tobytes() == expected.tobytes()
 
     def test_unaffordable_sweep_raises_and_leaves_state_untouched(self):
         # the run loop only starts affordable sweeps; a direct call that cannot
