@@ -29,17 +29,18 @@ class BoundedArchive:
     def __len__(self) -> int:
         return self.size
 
-    def push(self, position: np.ndarray, fitness: float, rng: np.random.Generator) -> None:
-        """Append a row; when full, first evict a uniformly random older row.
+    def push(self, position: np.ndarray, fitness: float, u: float) -> None:
+        """Append a row; when full, first evict older row `int(u * cap)`.
 
-        The eviction draw and the shift of the later rows reproduce `list.pop(k)`
-        on a list ordered by push time, so the newest row always survives.
+        `u` is a uniform in [0, 1), used only when the archive is full.  The
+        eviction and the shift of the later rows reproduce `list.pop(k)` on a
+        list ordered by push time, so the newest row always survives.
         """
         cap = len(self.fitness)
         if self.size < cap:
             self.size += 1
         else:
-            k = int(rng.integers(0, cap))
+            k = int(u * cap)
             self.positions[k:-1] = self.positions[k + 1 :]
             self.fitness[k:-1] = self.fitness[k + 1 :]
         self.positions[self.size - 1] = position
@@ -74,13 +75,13 @@ def refresh_phi(archives: ArchiveSet, state: SwarmState) -> ArchiveSet:
     return archives
 
 
-def push_psi(archives: ArchiveSet, position: np.ndarray, fitness: float, rng: np.random.Generator) -> ArchiveSet:
-    """Record a personal best that strictly improved this iteration."""
-    archives.psi.push(position, fitness, rng)
+def push_psi(archives: ArchiveSet, position: np.ndarray, fitness: float, u: float) -> ArchiveSet:
+    """Record a personal best that strictly improved this iteration; `u` picks the evicted row."""
+    archives.psi.push(position, fitness, u)
     return archives
 
 
-def push_chi(archives: ArchiveSet, position: np.ndarray, fitness: float, rng: np.random.Generator) -> ArchiveSet:
-    """Record a global best that strictly improved this iteration."""
-    archives.chi.push(position, fitness, rng)
+def push_chi(archives: ArchiveSet, position: np.ndarray, fitness: float, u: float) -> ArchiveSet:
+    """Record a global best that strictly improved this iteration; `u` picks the evicted row."""
+    archives.chi.push(position, fitness, u)
     return archives

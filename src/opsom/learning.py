@@ -18,25 +18,16 @@ def regular_velocity_update(
     guide_position: np.ndarray,
     gbest_position: np.ndarray,
     v_max: float,
-    rng: np.random.Generator,
-    *,
-    r1: np.ndarray | None = None,
-    r2: np.ndarray | None = None,
-    r3: np.ndarray | None = None,
+    r1: np.ndarray | float,
+    r2: np.ndarray,
+    r3: np.ndarray,
 ) -> np.ndarray:
     """New velocity r1*v + r2*(guide - x) + r3*(gbest - x), clamped to +-v_max.
 
-    The r vectors are fresh per-dimension uniform[0, 1] draws unless supplied
-    explicitly (test hook; also used to pin r1 to a fixed inertia weight).
-    Works on a single (d,) particle or a stacked (m, d) batch.
+    The r vectors are per-dimension uniform[0, 1] draws made by the caller;
+    r1 may be a fixed inertia weight instead.  Works on a single (d,)
+    particle or a stacked (m, d) batch.
     """
-    shape = np.shape(velocity)
-    if r1 is None:
-        r1 = rng.uniform(size=shape)
-    if r2 is None:
-        r2 = rng.uniform(size=shape)
-    if r3 is None:
-        r3 = rng.uniform(size=shape)
     velocity = r1 * velocity + r2 * (guide_position - position) + r3 * (gbest_position - position)
     np.maximum(velocity, -v_max, out=velocity)
     return np.minimum(velocity, v_max, out=velocity)

@@ -14,16 +14,21 @@ import numpy as np
 from .objective import SearchBounds
 
 
-def draw_partners(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """For each j in 0..m-1, draw a uniform pair (g, h) with j, g, h all distinct."""
+def draw_partners(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each j in 0..m-1, a uniform pair (g, h) with j, g, h all distinct.
+
+    `u` is (2, m) uniforms in [0, 1): g is the `int(u[0] * (m - 1))`-th index
+    other than j, h the `int(u[1] * (m - 2))`-th index other than j and g.
+    """
+    m = u.shape[1]
     if m < 3:
         raise ValueError(f"need at least 3 elites to draw distinct partners, got {m}")
     j = np.arange(m)
-    g = rng.integers(0, m - 1, size=m)
+    g = (u[0] * (m - 1)).astype(np.intp)
     g += g >= j
     lo = np.minimum(j, g)
     hi = np.maximum(j, g)
-    h = rng.integers(0, m - 2, size=m)
+    h = (u[1] * (m - 2)).astype(np.intp)
     h += h >= lo
     h += h >= hi
     return g, h
@@ -33,29 +38,21 @@ def mutate_elites(
     elite_positions: np.ndarray,
     phi_positions: np.ndarray,
     bounds: SearchBounds,
-    rng: np.random.Generator,
+    u: np.ndarray,
     *,
-    delta1: np.ndarray | None = None,
-    delta2: np.ndarray | None = None,
     partners: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Mutate the whole elite subgroup from one snapshot.
 
     Row j becomes x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), clamped
-    into the box, with g, h from `draw_partners`.  delta1/delta2/partners
-    override the random draws (test hooks); delta1 and delta2 come from one
-    (2, m, d) draw unless both are given.
+    into the box.  `u` holds 2*m*(1 + d) uniforms in [0, 1): the first 2*m go
+    to `draw_partners`, then delta1 and delta2, each (m, d) in row-major order.
+    `partners` overrides the (g, h) draw (test hook).
     """
     elite_positions = np.asarray(elite_positions, dtype=float)
     m, d = elite_positions.shape
-    if partners is None:
-        g, h = draw_partners(m, rng)
-    else:
-        g, h = partners
-    if delta1 is None or delta2 is None:
-        drawn = rng.random((2, m, d))
-        delta1 = drawn[0] if delta1 is None else delta1
-        delta2 = drawn[1] if delta2 is None else delta2
+    g, h = draw_partners(u[: 2 * m].reshape(2, m)) if partners is None else partners
+    delta1, delta2 = u[2 * m :].reshape(2, m, d)
     mutated = (
         elite_positions
         + delta1 * (phi_positions - elite_positions)

@@ -6,6 +6,19 @@ Every iteration costs exactly n evaluations (one sweep over the swarm).  A sweep
 starts only while `used + n < budget`, so one that would end exactly on the budget
 is skipped; a run ends within [budget - n, budget] evaluations and the trace
 reconciles exactly.  Runs are bitwise deterministic for a fixed (config, spec, seed).
+
+Random stream: initialization and the baseline PSO draw from the run's
+generator as they always have.  An opsom iteration makes exactly one
+`rng.random(K)` call and cuts the block, in this order, into
+  guide uniforms        3*m      (none with no_archives),
+  velocity uniforms     3*m*d    (2*m*d with no_archives),
+  partner uniforms      2*e,
+  mutation deltas       2*e*d,
+  eviction uniforms     n + 1    (none with no_archives),
+where n is the population, m the number of learners (n/2, or n with
+no_mutation) and e the number of mutated elites (n - m).  K depends only on
+n, d and the flags.  A uniform u picks index `int(u * size)`; the j-th archive
+push of an iteration evicts with the j-th eviction uniform when full.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ import numpy as np
 from .archives import ArchiveSet, push_chi, push_psi, refresh_phi
 from .learning import regular_velocity_update
 from .mutation import mutate_elites
-from .objective import EvaluationCounter, ObjectiveSpec, error_of, evaluate_batch
+from .objective import EvaluationCounter, ObjectiveSpec, evaluate_batch
 from .ortho_init import array_shape, build_initial_swarm
 from .swarm_core import PsoParams, SwarmState, baseline_velocity, handle_bounds, pso_step, sort_and_split, update_bests
 
@@ -100,20 +113,24 @@ def exploration_ratio(diversities: np.ndarray) -> np.ndarray:
 
 
 class _Trace:
-    def __init__(self, spec: ObjectiveSpec):
-        self.spec = spec
+    def __init__(self):
         self.iterations: list[int] = []
         self.evaluations: list[int] = []
-        self.errors: list[float] = []
+        self.best_fitness: list[float] = []
         self.diversities: list[float] = []
 
     def snap(self, state: SwarmState, counter: EvaluationCounter) -> None:
         self.iterations.append(state.iteration)
         self.evaluations.append(counter.used)
-        self.errors.append(error_of(self.spec, state.gbest_fitness))
+        self.best_fitness.append(state.gbest_fitness)
         self.diversities.append(diversity(state))
 
     def record(self, config: OptimizerConfig, spec: ObjectiveSpec, state, budget, wall_time) -> RunRecord:
+        # the same values `error_of` gives, computed once for the whole trace
+        fitness = np.asarray(self.best_fitness)
+        if not np.isfinite(fitness).all():
+            raise ValueError("best_fitness must be finite")
+        errors = np.abs(fitness - spec.f_opt)
         return RunRecord(
             function_id=spec.id,
             algorithm=config.algorithm,
@@ -123,38 +140,53 @@ class _Trace:
             budget=budget,
             iterations=np.asarray(self.iterations),
             evaluations=np.asarray(self.evaluations),
-            errors=np.asarray(self.errors),
+            errors=errors,
             diversities=np.asarray(self.diversities),
-            best_error=error_of(spec, state.gbest_fitness),
+            best_error=float(errors[-1]),
             wall_time=wall_time,
         )
 
 
-def _seed_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig, rng) -> None:
+def _seed_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig) -> None:
     refresh_phi(archives, state)
     if config.no_archives:
         return
+    # n psi pushes and one chi push never fill an archive of capacity n, so
+    # no eviction uniform is needed
     for i in range(state.n):
-        push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], rng)
-    push_chi(archives, state.gbest_position, state.gbest_fitness, rng)
+        push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], 0.0)
+    push_chi(archives, state.gbest_position, state.gbest_fitness, 0.0)
 
 
-def _archive_guides(archives: ArchiveSet, m: int, rng):
+def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
     """Sample one representative triple per particle and resolve the guides.
 
-    Returns the (m, d) guide matrix: row-wise argmin fitness across the phi,
-    psi, chi representatives, ties resolved in that priority order.
+    `u` is (3, m) uniforms in [0, 1) picking the phi, psi and chi
+    representatives.  Returns the (m, d) guide matrix: row-wise argmin fitness
+    across the three, ties resolved in phi, psi, chi priority order.
     """
     psi, chi = archives.psi, archives.chi
     n_phi = len(archives.phi_fitness)
-    # one call draws the same values as three sized calls in turn; the offsets
-    # turn them into rows of the stacked phi | psi | chi tables
-    idx = rng.integers(0, [[n_phi], [len(psi)], [len(chi)]], size=(3, m))
+    if not (n_phi and psi.size and chi.size):
+        raise ValueError("every archive needs an entry before it can supply guides")
+    m = u.shape[1]
+    # the offsets turn archive indices into rows of the stacked phi | psi | chi tables
+    idx = (u * [[n_phi], [psi.size], [chi.size]]).astype(np.intp)
     idx += [[0], [n_phi], [n_phi + len(psi.fitness)]]
     fitness = np.concatenate((archives.phi_fitness, psi.fitness, chi.fitness))
     which = fitness[idx].argmin(0)  # first minimum == phi > psi > chi priority
     positions = np.concatenate((archives.phi_positions, psi.positions, chi.positions))
     return positions[idx[which, np.arange(m)]]
+
+
+def _uniform_slices(rng: np.random.Generator, *lengths: int) -> list[np.ndarray]:
+    """One `rng.random` call cut into consecutive slices of the given lengths."""
+    block = rng.random(sum(lengths))
+    slices, start = [], 0
+    for length in lengths:
+        slices.append(block[start : start + length])
+        start += length
+    return slices
 
 
 def _opsom_iteration(
@@ -165,7 +197,11 @@ def _opsom_iteration(
     counter: EvaluationCounter,
     rng: np.random.Generator,
 ) -> None:
-    """One full iteration: regular sweep, elite sweep, bests, archive updates."""
+    """One full iteration: regular sweep, elite sweep, bests, archive updates.
+
+    Every random number comes from one uniform block, laid out as the module
+    docstring states.
+    """
     params = config.pso_params
     elite_idx, regular_idx = sort_and_split(state)
     if config.no_mutation:
@@ -175,38 +211,40 @@ def _opsom_iteration(
         learner_idx = regular_idx
         mutate_idx = elite_idx
 
+    n, d = state.n, state.dimension
+    m, e = len(learner_idx), len(mutate_idx)
+    archived = not config.no_archives
+    guide_u, velocity_u, mutation_u, evict_u = _uniform_slices(
+        rng, 3 * m if archived else 0, (3 if archived else 2) * m * d, 2 * e * (1 + d), n + 1 if archived else 0
+    )
+
     X, V = state.positions, state.velocities
     gbest = state.gbest_position
     # learners and mutated elites together cover every row
     new_positions = np.empty_like(X)
     new_velocities = V.copy()
 
-    m = len(learner_idx)
-    if m:
-        x = X[learner_idx]
-        if config.no_archives:
-            # archive learning disabled: plain baseline velocity update
-            r = rng.random((2, m, state.dimension))
-            velocity = baseline_velocity(
-                params, spec.bounds, V[learner_idx], x, state.pbest_positions[learner_idx], gbest, r[0], r[1]
-            )
-        else:
-            guides = _archive_guides(archives, m, rng)
-            r = rng.random((3, m, state.dimension))
-            velocity = regular_velocity_update(
-                V[learner_idx], x, guides, gbest, params.v_max(spec.bounds), rng,
-                r1=params.inertia if config.fixed_inertia else r[0], r2=r[1], r3=r[2],
-            )
-        position, velocity = handle_bounds(x + velocity, velocity, spec.bounds)
-        new_positions[learner_idx] = position
-        new_velocities[learner_idx] = velocity
+    x = X[learner_idx]
+    r = velocity_u.reshape(-1, m, d)
+    if archived:
+        guides = _archive_guides(archives, guide_u.reshape(3, m))
+        velocity = regular_velocity_update(
+            V[learner_idx], x, guides, gbest, params.v_max(spec.bounds),
+            params.inertia if config.fixed_inertia else r[0], r[1], r[2],
+        )
+    else:
+        # archive learning disabled: plain baseline velocity update
+        velocity = baseline_velocity(
+            params, spec.bounds, V[learner_idx], x, state.pbest_positions[learner_idx], gbest, r[0], r[1]
+        )
+    position, velocity = handle_bounds(x + velocity, velocity, spec.bounds)
+    new_positions[learner_idx] = position
+    new_velocities[learner_idx] = velocity
 
-    if len(mutate_idx):
+    if e:
         # positions assigned directly from the iteration-start snapshot;
         # velocities are left unchanged
-        new_positions[mutate_idx] = mutate_elites(
-            X[mutate_idx], archives.phi_positions, spec.bounds, rng
-        )
+        new_positions[mutate_idx] = mutate_elites(X[mutate_idx], archives.phi_positions, spec.bounds, mutation_u)
 
     fitness = evaluate_batch(spec, new_positions, counter)
     improved = fitness < state.pbest_fitness
@@ -216,11 +254,12 @@ def _opsom_iteration(
     state.fitness = fitness
     update_bests(state)
     refresh_phi(archives, state)
-    if not config.no_archives:
-        for i in improved.nonzero()[0]:
-            push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], rng)
+    if archived:
+        psi_rows = improved.nonzero()[0]
+        for u, i in zip(evict_u, psi_rows):
+            push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], u)
         if state.gbest_fitness < previous_gbest:
-            push_chi(archives, state.gbest_position, state.gbest_fitness, rng)
+            push_chi(archives, state.gbest_position, state.gbest_fitness, evict_u[len(psi_rows)])
     state.iteration += 1
 
 
@@ -246,9 +285,9 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
     archives = ArchiveSet(n, spec.dimension)  # left empty by the baseline
     opsom = config.algorithm == "opsom"
     if opsom:
-        _seed_archives(archives, state, config, rng)
+        _seed_archives(archives, state, config)
 
-    trace = _Trace(spec)
+    trace = _Trace()
     while True:
         trace.snap(state, counter)
         if observer is not None:

@@ -144,10 +144,10 @@ def test_criterion_7_scheme_selection_oracle():
         archives = ArchiveSet(2, 1)
         archives.phi_positions = np.array([[0.0]])
         archives.phi_fitness = np.array([fits[0]])
-        rng = np.random.default_rng(0)
-        push_psi(archives, np.array([1.0]), fits[1], rng)
-        push_chi(archives, np.array([2.0]), fits[2], rng)
-        guide = _archive_guides(archives, 1, rng)
+        u = np.random.default_rng(0).random(5)
+        push_psi(archives, np.array([1.0]), fits[1], u[0])
+        push_chi(archives, np.array([2.0]), fits[2], u[1])
+        guide = _archive_guides(archives, u[2:].reshape(3, 1))
         brute = min(range(3), key=lambda i: (fits[i], i))
         ok &= guide[0, 0] == float(brute)
     check(7, "scheme selection matches brute-force argmin with phi>psi>chi ties", ok,
@@ -239,7 +239,7 @@ def test_criterion_10_equation_level_oracles():
         guide = rng.uniform(-100, 100, d)
         gbest = rng.uniform(-100, 100, d)
         r1, r2, r3 = rng.uniform(size=(3, d))
-        out = regular_velocity_update(v0, x, guide, gbest, vmax, rng, r1=r1, r2=r2, r3=r3)
+        out = regular_velocity_update(v0, x, guide, gbest, vmax, r1=r1, r2=r2, r3=r3)
         for k in range(d):
             v = r1[k] * v0[k] + r2[k] * (guide[k] - x[k]) + r3[k] * (gbest[k] - x[k])
             v = min(max(v, -vmax), vmax)
@@ -252,7 +252,8 @@ def test_criterion_10_equation_level_oracles():
         g, h = np.array([rng.choice([i for i in range(m) if i != j], size=2, replace=False)
                          for j in range(m)]).T
         d1, d2 = rng.uniform(size=(2, m, d))
-        out = mutate_elites(elite_positions, phi, spec.bounds, rng, delta1=d1, delta2=d2, partners=(g, h))
+        u = np.concatenate((np.zeros(2 * m), d1.ravel(), d2.ravel()))
+        out = mutate_elites(elite_positions, phi, spec.bounds, u, partners=(g, h))
         for j in range(m):
             for k in range(d):
                 x = (elite_positions[j, k]

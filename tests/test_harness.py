@@ -150,9 +150,13 @@ class TestExecute:
         par = execute(ExperimentConfig(**SMALL, jobs=2))
         assert seq.keys() == par.keys()
         for key in seq:
+            assert len(seq[key]) == len(par[key])
             for a, b in zip(seq[key], par[key]):
                 np.testing.assert_array_equal(a.errors, b.errors)
                 np.testing.assert_array_equal(a.evaluations, b.evaluations)
+                np.testing.assert_array_equal(a.diversities, b.diversities)
+                np.testing.assert_array_equal(a.iterations, b.iterations)
+                assert a.best_error == b.best_error
 
 
 class TestCsv:
@@ -191,6 +195,18 @@ class TestOutputs:
             out = write_outputs(cfg, execute(cfg))
             texts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert texts[0] == texts[1]
+
+    def test_jobs_do_not_change_output_bytes(self, tmp_path):
+        # every file of the acceptance criterion-3 invocation, with 1 and 2 worker processes
+        flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--runs", "2", "--seed", "11",
+                 "--pop", "8", "--budget", "2000"]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(flags + ["--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 10 * 2 * 2 + 2
+        assert outputs[0] == outputs[1]
 
     def test_golden_digests(self, tmp_path):
         """Every file of the acceptance criterion-3 invocation, alone and with each

@@ -15,9 +15,8 @@ def singleton_archives(fits, positions):
     a = ArchiveSet(2, len(positions[0]))
     a.phi_positions = positions[0][None, :].copy()
     a.phi_fitness = np.array([fits[0]], dtype=float)
-    rng = np.random.default_rng(0)
-    push_psi(a, positions[1], fits[1], rng)
-    push_chi(a, positions[2], fits[2], rng)
+    push_psi(a, positions[1], fits[1], 0.5)
+    push_chi(a, positions[2], fits[2], 0.5)
     return a
 
 
@@ -26,7 +25,7 @@ def guide_for(fits, values=None):
     each entry's position is filled with its value (default: its fitness)."""
     values = fits if values is None else values
     archives = singleton_archives(fits, [np.full(2, float(v)) for v in values])
-    return _archive_guides(archives, 1, np.random.default_rng(0))[0]
+    return _archive_guides(archives, np.random.default_rng(0).random((3, 1)))[0]
 
 
 class TestSelectScheme:
@@ -52,21 +51,21 @@ class TestSelectScheme:
 class TestRegularVelocityUpdate:
     def test_fixed_point(self):
         x = np.array([3.0, -4.0])
-        v = regular_velocity_update(np.zeros(2), x, x, x, 40.0, np.random.default_rng(0))
+        v = regular_velocity_update(np.zeros(2), x, x, x, 40.0, *np.random.default_rng(0).random((3, 2)))
         np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_hooked_randoms_all_one(self):
         ones = np.ones(1)
         v = regular_velocity_update(
             np.zeros(1), np.array([0.0]), np.array([2.0]), np.array([4.0]), 40.0,
-            np.random.default_rng(0), r1=ones, r2=ones, r3=ones,
+            r1=ones, r2=ones, r3=ones,
         )
         np.testing.assert_array_equal(v, [6.0])
 
     def test_pure_memory(self):
         v = regular_velocity_update(
             np.array([3.0]), np.array([1.0]), np.array([2.0]), np.array([4.0]), 40.0,
-            np.random.default_rng(0), r1=np.ones(1), r2=np.zeros(1), r3=np.zeros(1),
+            r1=np.ones(1), r2=np.zeros(1), r3=np.zeros(1),
         )
         np.testing.assert_array_equal(v, [3.0])
 
@@ -74,7 +73,7 @@ class TestRegularVelocityUpdate:
         ones = np.ones(1)
         v = regular_velocity_update(
             np.zeros(1), np.array([0.0]), np.array([90.0]), np.array([90.0]), 40.0,
-            np.random.default_rng(0), r1=ones, r2=ones, r3=ones,
+            r1=ones, r2=ones, r3=ones,
         )
         np.testing.assert_array_equal(v, [40.0])
 
@@ -87,7 +86,7 @@ class TestRegularVelocityUpdate:
         guide = np.array([5.0, -6.0])
         gbest = np.array([7.0, 2.0])  # expected mean [5, -6], no zero components
         out = regular_velocity_update(
-            np.tile(v, (n, 1)), np.tile(x, (n, 1)), np.tile(guide, (n, 1)), gbest, 1e9, rng
+            np.tile(v, (n, 1)), np.tile(x, (n, 1)), np.tile(guide, (n, 1)), gbest, 1e9, *rng.random((3, n, 2))
         )
         expected = 0.5 * (guide - x) + 0.5 * (gbest - x)
         observed = out.mean(axis=0) - 0.5 * v
@@ -108,9 +107,9 @@ class TestRegularVelocityUpdate:
             fits[which] = 0.0
             positions = [rng.uniform(-50, 50, 4) for _ in range(3)]
             positions[which] = guide
-            chosen = _archive_guides(singleton_archives(fits, positions), 1, rng)[0]
+            chosen = _archive_guides(singleton_archives(fits, positions), rng.random((3, 1)))[0]
             np.testing.assert_array_equal(chosen, guide)
-            outs.append(regular_velocity_update(v, x, chosen, gbest, 40.0, rng, r1=r1, r2=r2, r3=r3))
+            outs.append(regular_velocity_update(v, x, chosen, gbest, 40.0, r1=r1, r2=r2, r3=r3))
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[1], outs[2])
 
@@ -122,7 +121,7 @@ class TestRegularVelocityUpdate:
         for inertia in (r1, 0.729):  # drawn, and pinned by --fixed-inertia
             expected = np.clip(inertia * v + r2 * (guide - x) + r3 * (gbest - x), -40.0, 40.0)
             assert (np.abs(expected) == 40.0).any() and (np.abs(expected) < 40.0).any()
-            out = regular_velocity_update(v, x, guide, gbest, 40.0, rng, r1=inertia, r2=r2, r3=r3)
+            out = regular_velocity_update(v, x, guide, gbest, 40.0, r1=inertia, r2=r2, r3=r3)
             assert out.tobytes() == expected.tobytes()
 
     def test_batch_matches_per_particle(self):
@@ -133,7 +132,7 @@ class TestRegularVelocityUpdate:
         guide = rng.uniform(-50, 50, (m, d))
         gbest = rng.uniform(-50, 50, d)
         r1, r2, r3 = rng.uniform(size=(3, m, d))
-        batch = regular_velocity_update(v, x, guide, gbest, 40.0, rng, r1=r1, r2=r2, r3=r3)
+        batch = regular_velocity_update(v, x, guide, gbest, 40.0, r1=r1, r2=r2, r3=r3)
         for i in range(m):
-            row = regular_velocity_update(v[i], x[i], guide[i], gbest, 40.0, rng, r1=r1[i], r2=r2[i], r3=r3[i])
+            row = regular_velocity_update(v[i], x[i], guide[i], gbest, 40.0, r1=r1[i], r2=r2[i], r3=r3[i])
             np.testing.assert_array_equal(batch[i], row)

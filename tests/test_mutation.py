@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsom.mutation import draw_partners, mutate_elites
 from opsom.objective import SearchBounds
@@ -21,19 +23,25 @@ def scalar_mutation(j, phi_position, elite_positions, delta1, delta2, g, h):
     return np.clip(mutated, BOUNDS.lower, BOUNDS.upper)
 
 
+def mutation_uniforms(rng, m, d, delta1=None, delta2=None):
+    """The slice `mutate_elites` takes: 2*m partner uniforms, then delta1 and
+    delta2 as (m, d) blocks; a given (d,) delta applies to every row."""
+    deltas = [rng.random((m, d)) if delta is None else np.tile(delta, (m, 1)) for delta in (delta1, delta2)]
+    return np.concatenate([rng.random(2 * m)] + [delta.ravel() for delta in deltas])
+
+
 def mutate_one(j, phi_j, positions, rng, *, delta1=None, delta2=None, partners=None):
     """Row j of `mutate_elites`.  The other rows pull toward their own positions
     with cyclic partners; (d,) delta hooks apply to every row."""
-    m = len(positions)
+    m, d = positions.shape
     phi = positions.copy()
     phi[j] = phi_j
     if partners is not None:
         g, h = (np.arange(m) + 1) % m, (np.arange(m) + 2) % m
         g[j], h[j] = partners
         partners = (g, h)
-    delta1 = None if delta1 is None else np.tile(delta1, (m, 1))
-    delta2 = None if delta2 is None else np.tile(delta2, (m, 1))
-    return mutate_elites(positions, phi, BOUNDS, rng, delta1=delta1, delta2=delta2, partners=partners)[j]
+    u = mutation_uniforms(rng, m, d, delta1, delta2)
+    return mutate_elites(positions, phi, BOUNDS, u, partners=partners)[j]
 
 
 class TestEliteMutate:
@@ -82,7 +90,7 @@ class TestEliteMutate:
 
     def test_rejects_small_subgroup(self):
         with pytest.raises(ValueError):
-            mutate_elites(elites([0.0], [1.0]), np.zeros((2, 1)), BOUNDS, np.random.default_rng(0))
+            mutate_elites(elites([0.0], [1.0]), np.zeros((2, 1)), BOUNDS, np.zeros(8))
 
     def test_random_partners_come_from_the_elite_subgroup(self):
         # with delta1 = 0, delta2 = 1 the step is exactly x_g - x_h; it must
@@ -106,14 +114,14 @@ class TestDrawPartners:
         rng = np.random.default_rng(3)
         for m in (3, 4, 7, 20):
             for _ in range(200):
-                g, h = draw_partners(m, rng)
+                g, h = draw_partners(rng.random((2, m)))
                 j = np.arange(m)
                 assert (g != j).all() and (h != j).all() and (g != h).all()
                 assert (0 <= g).all() and (g < m).all() and (0 <= h).all() and (h < m).all()
 
     def test_rejects_small_subgroup(self):
         with pytest.raises(ValueError):
-            draw_partners(2, np.random.default_rng(0))
+            draw_partners(np.random.default_rng(0).random((2, 2)))
 
     def test_pairs_roughly_uniform(self):
         rng = np.random.default_rng(4)
@@ -121,23 +129,37 @@ class TestDrawPartners:
         counts = np.zeros((m, m))
         trials = 12_000
         for _ in range(trials):
-            g, h = draw_partners(m, rng)
+            g, h = draw_partners(rng.random((2, m)))
             counts[g[0], h[0]] += 1
         # row j=0 can draw any ordered pair of {1,2,3}: 6 pairs, ~2000 each
         occupied = counts[counts > 0]
         assert len(occupied) == 6
         assert ((occupied > 1700) & (occupied < 2300)).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 64).flatmap(lambda m: st.lists(
+        st.floats(0.0, 1.0, exclude_max=True) | st.just(np.nextafter(1.0, 0.0)), min_size=2 * m, max_size=2 * m)))
+    def test_distinct_for_any_uniforms(self, u):
+        # the largest uniform below 1 included: no index may reach m
+        u = np.array(u).reshape(2, -1)
+        m = u.shape[1]
+        g, h = draw_partners(u)
+        j = np.arange(m)
+        assert (g != j).all() and (h != j).all() and (g != h).all()
+        assert (0 <= g).all() and (g < m).all() and (0 <= h).all() and (h < m).all()
+
 
 class TestMutateElites:
     def test_matches_scalar_op_given_same_draws(self):
+        # the slice layout: partner uniforms, then delta1, then delta2
         rng = np.random.default_rng(5)
         m, d = 6, 4
         positions = rng.uniform(-100, 100, (m, d))
         phi = rng.uniform(-100, 100, (m, d))
-        g, h = draw_partners(m, rng)
-        d1, d2 = rng.uniform(size=(2, m, d))
-        batch = mutate_elites(positions, phi, BOUNDS, rng, delta1=d1, delta2=d2, partners=(g, h))
+        u = rng.random(2 * m * (1 + d))
+        g, h = draw_partners(u[: 2 * m].reshape(2, m))
+        d1, d2 = u[2 * m :].reshape(2, m, d)
+        batch = mutate_elites(positions, phi, BOUNDS, u)
         for j in range(m):
             row = scalar_mutation(j, phi[j], positions, d1[j], d2[j], int(g[j]), int(h[j]))
             np.testing.assert_array_equal(batch[j], row)
@@ -147,11 +169,12 @@ class TestMutateElites:
         m, d = 20, 10
         positions = rng.uniform(-100, 100, (m, d))
         phi = rng.uniform(-100, 100, (m, d))
-        g, h = draw_partners(m, rng)
+        partner_u = rng.random(2 * m)
+        g, h = draw_partners(partner_u.reshape(2, m))
         d1, d2 = rng.uniform(0, 2, size=(2, m, d))  # wide enough to push rows past both walls
         expected = np.clip(positions + d1 * (phi - positions) + d2 * (positions[g] - positions[h]), -100.0, 100.0)
         assert (np.abs(expected) == 100.0).any() and (np.abs(expected) < 100.0).any()
-        out = mutate_elites(positions, phi, BOUNDS, rng, delta1=d1, delta2=d2, partners=(g, h))
+        out = mutate_elites(positions, phi, BOUNDS, np.concatenate((partner_u, d1.ravel(), d2.ravel())))
         assert out.tobytes() == expected.tobytes()
 
     def test_all_outputs_inside_bounds(self):
@@ -159,5 +182,5 @@ class TestMutateElites:
         for _ in range(20):
             positions = rng.uniform(-100, 100, (8, 3))
             phi = rng.uniform(-100, 100, (8, 3))
-            out = mutate_elites(positions, phi, BOUNDS, rng)
+            out = mutate_elites(positions, phi, BOUNDS, rng.random(2 * 8 * 4))
             assert ((out >= -100) & (out <= 100)).all()

@@ -147,17 +147,27 @@ class TestTraceInvariants:
 
 
 class _ConstantRng:
-    """Stand-in generator: every uniform draw is 0.5, every index draw is 0."""
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return np.full(size, 0.5 * (low + high)) if size is not None else 0.5 * (low + high)
+    """Stand-in generator: every uniform draw is 0.5."""
 
     def random(self, size=None):
-        return self.uniform(size=size)
+        return np.full(size, 0.5) if size is not None else 0.5
 
-    def integers(self, low, high=None, size=None):
-        lo = 0 if high is None else low
-        return np.full(size, lo, dtype=int) if size is not None else lo
+
+class _CountingRng:
+    """Generator proxy that records every method call made through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return counted
 
 
 class TestAblations:
@@ -186,9 +196,9 @@ class TestAblations:
         calls = []
         original = mod.mutate_elites
 
-        def spy(elite_positions, phi_positions, bounds, rng, **kw):
+        def spy(elite_positions, phi_positions, bounds, u, **kw):
             calls.append(elite_positions.shape)
-            return original(elite_positions, phi_positions, bounds, rng, **kw)
+            return original(elite_positions, phi_positions, bounds, u, **kw)
 
         monkeypatch.setattr(mod, "mutate_elites", spy)
         rec = run(small_config(budget=500), SPEC)
@@ -203,9 +213,9 @@ class TestAblations:
         guide_shapes = []
         original_guides = mod._archive_guides
 
-        def spy(archives, m, rng):
-            guide_shapes.append(m)
-            return original_guides(archives, m, rng)
+        def spy(archives, u):
+            guide_shapes.append(u.shape[1])
+            return original_guides(archives, u)
 
         monkeypatch.setattr(mod, "_archive_guides", spy)
         run(small_config(budget=500, no_mutation=True), SPEC)
@@ -226,9 +236,50 @@ class TestAblations:
             assert not np.array_equal(base.errors, variant.errors), flag
 
 
+class TestUniformBlock:
+    """Each opsom iteration draws one uniform block; indices are `int(u * size)`."""
+
+    @pytest.mark.parametrize("flags, k", [
+        # n = 8, d = 10: m learners, e mutated elites
+        # guides 3m + velocity 3md (2md) + partners 2e + deltas 2ed + evictions n + 1
+        ({}, 3 * 4 + 3 * 4 * 10 + 2 * 4 + 2 * 4 * 10 + 9),
+        ({"no_archives": True}, 2 * 4 * 10 + 2 * 4 + 2 * 4 * 10),
+        ({"no_mutation": True}, 3 * 8 + 3 * 8 * 10 + 9),
+        ({"fixed_inertia": True}, 3 * 4 + 3 * 4 * 10 + 2 * 4 + 2 * 4 * 10 + 9),
+    ])
+    def test_one_random_call_per_iteration(self, monkeypatch, flags, k):
+        import opsom.optimizer as mod
+
+        per_iteration = []
+        original = mod._opsom_iteration
+
+        def counted(state, archives, config, spec, counter, rng):
+            proxy = _CountingRng(rng)
+            original(state, archives, config, spec, counter, proxy)
+            per_iteration.append(proxy.calls)
+
+        monkeypatch.setattr(mod, "_opsom_iteration", counted)
+        rec = run(small_config(budget=1_000, **flags), SPEC)
+        assert len(per_iteration) == len(rec.iterations) - 1 > 10
+        assert all(calls == [("random", (k,), {})] for calls in per_iteration)
+
+    def test_largest_uniform_maps_below_every_size(self):
+        u = np.nextafter(1.0, 0.0)
+        sizes = np.arange(1, 2**16 + 1)
+        assert ((u * sizes).astype(np.intp) == sizes - 1).all()
+        assert all(int(u * k) == k - 1 for k in range(1, 2**16 + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.floats(0.0, 1.0, exclude_max=True))
+    def test_any_uniform_maps_into_every_size(self, u):
+        sizes = np.arange(1, 2**16 + 1)
+        index = (u * sizes).astype(np.intp)
+        assert ((0 <= index) & (index <= sizes - 1)).all()
+
+
 class TestRngIdentities:
-    """The generator identities that let one call replace several without moving
-    a single output bit (guide indices, velocity, mutation and PSO draws)."""
+    """The generator identity that lets the baseline PSO step draw r1 and r2 in
+    one call without moving a single output bit."""
 
     @staticmethod
     def pair(seed, pre):
@@ -239,16 +290,6 @@ class TestRngIdentities:
             for _ in range(pre):
                 rng.integers(0, 7)
         return a, b
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), pre=st.integers(0, 3), m=st.integers(1, 60),
-           highs=st.lists(st.integers(1, 2**40), min_size=1, max_size=4))
-    def test_one_integers_call_with_array_high_equals_sized_calls(self, seed, pre, m, highs):
-        a, b = self.pair(seed, pre)
-        merged = a.integers(0, np.array(highs)[:, None], size=(len(highs), m))
-        one_by_one = np.stack([b.integers(0, high, size=m) for high in highs])
-        np.testing.assert_array_equal(merged, one_by_one)
-        assert a.bit_generator.state == b.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), pre=st.integers(0, 3), k=st.integers(1, 4),
