@@ -55,6 +55,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        # a repeat would write its cell's files twice and summarize duplicated runs
+        for name, values in (("algorithm", self.algorithms), ("dimension", self.dimensions)):
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} list must be non-empty without repeats, got {list(values)}")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")

@@ -39,19 +39,16 @@ def mutate_elites(
     phi_positions: np.ndarray,
     bounds: SearchBounds,
     u: np.ndarray,
-    *,
-    partners: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Mutate the whole elite subgroup from one snapshot.
 
     Row j becomes x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), clamped
     into the box.  `u` holds 2*m*(1 + d) uniforms in [0, 1): the first 2*m go
     to `draw_partners`, then delta1 and delta2, each (m, d) in row-major order.
-    `partners` overrides the (g, h) draw (test hook).
     """
     elite_positions = np.asarray(elite_positions, dtype=float)
     m, d = elite_positions.shape
-    g, h = draw_partners(u[: 2 * m].reshape(2, m)) if partners is None else partners
+    g, h = draw_partners(u[: 2 * m].reshape(2, m))
     delta1, delta2 = u[2 * m :].reshape(2, m, d)
     mutated = (
         elite_positions

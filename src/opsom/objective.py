@@ -8,7 +8,6 @@ optimum, so runs are self-contained and error values are exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +48,10 @@ class EvaluationCounter:
     budget: int
     used: int = 0
 
-    def spend(self, amount: int = 1) -> None:
+    def spend(self, amount: int) -> None:
         if self.used + amount > self.budget:
             raise BudgetExceeded(f"budget of {self.budget} evaluations exhausted ({self.used} used, {amount} requested)")
         self.used += amount
-
-    @property
-    def remaining(self) -> int:
-        return self.budget - self.used
 
 
 # --- base functions, applied to already shifted/rotated coordinates ---------
@@ -275,14 +270,6 @@ class ObjectiveSpec:
             raise ValueError("shift must lie strictly inside the bounds")
 
 
-def evaluate(spec: ObjectiveSpec, point, counter: EvaluationCounter) -> float:
-    """Evaluate one point, charging a single unit against the counter."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (spec.dimension,):
-        raise ValueError(f"point has shape {point.shape}, expected ({spec.dimension},)")
-    return float(evaluate_batch(spec, point[None, :], counter)[0])
-
-
 def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvaluationCounter) -> np.ndarray:
     """Evaluate an (m, d) batch of points, charging m evaluations at once.
 
@@ -297,13 +284,6 @@ def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvaluationC
         bad = len(values) - int(np.isfinite(values).sum())
         raise ValueError(f"{spec.id}: {bad} of {len(values)} rows evaluated to NaN or +-inf")
     return values
-
-
-def error_of(spec: ObjectiveSpec, best_fitness: float) -> float:
-    """Absolute difference between a fitness value and the known optimum."""
-    if not math.isfinite(best_fitness):
-        raise ValueError("best_fitness must be finite")
-    return abs(best_fitness - spec.f_opt)
 
 
 def random_rotation(rng: np.random.Generator, dimension: int) -> np.ndarray:

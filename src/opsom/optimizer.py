@@ -7,9 +7,11 @@ starts only while `used + n < budget`, so one that would end exactly on the budg
 is skipped; a run ends within [budget - n, budget] evaluations and the trace
 reconciles exactly.  Runs are bitwise deterministic for a fixed (config, spec, seed).
 
-Random stream: initialization and the baseline PSO draw from the run's
-generator as they always have.  An opsom iteration makes exactly one
-`rng.random(K)` call and cuts the block, in this order, into
+Random stream: initialization draws from the run's generator first.  After
+that `run` makes exactly one `rng.random(K)` call per iteration, for either
+algorithm, and hands the block to the step function, which draws nothing
+itself.  A baseline PSO step reads it as (2, n, d): r1, then r2.  An opsom
+iteration cuts it, in this order, into
   guide uniforms        3*m      (none with no_archives),
   velocity uniforms     3*m*d    (2*m*d with no_archives),
   partner uniforms      2*e,
@@ -23,6 +25,7 @@ push of an iteration evicts with the j-th eviction uniform when full.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,11 +33,10 @@ from typing import Callable
 import numpy as np
 
 from .archives import ArchiveSet, push_chi, push_psi, refresh_phi
-from .learning import regular_velocity_update
 from .mutation import mutate_elites
 from .objective import EvaluationCounter, ObjectiveSpec, evaluate_batch
 from .ortho_init import array_shape, build_initial_swarm
-from .swarm_core import PsoParams, SwarmState, baseline_velocity, handle_bounds, pso_step, sort_and_split, update_bests
+from .swarm_core import PsoParams, SwarmState, handle_bounds, pso_step, sort_and_split, update_bests, velocity_update
 
 ALGORITHMS = ("opsom", "pso")
 
@@ -126,7 +128,7 @@ class _Trace:
         self.diversities.append(diversity(state))
 
     def record(self, config: OptimizerConfig, spec: ObjectiveSpec, state, budget, wall_time) -> RunRecord:
-        # the same values `error_of` gives, computed once for the whole trace
+        # |best fitness - f_opt| for the whole trace at once
         fitness = np.asarray(self.best_fitness)
         if not np.isfinite(fitness).all():
             raise ValueError("best_fitness must be finite")
@@ -179,14 +181,18 @@ def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
     return positions[idx[which, np.arange(m)]]
 
 
-def _uniform_slices(rng: np.random.Generator, *lengths: int) -> list[np.ndarray]:
-    """One `rng.random` call cut into consecutive slices of the given lengths."""
-    block = rng.random(sum(lengths))
-    slices, start = [], 0
-    for length in lengths:
-        slices.append(block[start : start + length])
-        start += length
-    return slices
+def _block_layout(config: OptimizerConfig, n: int, d: int) -> tuple[int, ...]:
+    """Lengths of the consecutive slices of one iteration's uniform block.
+
+    The module docstring gives the layout; its sum is the block length K.
+    """
+    if config.algorithm == "pso":
+        return (2 * n * d,)
+    m = n if config.no_mutation else n // 2
+    e = n - m
+    if config.no_archives:
+        return (0, 2 * m * d, 2 * e * (1 + d), 0)
+    return (3 * m, 3 * m * d, 2 * e * (1 + d), n + 1)
 
 
 def _opsom_iteration(
@@ -195,12 +201,11 @@ def _opsom_iteration(
     config: OptimizerConfig,
     spec: ObjectiveSpec,
     counter: EvaluationCounter,
-    rng: np.random.Generator,
+    u: np.ndarray,
 ) -> None:
     """One full iteration: regular sweep, elite sweep, bests, archive updates.
 
-    Every random number comes from one uniform block, laid out as the module
-    docstring states.
+    `u` is the iteration's uniform block, cut as `_block_layout` states.
     """
     params = config.pso_params
     elite_idx, regular_idx = sort_and_split(state)
@@ -211,11 +216,12 @@ def _opsom_iteration(
         learner_idx = regular_idx
         mutate_idx = elite_idx
 
-    n, d = state.n, state.dimension
+    d = state.dimension
     m, e = len(learner_idx), len(mutate_idx)
     archived = not config.no_archives
-    guide_u, velocity_u, mutation_u, evict_u = _uniform_slices(
-        rng, 3 * m if archived else 0, (3 if archived else 2) * m * d, 2 * e * (1 + d), n + 1 if archived else 0
+    layout = _block_layout(config, state.n, d)
+    guide_u, velocity_u, mutation_u, evict_u = (
+        u[end - length : end] for length, end in zip(layout, itertools.accumulate(layout))
     )
 
     X, V = state.positions, state.velocities
@@ -228,15 +234,12 @@ def _opsom_iteration(
     r = velocity_u.reshape(-1, m, d)
     if archived:
         guides = _archive_guides(archives, guide_u.reshape(3, m))
-        velocity = regular_velocity_update(
-            V[learner_idx], x, guides, gbest, params.v_max(spec.bounds),
-            params.inertia if config.fixed_inertia else r[0], r[1], r[2],
-        )
+        a, b, c = params.inertia if config.fixed_inertia else r[0], r[1], r[2]
     else:
         # archive learning disabled: plain baseline velocity update
-        velocity = baseline_velocity(
-            params, spec.bounds, V[learner_idx], x, state.pbest_positions[learner_idx], gbest, r[0], r[1]
-        )
+        guides = state.pbest_positions[learner_idx]
+        a, b, c = params.inertia, params.cognitive * r[0], params.social * r[1]
+    velocity = velocity_update(V[learner_idx], x, guides, gbest, params.v_max(spec.bounds), a, b, c)
     position, velocity = handle_bounds(x + velocity, velocity, spec.bounds)
     new_positions[learner_idx] = position
     new_velocities[learner_idx] = velocity
@@ -256,8 +259,8 @@ def _opsom_iteration(
     refresh_phi(archives, state)
     if archived:
         psi_rows = improved.nonzero()[0]
-        for u, i in zip(evict_u, psi_rows):
-            push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], u)
+        for i, evict in zip(psi_rows, evict_u):
+            push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], evict)
         if state.gbest_fitness < previous_gbest:
             push_chi(archives, state.gbest_position, state.gbest_fitness, evict_u[len(psi_rows)])
     state.iteration += 1
@@ -287,6 +290,7 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
     if opsom:
         _seed_archives(archives, state, config)
 
+    k = sum(_block_layout(config, n, spec.dimension))
     trace = _Trace()
     while True:
         trace.snap(state, counter)
@@ -294,7 +298,8 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
             observer(state, archives)
         if counter.used + n >= budget:
             return trace.record(config, spec, state, budget, time.perf_counter() - start)
+        u = rng.random(k)
         if opsom:
-            _opsom_iteration(state, archives, config, spec, counter, rng)
+            _opsom_iteration(state, archives, config, spec, counter, u)
         else:
-            pso_step(state, config.pso_params, spec, counter, rng)
+            pso_step(state, config.pso_params, spec, counter, u.reshape(2, n, -1))

@@ -25,7 +25,6 @@ class OrthogonalArray:
 
     levels: int
     entries: np.ndarray
-    strength: int = 2
 
     @property
     def rows(self) -> int:
@@ -129,7 +128,6 @@ def build_initial_swarm(
     rng: np.random.Generator,
     *,
     levels: int = 2,
-    row_cap: int = DEFAULT_ROW_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seed and score an initial swarm of exactly n positions from an OA.
 
@@ -140,7 +138,7 @@ def build_initial_swarm(
     if n < 2 or n % 2:
         raise ValueError(f"population size must be even and >= 2, got {n}")
     d = spec.dimension
-    oa = construct_oa(levels, d, row_cap=row_cap)
+    oa = construct_oa(levels, d)
     points = map_to_search_space(oa, spec.bounds, d)
     if len(points) >= n:
         fitness = evaluate_batch(spec, points, counter)

@@ -1,4 +1,5 @@
-"""Swarm state, baseline PSO updates, boundary handling, and best bookkeeping.
+"""Swarm state, the velocity rule, the baseline PSO step, boundary handling,
+and best bookkeeping.
 
 State is kept as (n, d) arrays.  All fitness comparisons are minimizing and
 personal/global bests are replaced only on strict improvement, so plateaus
@@ -99,25 +100,27 @@ def sort_and_split(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     return order[:half], order[half:]
 
 
-def baseline_velocity(
-    params: PsoParams,
-    bounds: SearchBounds,
+def velocity_update(
     velocity: np.ndarray,
     position: np.ndarray,
-    pbest_position: np.ndarray,
+    guide_position: np.ndarray,
     gbest_position: np.ndarray,
-    r1: np.ndarray,
-    r2: np.ndarray,
+    v_max: float,
+    a: np.ndarray | float,
+    b: np.ndarray | float,
+    c: np.ndarray | float,
 ) -> np.ndarray:
-    """New velocity w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to +-v_max."""
-    vmax = params.v_max(bounds)
-    velocity = (
-        params.inertia * velocity
-        + params.cognitive * r1 * (pbest_position - position)
-        + params.social * r2 * (gbest_position - position)
-    )
-    np.maximum(velocity, -vmax, out=velocity)
-    return np.minimum(velocity, vmax, out=velocity)
+    """New velocity a*v + b*(guide - x) + c*(gbest - x), clamped to +-v_max.
+
+    The one velocity rule of both algorithms.  The baseline passes its
+    personal best as the guide with a = w, b = c1*r1 and c = c2*r2; the
+    archive-guided update passes per-dimension uniforms (a may be a fixed
+    inertia weight instead).  Works on a single (d,) particle or a stacked
+    (m, d) batch.
+    """
+    velocity = a * velocity + b * (guide_position - position) + c * (gbest_position - position)
+    np.maximum(velocity, -v_max, out=velocity)
+    return np.minimum(velocity, v_max, out=velocity)
 
 
 def pso_step(
@@ -125,24 +128,17 @@ def pso_step(
     params: PsoParams,
     spec: ObjectiveSpec,
     counter: EvaluationCounter,
-    rng: np.random.Generator,
-    *,
-    r1: np.ndarray | None = None,
-    r2: np.ndarray | None = None,
+    u: np.ndarray,
 ) -> SwarmState:
     """One synchronous baseline PSO iteration over the whole swarm.
 
-    The sweep costs n evaluations; if the budget cannot cover it,
-    `BudgetExceeded` is raised and the state is left untouched.  `r1`/`r2`
-    override the per-dimension uniform draws (test hook); both come from one
-    (2, n, d) draw unless both are given.
+    `u` is the (2, n, d) block of uniforms in [0, 1): r1 then r2.  The sweep
+    costs n evaluations; if the budget cannot cover it, `BudgetExceeded` is
+    raised and the state is left untouched.
     """
-    if r1 is None or r2 is None:
-        drawn = rng.random((2, *state.positions.shape))
-        r1 = drawn[0] if r1 is None else r1
-        r2 = drawn[1] if r2 is None else r2
-    velocity = baseline_velocity(
-        params, spec.bounds, state.velocities, state.positions, state.pbest_positions, state.gbest_position, r1, r2
+    velocity = velocity_update(
+        state.velocities, state.positions, state.pbest_positions, state.gbest_position,
+        params.v_max(spec.bounds), params.inertia, params.cognitive * u[0], params.social * u[1],
     )
     position, velocity = handle_bounds(state.positions + velocity, velocity, spec.bounds)
     state.fitness = evaluate_batch(spec, position, counter)

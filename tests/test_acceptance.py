@@ -13,12 +13,11 @@ import pytest
 
 from opsom.archives import ArchiveSet, push_chi, push_psi
 from opsom.harness import main, run_seed
-from opsom.learning import regular_velocity_update
 from opsom.mutation import mutate_elites
 from opsom.objective import EvaluationCounter, SearchBounds, base_spec, make_suite
 from opsom.optimizer import OptimizerConfig, _archive_guides, run
 from opsom.ortho_init import construct_oa, map_to_search_space, verify_oa
-from opsom.swarm_core import PsoParams, SwarmState, pso_step
+from opsom.swarm_core import PsoParams, SwarmState, pso_step, velocity_update
 
 
 POPULATION = 40
@@ -217,8 +216,8 @@ def test_criterion_10_equation_level_oracles():
         gbest = rng.uniform(-100, 100, d)
         state.gbest_position = gbest.copy()
         state.gbest_fitness = float((gbest**2).sum())
-        r1, r2 = rng.uniform(size=(2, n, d))
-        pso_step(state, params, spec, EvaluationCounter(budget=10_000), rng, r1=r1, r2=r2)
+        r1, r2 = u = rng.uniform(size=(2, n, d))
+        pso_step(state, params, spec, EvaluationCounter(budget=10_000), u)
         for i in range(n):
             for k in range(d):
                 v = (params.inertia * velocities[i, k]
@@ -239,7 +238,7 @@ def test_criterion_10_equation_level_oracles():
         guide = rng.uniform(-100, 100, d)
         gbest = rng.uniform(-100, 100, d)
         r1, r2, r3 = rng.uniform(size=(3, d))
-        out = regular_velocity_update(v0, x, guide, gbest, vmax, r1=r1, r2=r2, r3=r3)
+        out = velocity_update(v0, x, guide, gbest, vmax, r1, r2, r3)
         for k in range(d):
             v = r1[k] * v0[k] + r2[k] * (guide[k] - x[k]) + r3[k] * (gbest[k] - x[k])
             v = min(max(v, -vmax), vmax)
@@ -249,16 +248,17 @@ def test_criterion_10_equation_level_oracles():
         m, d = 6, 4
         elite_positions = rng.uniform(-100, 100, (m, d))
         phi = rng.uniform(-100, 100, (m, d))
-        g, h = np.array([rng.choice([i for i in range(m) if i != j], size=2, replace=False)
-                         for j in range(m)]).T
+        pick = rng.uniform(size=(2, m))
         d1, d2 = rng.uniform(size=(2, m, d))
-        u = np.concatenate((np.zeros(2 * m), d1.ravel(), d2.ravel()))
-        out = mutate_elites(elite_positions, phi, spec.bounds, u, partners=(g, h))
+        out = mutate_elites(elite_positions, phi, spec.bounds, np.concatenate((pick.ravel(), d1.ravel(), d2.ravel())))
         for j in range(m):
+            # g is the pick[0]-th index other than j, h the pick[1]-th other than j and g
+            g = [i for i in range(m) if i != j][int(pick[0, j] * (m - 1))]
+            h = [i for i in range(m) if i not in (j, g)][int(pick[1, j] * (m - 2))]
             for k in range(d):
                 x = (elite_positions[j, k]
                      + d1[j, k] * (phi[j, k] - elite_positions[j, k])
-                     + d2[j, k] * (elite_positions[g[j], k] - elite_positions[h[j], k]))
+                     + d2[j, k] * (elite_positions[g, k] - elite_positions[h, k]))
                 x = min(max(x, -100.0), 100.0)
                 worst = max(worst, abs(x - out[j, k]))
 

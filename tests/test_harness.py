@@ -122,6 +122,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("opsom", "cma"))
 
+    @pytest.mark.parametrize("kw", [
+        dict(algorithms=()),
+        dict(algorithms=("opsom", "pso", "opsom")),
+        dict(dimensions=()),
+        dict(dimensions=(10, 30, 10)),
+    ], ids=["empty-algorithms", "repeated-algorithm", "empty-dimensions", "repeated-dimension"])
+    def test_rejects_empty_or_repeated_lists(self, kw):
+        with pytest.raises(ValueError, match="non-empty without repeats"):
+            ExperimentConfig(**kw)
+
 
 SMALL = dict(
     suite_seed=0,
@@ -299,6 +309,15 @@ class TestCli:
         ])
         assert status == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo, dim", [(",", "2"), ("opsom,opsom", "2"), ("opsom", "2,2")])
+    def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim):
+        out = tmp_path / "z"
+        status = main(["run", "--algo", algo, "--dim", dim, "--runs", "1", "--pop", "6", "--budget", "200",
+                       "--out", str(out)])
+        assert status == 1
+        assert "non-empty without repeats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -1,5 +1,7 @@
 """Tests for elite-position mutation and the distinct-partner draws."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,16 +25,32 @@ def scalar_mutation(j, phi_position, elite_positions, delta1, delta2, g, h):
     return np.clip(mutated, BOUNDS.lower, BOUNDS.upper)
 
 
-def mutation_uniforms(rng, m, d, delta1=None, delta2=None):
+def partner_uniforms(g, h):
+    """The (2, m) uniforms for which `draw_partners` picks exactly (g, h).
+
+    Partner g is the k-th index other than j, picked by u = (k + 0.5)/(m - 1);
+    h is the k-th index other than j and g, picked by u = (k + 0.5)/(m - 2).
+    """
+    g, h = np.asarray(g), np.asarray(h)
+    m = len(g)
+    j = np.arange(m)
+    rank_g = g - (g > j)
+    rank_h = h - (h > np.minimum(j, g)) - (h > np.maximum(j, g))
+    return np.stack([(rank_g + 0.5) / (m - 1), (rank_h + 0.5) / (m - 2)])
+
+
+def mutation_uniforms(rng, m, d, delta1=None, delta2=None, partners=None):
     """The slice `mutate_elites` takes: 2*m partner uniforms, then delta1 and
-    delta2 as (m, d) blocks; a given (d,) delta applies to every row."""
+    delta2 as (m, d) blocks; a given (d,) delta applies to every row and given
+    (g, h) partners are encoded by `partner_uniforms`."""
     deltas = [rng.random((m, d)) if delta is None else np.tile(delta, (m, 1)) for delta in (delta1, delta2)]
-    return np.concatenate([rng.random(2 * m)] + [delta.ravel() for delta in deltas])
+    pick = rng.random(2 * m) if partners is None else partner_uniforms(*partners).ravel()
+    return np.concatenate([pick] + [delta.ravel() for delta in deltas])
 
 
 def mutate_one(j, phi_j, positions, rng, *, delta1=None, delta2=None, partners=None):
     """Row j of `mutate_elites`.  The other rows pull toward their own positions
-    with cyclic partners; (d,) delta hooks apply to every row."""
+    with cyclic partners; (d,) deltas apply to every row."""
     m, d = positions.shape
     phi = positions.copy()
     phi[j] = phi_j
@@ -40,8 +58,7 @@ def mutate_one(j, phi_j, positions, rng, *, delta1=None, delta2=None, partners=N
         g, h = (np.arange(m) + 1) % m, (np.arange(m) + 2) % m
         g[j], h[j] = partners
         partners = (g, h)
-    u = mutation_uniforms(rng, m, d, delta1, delta2)
-    return mutate_elites(positions, phi, BOUNDS, u, partners=partners)[j]
+    return mutate_elites(positions, phi, BOUNDS, mutation_uniforms(rng, m, d, delta1, delta2, partners))[j]
 
 
 class TestEliteMutate:
@@ -135,6 +152,16 @@ class TestDrawPartners:
         occupied = counts[counts > 0]
         assert len(occupied) == 6
         assert ((occupied > 1700) & (occupied < 2300)).all()
+
+    @pytest.mark.parametrize("m", [3, 4, 7])
+    def test_partner_uniforms_pick_every_valid_pair(self, m):
+        # every (g, h) with j, g, h distinct is reachable, and `partner_uniforms` reaches it
+        for j in range(m):
+            for g, h in itertools.permutations([i for i in range(m) if i != j], 2):
+                gs, hs = (np.arange(m) + 1) % m, (np.arange(m) + 2) % m
+                gs[j], hs[j] = g, h
+                drawn = draw_partners(partner_uniforms(gs, hs))
+                assert drawn[0].tolist() == gs.tolist() and drawn[1].tolist() == hs.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 64).flatmap(lambda m: st.lists(

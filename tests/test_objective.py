@@ -17,8 +17,6 @@ from opsom.objective import (
     SearchBounds,
     base_spec,
     describe_suite,
-    error_of,
-    evaluate,
     evaluate_batch,
     make_suite,
     _transform,
@@ -27,12 +25,27 @@ from opsom.objective import (
     random_rotation,
     schwefel,
 )
+from opsom.optimizer import OptimizerConfig, _Trace
+from opsom.swarm_core import SwarmState
 
 SUITE_DIMS = (2, 3, 10, 30, 50)
 
 
 def counter(budget=1_000_000):
     return EvaluationCounter(budget=budget)
+
+
+def one_row_value(spec, point, counter):
+    """The value of one point, evaluated as a one-row batch."""
+    return float(evaluate_batch(spec, np.asarray(point, dtype=float)[None, :], counter)[0])
+
+
+def errors_of(spec, best_fitnesses):
+    """The `RunRecord.errors` of a trace whose best fitness took these values."""
+    trace = _Trace()
+    for f in best_fitnesses:
+        trace.snap(SwarmState(np.zeros((1, spec.dimension)), np.zeros((1, spec.dimension)), [f]), counter())
+    return trace.record(OptimizerConfig(), spec, None, 1, 0.0).errors
 
 
 class TestSearchBounds:
@@ -46,10 +59,11 @@ class TestSearchBounds:
 
 
 class TestEvaluationCounter:
-    def test_spend_and_remaining(self):
+    def test_spend(self):
         c = EvaluationCounter(budget=5)
         c.spend(3)
-        assert c.used == 3 and c.remaining == 2
+        c.spend(2)
+        assert c.used == 5
 
     def test_overdraft_rejected_without_side_effects(self):
         c = EvaluationCounter(budget=5)
@@ -62,15 +76,15 @@ class TestEvaluationCounter:
 class TestEvaluateExamples:
     def test_sphere_at_origin(self):
         spec = base_spec("sphere", 2)
-        assert evaluate(spec, np.zeros(2), counter()) == 0.0
+        assert one_row_value(spec, np.zeros(2), counter()) == 0.0
 
     def test_sphere_at_ones(self):
         spec = base_spec("sphere", 2)
-        assert evaluate(spec, np.ones(2), counter()) == 2.0
+        assert one_row_value(spec, np.ones(2), counter()) == 2.0
 
     def test_rastrigin_at_origin(self):
         spec = base_spec("rastrigin", 3)
-        assert evaluate(spec, np.zeros(3), counter()) == 0.0
+        assert one_row_value(spec, np.zeros(3), counter()) == 0.0
 
     def test_rastrigin_one_dim_half(self):
         # independent direct-formula evaluation of x^2 - 10 cos(2 pi x) + 10
@@ -78,25 +92,26 @@ class TestEvaluateExamples:
         expected = x * x - 10.0 * math.cos(2.0 * math.pi * x) + 10.0
         assert expected == pytest.approx(20.25, abs=1e-12)
         spec = base_spec("rastrigin", 1)
-        assert evaluate(spec, np.array([x]), counter()) == pytest.approx(expected, abs=1e-12)
+        assert one_row_value(spec, np.array([x]), counter()) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         spec = base_spec("sphere", 3)
-        with pytest.raises(ValueError):
-            evaluate(spec, np.zeros(2), counter())
+        for points in (np.zeros((1, 2)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                evaluate_batch(spec, points, counter())
 
     def test_budget_exhausted_signal(self):
         spec = base_spec("sphere", 2)
         c = EvaluationCounter(budget=1)
-        evaluate(spec, np.zeros(2), c)
+        one_row_value(spec, np.zeros(2), c)
         with pytest.raises(BudgetExceeded):
-            evaluate(spec, np.zeros(2), c)
+            one_row_value(spec, np.zeros(2), c)
 
     def test_counter_accounting_exact(self):
         spec = base_spec("sphere", 2)
         c = counter()
         for _ in range(7):
-            evaluate(spec, np.zeros(2), c)
+            one_row_value(spec, np.zeros(2), c)
         evaluate_batch(spec, np.zeros((5, 2)), c)
         assert c.used == 12
 
@@ -105,27 +120,30 @@ class TestEvaluateExamples:
         rng = np.random.default_rng(0)
         points = rng.uniform(-100, 100, size=(20, 6))
         batch = evaluate_batch(spec, points, counter())
-        singles = [evaluate(spec, p, counter()) for p in points]
+        singles = [one_row_value(spec, p, counter()) for p in points]
         np.testing.assert_array_equal(batch, singles)
 
 
 class TestErrorOf:
+    """The error a run reports: |best fitness - f_opt| per trace entry."""
+
     def test_definition(self):
         spec = base_spec("sphere", 2, bias=0.0)
-        assert error_of(spec, 3.5) == 3.5
+        assert errors_of(spec, [7.0, 3.5]).tolist() == [7.0, 3.5]
 
     def test_exact_optimum(self):
         spec = base_spec("sphere", 2, bias=100.0)
-        assert error_of(spec, 100.0) == 0.0
+        assert errors_of(spec, [100.0]).tolist() == [0.0]
 
     def test_absolute_value(self):
         spec = base_spec("sphere", 2, bias=-50.0)
-        assert error_of(spec, -49.0) == 1.0
+        assert errors_of(spec, [-49.0, -51.0]).tolist() == [1.0, 1.0]
 
     def test_rejects_non_finite(self):
         spec = base_spec("sphere", 2)
-        with pytest.raises(ValueError):
-            error_of(spec, float("inf"))
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="best_fitness must be finite"):
+                errors_of(spec, [1.0, bad])
 
 
 class TestMakeSuite:
@@ -191,7 +209,7 @@ class TestSuiteInvariants:
     def test_optimum_exact_at_shift(self):
         for d in (8,) + SUITE_DIMS:
             for spec in make_suite(5, d):
-                assert evaluate(spec, spec.shift, counter()) == spec.f_opt, (spec.id, d)
+                assert one_row_value(spec, spec.shift, counter()) == spec.f_opt, (spec.id, d)
 
     def test_values_never_below_f_opt(self):
         # required for the non-increasing error trace

@@ -16,7 +16,7 @@ from opsom.optimizer import (
     run,
 )
 from opsom.ortho_init import array_shape
-from opsom.swarm_core import PsoParams, SwarmState, pso_step
+from opsom.swarm_core import PsoParams, SwarmState, pso_step, sort_and_split
 
 
 SPEC = base_spec("rastrigin", 10, shift=np.full(10, 12.5))
@@ -146,13 +146,6 @@ class TestTraceInvariants:
             run(small_config(algorithm="nope"), SPEC)
 
 
-class _ConstantRng:
-    """Stand-in generator: every uniform draw is 0.5."""
-
-    def random(self, size=None):
-        return np.full(size, 0.5) if size is not None else 0.5
-
-
 class _CountingRng:
     """Generator proxy that records every method call made through it."""
 
@@ -172,23 +165,33 @@ class _CountingRng:
 
 class TestAblations:
     def test_full_ablation_reduces_to_baseline_step(self):
-        # with every strategy disabled, one iteration must equal pso_step
+        # with every strategy disabled, one iteration must equal pso_step bit
+        # for bit when pso gets the same uniforms for the same particles: the
+        # opsom block is (2, n, d) with rows in learner order
         rng = np.random.default_rng(0)
         positions = rng.uniform(-100, 100, (8, 10))
         fitness = np.array([float(f) for f in (positions**2).sum(axis=1)])
-        state_a = SwarmState(positions.copy(), np.ones((8, 10)), fitness.copy())
-        state_b = SwarmState(positions.copy(), np.ones((8, 10)), fitness.copy())
+        velocities = rng.uniform(-40, 40, (8, 10))
+        state_a = SwarmState(positions.copy(), velocities.copy(), fitness.copy())
+        state_b = SwarmState(positions.copy(), velocities.copy(), fitness.copy())
         config = OptimizerConfig(
             population=8, budget=10_000,
             no_oa=True, no_archives=True, no_mutation=True, fixed_inertia=True,
         )
         archives = ArchiveSet(8, 10)
         refresh_phi(archives, state_a)
-        _opsom_iteration(state_a, archives, config, SPEC, EvaluationCounter(budget=100), _ConstantRng())
-        pso_step(state_b, config.pso_params, SPEC, EvaluationCounter(budget=100), _ConstantRng())
-        np.testing.assert_allclose(state_a.positions, state_b.positions, atol=1e-12)
-        np.testing.assert_allclose(state_a.velocities, state_b.velocities, atol=1e-12)
-        np.testing.assert_allclose(state_a.fitness, state_b.fitness, atol=1e-12)
+        elite_idx, regular_idx = sort_and_split(state_a)
+        learner_idx = np.concatenate([regular_idx, elite_idx])
+        assert not np.array_equal(learner_idx, np.arange(8))
+        u = rng.random(2 * 8 * 10)
+        r = u.reshape(2, 8, 10)
+        u_pso = np.empty_like(r)
+        u_pso[:, learner_idx] = r
+        _opsom_iteration(state_a, archives, config, SPEC, EvaluationCounter(budget=100), u)
+        pso_step(state_b, config.pso_params, SPEC, EvaluationCounter(budget=100), u_pso)
+        for name in ("positions", "velocities", "fitness", "pbest_positions", "pbest_fitness", "gbest_position"):
+            assert getattr(state_a, name).tobytes() == getattr(state_b, name).tobytes(), name
+        assert state_a.gbest_fitness == state_b.gbest_fitness and state_a.iteration == state_b.iteration == 1
 
     def test_mutation_covers_the_elite_half(self, monkeypatch):
         import opsom.optimizer as mod
@@ -196,9 +199,9 @@ class TestAblations:
         calls = []
         original = mod.mutate_elites
 
-        def spy(elite_positions, phi_positions, bounds, u, **kw):
+        def spy(elite_positions, phi_positions, bounds, u):
             calls.append(elite_positions.shape)
-            return original(elite_positions, phi_positions, bounds, u, **kw)
+            return original(elite_positions, phi_positions, bounds, u)
 
         monkeypatch.setattr(mod, "mutate_elites", spy)
         rec = run(small_config(budget=500), SPEC)
@@ -237,7 +240,7 @@ class TestAblations:
 
 
 class TestUniformBlock:
-    """Each opsom iteration draws one uniform block; indices are `int(u * size)`."""
+    """`run` draws one uniform block per iteration; indices are `int(u * size)`."""
 
     @pytest.mark.parametrize("flags, k", [
         # n = 8, d = 10: m learners, e mutated elites
@@ -246,22 +249,27 @@ class TestUniformBlock:
         ({"no_archives": True}, 2 * 4 * 10 + 2 * 4 + 2 * 4 * 10),
         ({"no_mutation": True}, 3 * 8 + 3 * 8 * 10 + 9),
         ({"fixed_inertia": True}, 3 * 4 + 3 * 4 * 10 + 2 * 4 + 2 * 4 * 10 + 9),
+        # the baseline: r1 and r2, each (n, d)
+        ({"algorithm": "pso"}, 2 * 8 * 10),
     ])
     def test_one_random_call_per_iteration(self, monkeypatch, flags, k):
-        import opsom.optimizer as mod
+        generators = []
+        default_rng = np.random.default_rng
 
-        per_iteration = []
-        original = mod._opsom_iteration
+        def counting_default_rng(seed):
+            generators.append(_CountingRng(default_rng(seed)))
+            return generators[-1]
 
-        def counted(state, archives, config, spec, counter, rng):
-            proxy = _CountingRng(rng)
-            original(state, archives, config, spec, counter, proxy)
-            per_iteration.append(proxy.calls)
-
-        monkeypatch.setattr(mod, "_opsom_iteration", counted)
-        rec = run(small_config(budget=1_000, **flags), SPEC)
-        assert len(per_iteration) == len(rec.iterations) - 1 > 10
-        assert all(calls == [("random", (k,), {})] for calls in per_iteration)
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        # the observer runs after initialization and after every iteration, so
+        # the calls between two of its visits are one iteration's draws
+        marks = []
+        rec = run(small_config(budget=1_000, **flags), SPEC, observer=lambda s, a: marks.append(len(generators[0].calls)))
+        calls = generators[0].calls
+        per_iteration = [calls[a:b] for a, b in zip(marks, marks[1:])]
+        assert len(generators) == 1 and len(per_iteration) == len(rec.iterations) - 1 > 10
+        assert all(drawn == [("random", (k,), {})] for drawn in per_iteration)
+        assert calls[marks[-1]:] == []
 
     def test_largest_uniform_maps_below_every_size(self):
         u = np.nextafter(1.0, 0.0)

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec, evaluate
+from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec, evaluate_batch
 from opsom.ortho_init import (
     OrthogonalArray,
     array_shape,
@@ -156,21 +156,21 @@ class TestBuildInitialSwarm:
         positions, fitness = build_initial_swarm(4, spec, c, np.random.default_rng(2), levels=3)
         assert c.used == 9
         all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
-        all_fit = np.sort([evaluate(spec, p, EvaluationCounter(budget=1)) for p in all_points])
+        all_fit = np.sort([evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in all_points])
         np.testing.assert_allclose(np.sort(fitness), all_fit[:4], rtol=0, atol=0)
 
     def test_no_discarded_point_beats_a_kept_one(self):
         spec = base_spec("rastrigin", 2, shift=np.array([5.0, 5.0]))
         positions, fitness = build_initial_swarm(4, spec, EvaluationCounter(budget=1000), np.random.default_rng(3), levels=3)
         all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
-        all_fit = sorted(evaluate(spec, p, EvaluationCounter(budget=1)) for p in all_points)
+        all_fit = sorted(evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in all_points)
         # kept set is exactly the 4 best of the 9 evaluated rows
         assert sorted(fitness) == all_fit[:4]
 
     def test_fitness_matches_reevaluation(self):
         spec = base_spec("ackley", 10, shift=np.full(10, 7.0))
         positions, fitness = build_initial_swarm(40, spec, EvaluationCounter(budget=1000), np.random.default_rng(4))
-        again = [evaluate(spec, p, EvaluationCounter(budget=1)) for p in positions]
+        again = [evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in positions]
         np.testing.assert_array_equal(fitness, again)
 
     def test_deterministic_under_fixed_seed(self):

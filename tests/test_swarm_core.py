@@ -3,16 +3,18 @@ bookkeeping, and the elite/regular split."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec
 from opsom.swarm_core import (
     PsoParams,
     SwarmState,
-    baseline_velocity,
     handle_bounds,
     pso_step,
     sort_and_split,
     update_bests,
+    velocity_update,
 )
 
 
@@ -146,7 +148,7 @@ class TestPsoStep:
         # x == pbest == gbest and v == 0 stays put
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], fitness=[0.0])
-        pso_step(state, PsoParams(), spec, EvaluationCounter(budget=100), np.random.default_rng(0))
+        pso_step(state, PsoParams(), spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
         np.testing.assert_array_equal(state.positions, [[0.0, 0.0]])
         np.testing.assert_array_equal(state.velocities, [[0.0, 0.0]])
 
@@ -154,7 +156,7 @@ class TestPsoStep:
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], velocities=[[1.0, 0.0]], fitness=[0.0])
         params = PsoParams(inertia=1.0, cognitive=0.0, social=0.0)
-        pso_step(state, params, spec, EvaluationCounter(budget=100), np.random.default_rng(0))
+        pso_step(state, params, spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
         np.testing.assert_array_equal(state.positions, [[1.0, 0.0]])
 
     def test_single_particle_matches_hand_formula(self):
@@ -166,14 +168,15 @@ class TestPsoStep:
         state.gbest_position = np.array([0.0, 0.0])
         state.gbest_fitness = 0.0
         params = PsoParams(inertia=0.5, cognitive=1.5, social=1.5)
-        r = np.full((1, 2), 0.5)
-        pso_step(state, params, spec, EvaluationCounter(budget=100), np.random.default_rng(0), r1=r, r2=r)
+        pso_step(state, params, spec, EvaluationCounter(budget=100), np.full((2, 1, 2), 0.5))
         v = 0.5 * np.array([0.5, 0.25]) + 0.75 * (np.array([1.0, 1.0]) - [2.0, -1.0]) + 0.75 * (np.array([0.0, 0.0]) - [2.0, -1.0])
         np.testing.assert_allclose(state.velocities[0], v, atol=1e-15)
         np.testing.assert_allclose(state.positions[0], np.array([2.0, -1.0]) + v, atol=1e-15)
         assert state.iteration == 1
 
     def test_velocity_bitwise_equal_to_clip_form(self):
+        # the baseline rule w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x) is the
+        # shared rule with b = c1*r1 and c = c2*r2: Python multiplies left to right
         rng = np.random.default_rng(6)
         bounds, params = SearchBounds(), PsoParams()
         vmax = params.v_max(bounds)
@@ -184,7 +187,32 @@ class TestPsoStep:
             params.inertia * v + params.cognitive * r1 * (pbest - x) + params.social * r2 * (gbest - x), -vmax, vmax
         )
         assert (np.abs(expected) == vmax).any() and (np.abs(expected) < vmax).any()
-        assert baseline_velocity(params, bounds, v, x, pbest, gbest, r1, r2).tobytes() == expected.tobytes()
+        out = velocity_update(v, x, pbest, gbest, vmax, params.inertia, params.cognitive * r1, params.social * r2)
+        assert out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), d=st.integers(1, 60),
+           inertia=st.floats(0.0, 1.0), cognitive=st.floats(0.0, 4.0), social=st.floats(0.0, 4.0),
+           v_max_fraction=st.floats(0.01, 1.0))
+    def test_step_bitwise_equal_to_baseline_formula(self, seed, n, d, inertia, cognitive, social, v_max_fraction):
+        params = PsoParams(inertia, cognitive, social, v_max_fraction)
+        rng = np.random.default_rng(seed)
+        spec = base_spec("sphere", d)
+        x, pbest = rng.uniform(-100, 100, (2, n, d))
+        v = rng.uniform(-50, 50, (n, d))
+        state = make_state(x, velocities=v)
+        state.pbest_positions = pbest
+        u = rng.random((2, n, d))
+        vmax = params.v_max(spec.bounds)
+        gbest = state.gbest_position
+        velocity = np.clip(
+            params.inertia * v + params.cognitive * u[0] * (pbest - x) + params.social * u[1] * (gbest - x), -vmax, vmax
+        )
+        position = x + velocity
+        outside = (position < -100.0) | (position > 100.0)
+        pso_step(state, params, spec, EvaluationCounter(budget=n), u)
+        assert state.positions.tobytes() == np.clip(position, -100.0, 100.0).tobytes()
+        assert state.velocities.tobytes() == np.where(outside, 0.0, velocity).tobytes()
 
     def test_unaffordable_sweep_raises_and_leaves_state_untouched(self):
         # the run loop only starts affordable sweeps; a direct call that cannot
@@ -195,7 +223,7 @@ class TestPsoStep:
             before = state.positions.copy()
             c = EvaluationCounter(budget=budget)
             with pytest.raises(BudgetExceeded):
-                pso_step(state, PsoParams(), spec, c, np.random.default_rng(1))
+                pso_step(state, PsoParams(), spec, c, np.random.default_rng(1).random((2, 3, 2)))
             np.testing.assert_array_equal(state.positions, before)
             np.testing.assert_array_equal(state.velocities, np.ones((3, 2)))
             assert state.iteration == 0 and c.used == 0
@@ -211,7 +239,7 @@ class TestPsoStep:
         last_gbest = state.gbest_fitness
         last_pbest = state.pbest_fitness.copy()
         for _ in range(50):
-            pso_step(state, params, spec, c, rng)
+            pso_step(state, params, spec, c, rng.random((2, 8, 5)))
             assert ((state.positions >= -100) & (state.positions <= 100)).all()
             assert (np.abs(state.velocities) <= vmax).all()
             assert state.gbest_fitness <= last_gbest
