@@ -1,8 +1,9 @@
 """Command-line experiment harness: configures runs, executes the repeated-run
 protocol with paired seeds, and writes machine-readable outputs.
 
-Every (function, dimension, run-index) cell uses the same derived seed for
-every algorithm, so paired comparisons differ only algorithmically.  Output
+Run r of every (function, dimension) pair uses the same derived seed for
+every algorithm, so paired comparisons differ only algorithmically.  The runs
+of one (function, dimension, algorithm) cell advance in lockstep.  Output
 files contain no timestamps and use shortest round-trip float formatting, so
 repeated invocations with identical flags are byte-identical.
 
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .objective import ObjectiveSpec, describe_suite, make_suite
-from .optimizer import ALGORITHMS, OptimizerConfig, RunRecord, exploration_ratio, run
+from .optimizer import ALGORITHMS, OptimizerConfig, RunRecord, exploration_ratio, run_cell
 from .ortho_init import construct_oa, format_oa
 from .swarm_core import PsoParams
 
@@ -55,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         # a repeat would write its cell's files twice and summarize duplicated runs
         for name, values in (("algorithm", self.algorithms), ("dimension", self.dimensions)):
             if not values or len(set(values)) < len(values):
@@ -98,34 +101,35 @@ def summarize(errors) -> SummaryStats:
     )
 
 
-def _run_task(task: tuple[OptimizerConfig, ObjectiveSpec]) -> RunRecord:
-    config, spec = task
-    return run(config, spec)
+def _run_cell_task(task: tuple[list[OptimizerConfig], ObjectiveSpec]) -> list[RunRecord]:
+    configs, spec = task
+    return run_cell(configs, spec)
 
 
 def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunRecord]]:
     """Execute all runs of an experiment, grouped by (function, dimension, algorithm).
 
-    With jobs > 1 the independent runs are distributed over worker processes;
-    results are identical to a sequential execution.
+    Each such cell's runs advance in lockstep as one task; with jobs > 1 the
+    cells are distributed over worker processes.  Results are identical to a
+    sequential execution.
     """
-    tasks: list[tuple[OptimizerConfig, ObjectiveSpec]] = []
+    tasks: list[tuple[list[OptimizerConfig], ObjectiveSpec]] = []
     keys: list[tuple[str, int, str]] = []
     for dim in config.dimensions:
         for spec in make_suite(config.suite_seed, dim):
             for algo in config.algorithms:
-                for r in range(config.runs):
-                    tasks.append((config.optimizer_for(algo, run_seed(config.base_seed, r)), spec))
-                    keys.append((spec.id, dim, algo))
+                configs = [config.optimizer_for(algo, run_seed(config.base_seed, r)) for r in range(config.runs)]
+                tasks.append((configs, spec))
+                keys.append((spec.id, dim, algo))
     if config.jobs > 1:
+        # costlier cells come last (higher dimensions, and the suite's hybrid
+        # and composite functions), so the pool takes them first and the
+        # cheap ones even out the end
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_run_task, tasks, chunksize=1))
+            cells = list(pool.map(_run_cell_task, tasks[::-1], chunksize=1))[::-1]
     else:
-        records = [_run_task(t) for t in tasks]
-    grouped: dict[tuple[str, int, str], list[RunRecord]] = {}
-    for key, record in zip(keys, records):
-        grouped.setdefault(key, []).append(record)
-    return grouped
+        cells = [_run_cell_task(t) for t in tasks]
+    return dict(zip(keys, cells))
 
 
 def format_convergence_csv(record: RunRecord) -> str:
@@ -188,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-archives", action="store_true", help="ablation: baseline updates for regulars")
         p.add_argument("--no-mutation", action="store_true", help="ablation: elites learn like regulars")
         p.add_argument("--fixed-inertia", action="store_true", help="ablation: fixed inertia in scheme updates")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes, each taking whole cells")
         p.add_argument("--out", required=True, help="output directory")
 
     run_p = sub.add_parser("run", help="run an experiment")

@@ -12,23 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from .objective import SearchBounds
+from .swarm_core import particle_index, run_index
 
 
 def draw_partners(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each j in 0..m-1, a uniform pair (g, h) with j, g, h all distinct.
 
-    `u` is (2, m) uniforms in [0, 1): g is the `int(u[0] * (m - 1))`-th index
-    other than j, h the `int(u[1] * (m - 2))`-th index other than j and g.
+    `u` is (R, 2, m) uniforms in [0, 1), one (2, m) block per run: g is the
+    `int(u[r, 0] * (m - 1))`-th index other than j, h the
+    `int(u[r, 1] * (m - 2))`-th index other than j and g.  Returns (R, m) g and h.
     """
-    m = u.shape[1]
+    runs, _, m = u.shape
     if m < 3:
         raise ValueError(f"need at least 3 elites to draw distinct partners, got {m}")
-    j = np.arange(m)
-    g = (u[0] * (m - 1)).astype(np.intp)
+    j = particle_index(runs, m)
+    g = (u[:, 0] * (m - 1)).astype(np.intp)
     g += g >= j
     lo = np.minimum(j, g)
     hi = np.maximum(j, g)
-    h = (u[1] * (m - 2)).astype(np.intp)
+    h = (u[:, 1] * (m - 2)).astype(np.intp)
     h += h >= lo
     h += h >= hi
     return g, h
@@ -40,20 +42,22 @@ def mutate_elites(
     bounds: SearchBounds,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Mutate the whole elite subgroup from one snapshot.
+    """Mutate every run's whole elite subgroup from one snapshot.
 
-    Row j becomes x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), clamped
-    into the box.  `u` holds 2*m*(1 + d) uniforms in [0, 1): the first 2*m go
-    to `draw_partners`, then delta1 and delta2, each (m, d) in row-major order.
+    `elite_positions` and `phi_positions` are (R, m, d).  Row j of run r becomes
+    x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), clamped into the box.
+    `u` is (R, 2*m*(1 + d)) uniforms in [0, 1): per run the first 2*m go to
+    `draw_partners`, then delta1 and delta2, each (m, d) in row-major order.
     """
     elite_positions = np.asarray(elite_positions, dtype=float)
-    m, d = elite_positions.shape
-    g, h = draw_partners(u[: 2 * m].reshape(2, m))
-    delta1, delta2 = u[2 * m :].reshape(2, m, d)
+    runs, m, d = elite_positions.shape
+    g, h = draw_partners(u[:, : 2 * m].reshape(runs, 2, m))
+    delta = u[:, 2 * m :].reshape(runs, 2, m, d)
+    rows = run_index(runs)
     mutated = (
         elite_positions
-        + delta1 * (phi_positions - elite_positions)
-        + delta2 * (elite_positions[g] - elite_positions[h])
+        + delta[:, 0] * (phi_positions - elite_positions)
+        + delta[:, 1] * (elite_positions[rows, g] - elite_positions[rows, h])
     )
     np.maximum(mutated, bounds.lower, out=mutated)
     return np.minimum(mutated, bounds.upper, out=mutated)

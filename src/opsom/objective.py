@@ -270,15 +270,21 @@ class ObjectiveSpec:
             raise ValueError("shift must lie strictly inside the bounds")
 
 
-def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, counter: EvaluationCounter) -> np.ndarray:
-    """Evaluate an (m, d) batch of points, charging m evaluations at once.
+def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, *counters: EvaluationCounter) -> np.ndarray:
+    """Evaluate an (m, d) batch of points in one call, charging for it up front.
 
-    A batch with any non-finite value (NaN or +-inf) raises ValueError naming
-    the function and the number of such rows, before any of it is used.
+    The rows form one equal block per counter, in counter order (the R runs
+    of a cell stack their swarms this way), and each counter pays for its own
+    block.  A batch with any non-finite value (NaN or +-inf) raises ValueError
+    naming the function and the number of such rows, before any of it is used.
     """
     if points.ndim != 2 or points.shape[1] != spec.dimension:
         raise ValueError(f"points have shape {points.shape}, expected (m, {spec.dimension})")
-    counter.spend(len(points))
+    block, rest = divmod(len(points), len(counters))
+    if rest:
+        raise ValueError(f"{len(points)} rows do not split into {len(counters)} equal blocks")
+    for counter in counters:
+        counter.spend(block)
     values = spec.fn.values(points)
     if not np.isfinite(values).all():
         bad = len(values) - int(np.isfinite(values).sum())

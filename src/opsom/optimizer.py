@@ -1,16 +1,20 @@
 """One run loop for both algorithms - the full optimizer (orthogonal init +
 archive learning + elite mutation) and the baseline PSO - with per-iteration
-trace recording.
+trace recording.  `run_cell` advances the R runs of one cell (configs equal
+but for the seed) in lockstep on (R, n, d) state; `run` is its R = 1 case.
 
-Every iteration costs exactly n evaluations (one sweep over the swarm).  A sweep
-starts only while `used + n < budget`, so one that would end exactly on the budget
+Every iteration costs exactly n evaluations per run (one sweep over the
+swarm), and all R sweeps go to the objective as one batch.  A sweep starts
+only while `used + n < budget`, so one that would end exactly on the budget
 is skipped; a run ends within [budget - n, budget] evaluations and the trace
-reconciles exactly.  Runs are bitwise deterministic for a fixed (config, spec, seed).
+reconciles exactly.  Runs are bitwise deterministic for a fixed (config,
+spec, seed), whichever cell they run in.
 
-Random stream: initialization draws from the run's generator first.  After
-that `run` makes exactly one `rng.random(K)` call per iteration, for either
-algorithm, and hands the block to the step function, which draws nothing
-itself.  A baseline PSO step reads it as (2, n, d): r1, then r2.  An opsom
+Random stream: each run keeps its own generator, and initialization draws
+from it first.  After that each run's generator fills that run's row of an
+(R, K) block with exactly one `random(K)` call per iteration, for either
+algorithm, and the step function, which draws nothing itself, reads row r for
+run r.  A baseline PSO step reads a row as (2, n, d): r1, then r2.  An opsom
 iteration cuts it, in this order, into
   guide uniforms        3*m      (none with no_archives),
   velocity uniforms     3*m*d    (2*m*d with no_archives),
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -36,9 +40,20 @@ from .archives import ArchiveSet, push_chi, push_psi, refresh_phi
 from .mutation import mutate_elites
 from .objective import EvaluationCounter, ObjectiveSpec, evaluate_batch
 from .ortho_init import array_shape, build_initial_swarm
-from .swarm_core import PsoParams, SwarmState, handle_bounds, pso_step, sort_and_split, update_bests, velocity_update
+from .swarm_core import (
+    PsoParams,
+    SwarmState,
+    handle_bounds,
+    pso_step,
+    run_index,
+    sort_and_split,
+    update_bests,
+    velocity_update,
+)
 
 ALGORITHMS = ("opsom", "pso")
+# picks psi's (0) and chi's (1) push order out of `ArchiveSet.order`
+_PSI_CHI = np.array([[0], [1]])
 
 Observer = Callable[[SwarmState, ArchiveSet], None]
 
@@ -97,12 +112,12 @@ class RunRecord:
     wall_time: float
 
 
-def diversity(state: SwarmState) -> float:
-    """Mean Euclidean distance of the particles from the swarm centroid."""
+def diversity(state: SwarmState) -> np.ndarray:
+    """Each run's mean Euclidean distance of the particles from the swarm centroid, (R,)."""
     X = state.positions
-    n = len(X)
-    D = X - np.add.reduce(X, 0) / n
-    return float(np.add.reduce(np.sqrt(np.add.reduce(D * D, 1))) / n)
+    n = X.shape[1]
+    D = X - np.add.reduce(X, 1, keepdims=True) / n
+    return np.add.reduce(np.sqrt(np.add.reduce(D * D, 2)), 1) / n
 
 
 def exploration_ratio(diversities: np.ndarray) -> np.ndarray:
@@ -117,36 +132,42 @@ def exploration_ratio(diversities: np.ndarray) -> np.ndarray:
 class _Trace:
     def __init__(self):
         self.iterations: list[int] = []
-        self.evaluations: list[int] = []
-        self.best_fitness: list[float] = []
-        self.diversities: list[float] = []
+        self.evaluations: list[list[int]] = []
+        self.best_fitness: list[np.ndarray] = []
+        self.diversities: list[np.ndarray] = []
 
-    def snap(self, state: SwarmState, counter: EvaluationCounter) -> None:
+    def snap(self, state: SwarmState, counters: list[EvaluationCounter]) -> None:
         self.iterations.append(state.iteration)
-        self.evaluations.append(counter.used)
+        self.evaluations.append([counter.used for counter in counters])
+        # update_bests replaces gbest_fitness rather than writing into it
         self.best_fitness.append(state.gbest_fitness)
         self.diversities.append(diversity(state))
 
-    def record(self, config: OptimizerConfig, spec: ObjectiveSpec, state, budget, wall_time) -> RunRecord:
-        # |best fitness - f_opt| for the whole trace at once
-        fitness = np.asarray(self.best_fitness)
+    def records(self, configs: list[OptimizerConfig], spec: ObjectiveSpec, budget, wall_time) -> list[RunRecord]:
+        # |best fitness - f_opt| for every run's whole trace at once, one row per run
+        fitness = np.stack(self.best_fitness, 1)
         if not np.isfinite(fitness).all():
             raise ValueError("best_fitness must be finite")
         errors = np.abs(fitness - spec.f_opt)
-        return RunRecord(
-            function_id=spec.id,
-            algorithm=config.algorithm,
-            dimension=spec.dimension,
-            seed=config.seed,
-            population=config.population,
-            budget=budget,
-            iterations=np.asarray(self.iterations),
-            evaluations=np.asarray(self.evaluations),
-            errors=errors,
-            diversities=np.asarray(self.diversities),
-            best_error=float(errors[-1]),
-            wall_time=wall_time,
-        )
+        evaluations = np.array(self.evaluations).T.copy()
+        diversities = np.stack(self.diversities, 1)
+        return [
+            RunRecord(
+                function_id=spec.id,
+                algorithm=config.algorithm,
+                dimension=spec.dimension,
+                seed=config.seed,
+                population=config.population,
+                budget=budget,
+                iterations=np.array(self.iterations),
+                evaluations=evaluations[r],
+                errors=errors[r],
+                diversities=diversities[r],
+                best_error=float(errors[r, -1]),
+                wall_time=wall_time / len(configs),
+            )
+            for r, config in enumerate(configs)
+        ]
 
 
 def _seed_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig) -> None:
@@ -155,30 +176,28 @@ def _seed_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerCon
         return
     # n psi pushes and one chi push never fill an archive of capacity n, so
     # no eviction uniform is needed
-    for i in range(state.n):
-        push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], 0.0)
-    push_chi(archives, state.gbest_position, state.gbest_fitness, 0.0)
+    everyone = np.ones(state.fitness.shape, bool)
+    zeros = np.zeros(state.fitness.shape)
+    push_psi(archives, state.pbest_positions, state.pbest_fitness, everyone, zeros)
+    push_chi(archives, state.gbest_position[:, None], state.gbest_fitness[:, None], everyone[:, :1], zeros)
 
 
 def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
     """Sample one representative triple per particle and resolve the guides.
 
-    `u` is (3, m) uniforms in [0, 1) picking the phi, psi and chi
-    representatives.  Returns the (m, d) guide matrix: row-wise argmin fitness
-    across the three, ties resolved in phi, psi, chi priority order.
+    `u` is (R, 3, m) uniforms in [0, 1) picking each run's phi, psi and chi
+    representatives (the `int(u * size)`-th row; psi's and chi's in push
+    order).  Returns the (R, m, d) guides: row-wise argmin fitness across the
+    three, ties resolved in phi, psi, chi priority order.
     """
-    psi, chi = archives.psi, archives.chi
-    n_phi = len(archives.phi_fitness)
-    if not (n_phi and psi.size and chi.size):
+    if np.count_nonzero(archives.fill) < archives.fill.size:
         raise ValueError("every archive needs an entry before it can supply guides")
-    m = u.shape[1]
-    # the offsets turn archive indices into rows of the stacked phi | psi | chi tables
-    idx = (u * [[n_phi], [psi.size], [chi.size]]).astype(np.intp)
-    idx += [[0], [n_phi], [n_phi + len(psi.fitness)]]
-    fitness = np.concatenate((archives.phi_fitness, psi.fitness, chi.fitness))
-    which = fitness[idx].argmin(0)  # first minimum == phi > psi > chi priority
-    positions = np.concatenate((archives.phi_positions, psi.positions, chi.positions))
-    return positions[idx[which, np.arange(m)]]
+    idx = (u * archives.fill[:, :, None]).astype(np.intp)
+    # psi and chi: push-order position -> slot -> row of the table
+    rows = run_index(len(u))
+    idx[:, 1:] = archives.order[rows[:, :, None], _PSI_CHI, idx[:, 1:]] + archives.offsets
+    which = archives.fitness[rows[:, :, None], idx].argmin(1)  # first minimum == phi > psi > chi priority
+    return archives.positions[rows, idx[rows, which, np.arange(u.shape[2])]]
 
 
 def _block_layout(config: OptimizerConfig, n: int, d: int) -> tuple[int, ...]:
@@ -200,70 +219,78 @@ def _opsom_iteration(
     archives: ArchiveSet,
     config: OptimizerConfig,
     spec: ObjectiveSpec,
-    counter: EvaluationCounter,
+    counters: list[EvaluationCounter],
     u: np.ndarray,
 ) -> None:
-    """One full iteration: regular sweep, elite sweep, bests, archive updates.
+    """One full iteration of every run: regular sweep, elite sweep, bests, archive updates.
 
-    `u` is the iteration's uniform block, cut as `_block_layout` states.
+    `u` is the (R, K) uniform block, run r's in row r, cut as `_block_layout` states.
     """
     params = config.pso_params
     elite_idx, regular_idx = sort_and_split(state)
     if config.no_mutation:
-        learner_idx = np.concatenate([regular_idx, elite_idx])
-        mutate_idx = elite_idx[:0]
+        learner_idx = np.concatenate([regular_idx, elite_idx], 1)
+        mutate_idx = elite_idx[:, :0]
     else:
         learner_idx = regular_idx
         mutate_idx = elite_idx
 
-    d = state.dimension
-    m, e = len(learner_idx), len(mutate_idx)
+    runs, n, d = state.positions.shape
+    m, e = learner_idx.shape[1], mutate_idx.shape[1]
     archived = not config.no_archives
-    layout = _block_layout(config, state.n, d)
+    layout = _block_layout(config, n, d)
     guide_u, velocity_u, mutation_u, evict_u = (
-        u[end - length : end] for length, end in zip(layout, itertools.accumulate(layout))
+        u[:, end - length : end] for length, end in zip(layout, itertools.accumulate(layout))
     )
 
     X, V = state.positions, state.velocities
-    gbest = state.gbest_position
+    rows = run_index(runs)
     # learners and mutated elites together cover every row
     new_positions = np.empty_like(X)
     new_velocities = V.copy()
 
-    x = X[learner_idx]
-    r = velocity_u.reshape(-1, m, d)
+    x = X[rows, learner_idx]
+    r = velocity_u.reshape(runs, -1, m, d)
     if archived:
-        guides = _archive_guides(archives, guide_u.reshape(3, m))
-        a, b, c = params.inertia if config.fixed_inertia else r[0], r[1], r[2]
+        guides = _archive_guides(archives, guide_u.reshape(runs, 3, m))
+        a, b, c = params.inertia if config.fixed_inertia else r[:, 0], r[:, 1], r[:, 2]
     else:
         # archive learning disabled: plain baseline velocity update
-        guides = state.pbest_positions[learner_idx]
-        a, b, c = params.inertia, params.cognitive * r[0], params.social * r[1]
-    velocity = velocity_update(V[learner_idx], x, guides, gbest, params.v_max(spec.bounds), a, b, c)
+        guides = state.pbest_positions[rows, learner_idx]
+        a, b, c = params.inertia, params.cognitive * r[:, 0], params.social * r[:, 1]
+    velocity = velocity_update(
+        V[rows, learner_idx], x, guides, state.gbest_position[:, None], params.v_max(spec.bounds), a, b, c
+    )
     position, velocity = handle_bounds(x + velocity, velocity, spec.bounds)
-    new_positions[learner_idx] = position
-    new_velocities[learner_idx] = velocity
+    new_positions[rows, learner_idx] = position
+    new_velocities[rows, learner_idx] = velocity
 
     if e:
         # positions assigned directly from the iteration-start snapshot;
         # velocities are left unchanged
-        new_positions[mutate_idx] = mutate_elites(X[mutate_idx], archives.phi_positions, spec.bounds, mutation_u)
+        new_positions[rows, mutate_idx] = mutate_elites(
+            X[rows, mutate_idx], archives.phi_positions, spec.bounds, mutation_u
+        )
 
-    fitness = evaluate_batch(spec, new_positions, counter)
+    fitness = evaluate_batch(spec, new_positions.reshape(-1, d), *counters).reshape(runs, n)
     improved = fitness < state.pbest_fitness
     previous_gbest = state.gbest_fitness
     state.positions = new_positions
     state.velocities = new_velocities
     state.fitness = fitness
     update_bests(state)
+    state.iteration += 1
+    if not np.count_nonzero(improved):
+        return  # no personal best moved, so neither did phi, psi or chi
     refresh_phi(archives, state)
     if archived:
-        psi_rows = improved.nonzero()[0]
-        for i, evict in zip(psi_rows, evict_u):
-            push_psi(archives, state.pbest_positions[i], state.pbest_fitness[i], evict)
-        if state.gbest_fitness < previous_gbest:
-            push_chi(archives, state.gbest_position, state.gbest_fitness, evict_u[len(psi_rows)])
-    state.iteration += 1
+        push_psi(archives, state.pbest_positions, state.pbest_fitness, improved, evict_u)
+        # update_bests replaced the gbest arrays: some run's global best improved
+        if state.gbest_fitness is not previous_gbest:
+            chi_pushed = (state.gbest_fitness < previous_gbest)[:, None]
+            # a run's chi push takes the eviction uniform after its psi pushes
+            chi_u = evict_u[rows, improved.sum(1)[:, None]]
+            push_chi(archives, state.gbest_position[:, None], state.gbest_fitness[:, None], chi_pushed, chi_u)
 
 
 def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:
@@ -272,34 +299,55 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
     `observer(state, archives)` is called after initialization and after every
     iteration; it reads the live state and archives and must not modify them.
     """
+    return run_cell([config], spec, observer)[0]
+
+
+def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Observer | None = None) -> list[RunRecord]:
+    """Run R configs that differ only in seed in lockstep; return their traces in order.
+
+    Each run keeps its own generator and evaluation counter, so run r's record
+    is bitwise the one `run(configs[r], spec)` gives.  An observer watches a
+    single run, so it needs exactly one config; it sees that run's state and
+    archives with the run axis dropped.
+    """
+    if not configs:
+        raise ValueError("run_cell needs at least one config")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("the configs of a cell may differ only in seed")
+    if observer is not None and len(configs) > 1:
+        raise ValueError(f"an observer watches one run, got {len(configs)} configs")
     config.validate(spec)
     start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    n = config.population
-    budget = config.resolved_budget(spec.dimension)
-    counter = EvaluationCounter(budget=budget)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    n, d = config.population, spec.dimension
+    budget = config.resolved_budget(d)
+    counters = [EvaluationCounter(budget=budget) for _ in configs]
 
     if config.uses_oa:
-        positions, fitness = build_initial_swarm(n, spec, counter, rng, levels=config.oa_levels)
+        swarms = [build_initial_swarm(n, spec, c, rng, levels=config.oa_levels) for c, rng in zip(counters, rngs)]
+        positions, fitness = (np.stack(parts) for parts in zip(*swarms))
     else:
-        positions = rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(n, spec.dimension))
-        fitness = evaluate_batch(spec, positions, counter)
+        positions = np.stack([rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(n, d)) for rng in rngs])
+        fitness = evaluate_batch(spec, positions.reshape(-1, d), *counters).reshape(len(configs), n)
     state = SwarmState(positions, np.zeros_like(positions), fitness)
-    archives = ArchiveSet(n, spec.dimension)  # left empty by the baseline
+    archives = ArchiveSet(len(configs), n, d)  # left empty by the baseline
     opsom = config.algorithm == "opsom"
     if opsom:
         _seed_archives(archives, state, config)
 
-    k = sum(_block_layout(config, n, spec.dimension))
+    u = np.empty((len(configs), sum(_block_layout(config, n, d))))
     trace = _Trace()
     while True:
-        trace.snap(state, counter)
+        trace.snap(state, counters)
         if observer is not None:
-            observer(state, archives)
-        if counter.used + n >= budget:
-            return trace.record(config, spec, state, budget, time.perf_counter() - start)
-        u = rng.random(k)
+            observer(state.view(0), archives.view(0))
+        # every run pays the same initialization and n per iteration, so all stop together
+        if counters[0].used + n >= budget:
+            return trace.records(configs, spec, budget, time.perf_counter() - start)
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
         if opsom:
-            _opsom_iteration(state, archives, config, spec, counter, u)
+            _opsom_iteration(state, archives, config, spec, counters, u)
         else:
-            pso_step(state, config.pso_params, spec, counter, u.reshape(2, n, -1))
+            pso_step(state, config.pso_params, spec, counters, u.reshape(len(configs), 2, n, d))

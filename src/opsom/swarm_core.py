@@ -1,13 +1,15 @@
 """Swarm state, the velocity rule, the baseline PSO step, boundary handling,
 and best bookkeeping.
 
-State is kept as (n, d) arrays.  All fitness comparisons are minimizing and
-personal/global bests are replaced only on strict improvement, so plateaus
-never churn positions.
+State is kept as (R, n, d) arrays: the R runs of one cell, advanced in
+lockstep.  All fitness comparisons are minimizing and personal/global bests
+are replaced only on strict improvement, so plateaus never churn positions.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,34 +38,63 @@ class PsoParams:
         return self.v_max_fraction * bounds.span
 
 
+@functools.cache
+def run_index(runs: int) -> np.ndarray:
+    """Read-only (runs, 1) column of run indices: `a[run_index(R), idx]` gathers
+    `a[r, idx[r]]` for every run r."""
+    index = np.arange(runs)[:, None]
+    index.flags.writeable = False
+    return index
+
+
+@functools.cache
+def particle_index(runs: int, n: int) -> np.ndarray:
+    """Read-only (runs, n) rows of 0..n-1; numpy compares same-shape arrays
+    faster than it broadcasts a single row."""
+    index = np.tile(np.arange(n), (runs, 1))
+    index.flags.writeable = False
+    return index
+
+
 class SwarmState:
-    """Positions, velocities, fitnesses, and best-so-far memory of a swarm."""
+    """Positions, velocities, fitnesses, and best-so-far memory of R swarms.
+
+    positions, velocities and pbest_positions are (R, n, d); fitness and
+    pbest_fitness (R, n); gbest_position (R, d) and gbest_fitness (R,).
+    """
 
     def __init__(self, positions: np.ndarray, velocities: np.ndarray, fitness: np.ndarray):
         positions = np.asarray(positions, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
         fitness = np.asarray(fitness, dtype=float)
-        if positions.ndim != 2 or velocities.shape != positions.shape:
-            raise ValueError("positions and velocities must both have shape (n, d)")
-        if fitness.shape != (len(positions),):
+        if positions.ndim != 3 or velocities.shape != positions.shape:
+            raise ValueError("positions and velocities must both have shape (R, n, d)")
+        if fitness.shape != positions.shape[:2]:
             raise ValueError("fitness must have one value per particle")
         self.positions = positions
         self.velocities = velocities
         self.fitness = fitness
         self.pbest_positions = positions.copy()
         self.pbest_fitness = fitness.copy()
-        best = int(np.argmin(fitness))
-        self.gbest_position = positions[best].copy()
-        self.gbest_fitness = float(fitness[best])
+        best = fitness.argmin(1)[:, None]
+        rows = run_index(len(fitness))
+        self.gbest_position = positions[rows, best][:, 0]
+        self.gbest_fitness = fitness[rows, best][:, 0]
         self.iteration = 0
 
     @property
     def n(self) -> int:
-        return len(self.positions)
+        return self.positions.shape[-2]
 
     @property
     def dimension(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
+
+    def view(self, run: int) -> SwarmState:
+        """Run `run` alone: every array with the run axis dropped (views, not copies)."""
+        view = object.__new__(SwarmState)
+        view.__dict__.update((k, v[run] if isinstance(v, np.ndarray) else v) for k, v in vars(self).items())
+        return view
 
 
 def handle_bounds(position: np.ndarray, velocity: np.ndarray, bounds: SearchBounds) -> tuple[np.ndarray, np.ndarray]:
@@ -75,29 +106,38 @@ def handle_bounds(position: np.ndarray, velocity: np.ndarray, bounds: SearchBoun
 
 
 def update_bests(state: SwarmState) -> SwarmState:
-    """Refresh personal and global bests from current fitness (strict improvement only)."""
+    """Refresh personal and global bests from current fitness (strict improvement only).
+
+    A run whose global best improves gets new gbest arrays rather than an
+    in-place write, so a reference to the old ones keeps the old values.
+    """
     improved = state.fitness < state.pbest_fitness
-    np.copyto(state.pbest_positions, state.positions, where=improved[:, None])
+    if not np.count_nonzero(improved):
+        return state
+    np.copyto(state.pbest_positions, state.positions, where=improved[:, :, None])
     np.copyto(state.pbest_fitness, state.fitness, where=improved)
-    best = int(state.pbest_fitness.argmin())
-    best_fitness = float(state.pbest_fitness[best])
-    if best_fitness < state.gbest_fitness:
-        state.gbest_position = state.pbest_positions[best].copy()
-        state.gbest_fitness = best_fitness
+    best = state.pbest_fitness.argmin(1)[:, None]
+    rows = run_index(len(best))
+    best_fitness = state.pbest_fitness[rows, best][:, 0]
+    better = best_fitness < state.gbest_fitness
+    if np.count_nonzero(better):
+        best_position = state.pbest_positions[rows, best][:, 0]
+        state.gbest_position = np.where(better[:, None], best_position, state.gbest_position)
+        state.gbest_fitness = np.where(better, best_fitness, state.gbest_fitness)
     return state
 
 
 def sort_and_split(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
-    """Rank particles by current fitness and split into (elite, regular) halves.
+    """Rank each run's particles by current fitness and split into (elite, regular) halves.
 
     Elite is the better half; ties are broken toward the lower particle index.
-    Both returned index arrays are in ascending-fitness order.
+    Both returned (R, n/2) index arrays are in ascending-fitness order.
     """
     if state.n % 2:
         raise ValueError(f"population size must be even, got {state.n}")
     order = state.fitness.argsort(kind="stable")
     half = state.n // 2
-    return order[:half], order[half:]
+    return order[:, :half], order[:, half:]
 
 
 def velocity_update(
@@ -116,7 +156,7 @@ def velocity_update(
     personal best as the guide with a = w, b = c1*r1 and c = c2*r2; the
     archive-guided update passes per-dimension uniforms (a may be a fixed
     inertia weight instead).  Works on a single (d,) particle or a stacked
-    (m, d) batch.
+    (m, d) batch, or on (R, m, d) with gbest as (R, 1, d).
     """
     velocity = a * velocity + b * (guide_position - position) + c * (gbest_position - position)
     np.maximum(velocity, -v_max, out=velocity)
@@ -127,21 +167,21 @@ def pso_step(
     state: SwarmState,
     params: PsoParams,
     spec: ObjectiveSpec,
-    counter: EvaluationCounter,
+    counters: Sequence[EvaluationCounter],
     u: np.ndarray,
 ) -> SwarmState:
-    """One synchronous baseline PSO iteration over the whole swarm.
+    """One synchronous baseline PSO iteration over every run's whole swarm.
 
-    `u` is the (2, n, d) block of uniforms in [0, 1): r1 then r2.  The sweep
-    costs n evaluations; if the budget cannot cover it, `BudgetExceeded` is
-    raised and the state is left untouched.
+    `u` is the (R, 2, n, d) block of uniforms in [0, 1): each run's r1 then
+    r2.  The sweep costs each run's counter n evaluations; if a budget cannot
+    cover it, `BudgetExceeded` is raised and the state is left untouched.
     """
     velocity = velocity_update(
-        state.velocities, state.positions, state.pbest_positions, state.gbest_position,
-        params.v_max(spec.bounds), params.inertia, params.cognitive * u[0], params.social * u[1],
+        state.velocities, state.positions, state.pbest_positions, state.gbest_position[:, None],
+        params.v_max(spec.bounds), params.inertia, params.cognitive * u[:, 0], params.social * u[:, 1],
     )
     position, velocity = handle_bounds(state.positions + velocity, velocity, spec.bounds)
-    state.fitness = evaluate_batch(spec, position, counter)
+    state.fitness = evaluate_batch(spec, position.reshape(-1, state.dimension), *counters).reshape(state.fitness.shape)
     state.positions = position
     state.velocities = velocity
     update_bests(state)

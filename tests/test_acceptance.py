@@ -15,7 +15,7 @@ from opsom.archives import ArchiveSet, push_chi, push_psi
 from opsom.harness import main, run_seed
 from opsom.mutation import mutate_elites
 from opsom.objective import EvaluationCounter, SearchBounds, base_spec, make_suite
-from opsom.optimizer import OptimizerConfig, _archive_guides, run
+from opsom.optimizer import OptimizerConfig, _archive_guides, run, run_cell
 from opsom.ortho_init import construct_oa, map_to_search_space, verify_oa
 from opsom.swarm_core import PsoParams, SwarmState, pso_step, velocity_update
 
@@ -36,21 +36,21 @@ def check(criterion, description, condition, detail=""):
     assert condition, f"criterion {criterion} ({description}) failed {detail}"
 
 
+def paired_configs(**kw):
+    """The RUNS paired-seed configs of one (function, algorithm) cell."""
+    return [OptimizerConfig(population=POPULATION, budget=BUDGET, seed=run_seed(BASE_SEED, r), **kw)
+            for r in range(RUNS)]
+
+
 @pytest.fixture(scope="module")
 def comparison_records():
-    """25 paired runs of both algorithms over the d=10 suite (criteria 4, 5, 8)."""
-    records = {}
-    for spec in make_suite(SUITE_SEED, DIMENSION):
-        for algo in ("opsom", "pso"):
-            records[(spec.id, algo)] = [
-                run(
-                    OptimizerConfig(algorithm=algo, population=POPULATION, budget=BUDGET,
-                                    seed=run_seed(BASE_SEED, r)),
-                    spec,
-                )
-                for r in range(RUNS)
-            ]
-    return records
+    """25 paired runs of both algorithms over the d=10 suite (criteria 4, 5, 8),
+    each cell's runs in lockstep as the CLI runs them."""
+    return {
+        (spec.id, algo): run_cell(paired_configs(algorithm=algo), spec)
+        for spec in make_suite(SUITE_SEED, DIMENSION)
+        for algo in ("opsom", "pso")
+    }
 
 
 def test_criterion_1_oa_validity():
@@ -140,15 +140,16 @@ def test_criterion_7_scheme_selection_oracle():
     ok = True
     for fits in itertools.product([1.0, 2.0, 3.0], repeat=3):
         # one entry per archive, positioned at its archive's index (phi 0, psi 1, chi 2)
-        archives = ArchiveSet(2, 1)
-        archives.phi_positions = np.array([[0.0]])
-        archives.phi_fitness = np.array([fits[0]])
+        archives = ArchiveSet(1, 2, 1)
+        archives.phi_positions[0, 0] = 0.0
+        archives.phi_fitness[0, 0] = fits[0]
         u = np.random.default_rng(0).random(5)
-        push_psi(archives, np.array([1.0]), fits[1], u[0])
-        push_chi(archives, np.array([2.0]), fits[2], u[1])
-        guide = _archive_guides(archives, u[2:].reshape(3, 1))
+        one = np.ones((1, 1), bool)
+        push_psi(archives, np.array([[[1.0]]]), np.array([[fits[1]]]), one, u[None, :1])
+        push_chi(archives, np.array([[[2.0]]]), np.array([[fits[2]]]), one, u[None, 1:2])
+        guide = _archive_guides(archives, u[2:].reshape(1, 3, 1))
         brute = min(range(3), key=lambda i: (fits[i], i))
-        ok &= guide[0, 0] == float(brute)
+        ok &= guide[0, 0, 0] == float(brute)
     check(7, "scheme selection matches brute-force argmin with phi>psi>chi ties", ok,
           "(27 fitness triples covering all 13 weak orderings)")
 
@@ -183,14 +184,7 @@ def test_criterion_9_ablation_direction(comparison_records):
     wins = 0
     details = [f"full={full_median:.4g}"]
     for flag in ("no_oa", "no_archives", "no_mutation"):
-        errors = [
-            run(
-                OptimizerConfig(population=POPULATION, budget=BUDGET,
-                                seed=run_seed(BASE_SEED, r), **{flag: True}),
-                spec,
-            ).best_error
-            for r in range(RUNS)
-        ]
+        errors = [record.best_error for record in run_cell(paired_configs(**{flag: True}), spec)]
         variant_median = np.median(errors)
         wins += full_median <= variant_median
         details.append(f"{flag}={variant_median:.4g}")
@@ -209,15 +203,16 @@ def test_criterion_10_equation_level_oracles():
         n, d = 4, 5
         positions = rng.uniform(-100, 100, (n, d))
         velocities = rng.uniform(-vmax, vmax, (n, d))
-        state = SwarmState(positions.copy(), velocities.copy(), (positions**2).sum(axis=1))
+        state = SwarmState(positions[None].copy(), velocities[None].copy(), (positions**2).sum(axis=1)[None])
         pbest = rng.uniform(-100, 100, (n, d))
-        state.pbest_positions = pbest.copy()
-        state.pbest_fitness = (pbest**2).sum(axis=1)
+        state.pbest_positions = pbest[None].copy()
+        state.pbest_fitness = (pbest**2).sum(axis=1)[None]
         gbest = rng.uniform(-100, 100, d)
-        state.gbest_position = gbest.copy()
-        state.gbest_fitness = float((gbest**2).sum())
+        state.gbest_position = gbest[None].copy()
+        state.gbest_fitness = np.array([(gbest**2).sum()])
         r1, r2 = u = rng.uniform(size=(2, n, d))
-        pso_step(state, params, spec, EvaluationCounter(budget=10_000), u)
+        pso_step(state, params, spec, [EvaluationCounter(budget=10_000)], u[None])
+        state = state.view(0)
         for i in range(n):
             for k in range(d):
                 v = (params.inertia * velocities[i, k]
@@ -250,7 +245,8 @@ def test_criterion_10_equation_level_oracles():
         phi = rng.uniform(-100, 100, (m, d))
         pick = rng.uniform(size=(2, m))
         d1, d2 = rng.uniform(size=(2, m, d))
-        out = mutate_elites(elite_positions, phi, spec.bounds, np.concatenate((pick.ravel(), d1.ravel(), d2.ravel())))
+        u = np.concatenate((pick.ravel(), d1.ravel(), d2.ravel()))
+        out = mutate_elites(elite_positions[None], phi[None], spec.bounds, u[None])[0]
         for j in range(m):
             # g is the pick[0]-th index other than j, h the pick[1]-th other than j and g
             g = [i for i in range(m) if i != j][int(pick[0, j] * (m - 1))]

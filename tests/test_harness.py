@@ -3,6 +3,7 @@ parallel execution, and the CLI."""
 
 import hashlib
 import os
+from dataclasses import replace
 import statistics
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from opsom.harness import (
 )
 from opsom import harness
 from opsom.objective import ObjectiveSpec, SearchBounds, base_spec
-from opsom.optimizer import OptimizerConfig, run
+from opsom.optimizer import OptimizerConfig, run, run_cell
 from opsom.ortho_init import OrthogonalArray, verify_oa
 
 
@@ -122,14 +123,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("opsom", "cma"))
 
-    @pytest.mark.parametrize("kw", [
-        dict(algorithms=()),
-        dict(algorithms=("opsom", "pso", "opsom")),
-        dict(dimensions=()),
-        dict(dimensions=(10, 30, 10)),
-    ], ids=["empty-algorithms", "repeated-algorithm", "empty-dimensions", "repeated-dimension"])
-    def test_rejects_empty_or_repeated_lists(self, kw):
-        with pytest.raises(ValueError, match="non-empty without repeats"):
+    @pytest.mark.parametrize("kw, message", [
+        (dict(algorithms=()), "non-empty without repeats"),
+        (dict(algorithms=("opsom", "pso", "opsom")), "non-empty without repeats"),
+        (dict(dimensions=()), "non-empty without repeats"),
+        (dict(dimensions=(10, 30, 10)), "non-empty without repeats"),
+        (dict(jobs=0), "jobs must be at least 1"),
+        (dict(jobs=-5), "jobs must be at least 1"),
+    ], ids=["empty-algorithms", "repeated-algorithm", "empty-dimensions", "repeated-dimension", "zero-jobs",
+            "negative-jobs"])
+    def test_rejects_empty_or_repeated_lists(self, kw, message):
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
 
 
@@ -206,6 +210,17 @@ class TestOutputs:
             texts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert texts[0] == texts[1]
 
+    def test_cell_size_does_not_change_output_bytes(self, tmp_path):
+        # run r's files are the same whether its cell holds 3 or 5 runs in lockstep
+        flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--seed", "11", "--pop", "8", "--budget", "2000"]
+        outputs = []
+        for runs in ("3", "5"):
+            out = tmp_path / f"runs{runs}"
+            assert main(flags + ["--runs", runs, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*_run0[0-2].csv")})
+        assert len(outputs[0]) == 10 * 2 * 3
+        assert outputs[0] == outputs[1]
+
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         # every file of the acceptance criterion-3 invocation, with 1 and 2 worker processes
         flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--runs", "2", "--seed", "11",
@@ -251,16 +266,25 @@ class TestNonFiniteObjective:
         # initialization and the first iteration were finite; the second iteration's batch raised
         assert seen == [0, 1]
 
+    @pytest.mark.parametrize("algorithm", ["opsom", "pso"])
+    def test_cell_raises_at_the_first_bad_batch(self, algorithm):
+        # a cell of 3 runs evaluates 3 * 8 stacked rows at once: NaN on the 12
+        # even rows, +inf on row 1
+        config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=True)
+        with pytest.raises(ValueError, match=r"^poisoned: 13 of 24 rows evaluated to NaN or \+-inf$"):
+            run_cell([replace(config, seed=seed) for seed in range(3)], poisoned_spec(4))
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cli_reports_error_and_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
-        # with --jobs 2 the error is raised in a worker process and re-raised here
+        # with --jobs 2 the error is raised in a worker process and re-raised
+        # here; each cell's 3 runs are one batch of 3 * 8 rows
         monkeypatch.setattr(harness, "make_suite", lambda suite_seed, dim: [poisoned_spec(dim)])
         status = main([
-            "run", "--algo", "opsom,pso", "--dim", "4", "--runs", "2", "--pop", "8", "--no-oa",
+            "run", "--algo", "opsom,pso", "--dim", "4", "--runs", "3", "--pop", "8", "--no-oa",
             "--budget", "400", "--jobs", jobs, "--out", str(tmp_path / "z"),
         ])
         assert status == 1
-        assert "error: poisoned: 5 of 8 rows evaluated to NaN or +-inf" in capsys.readouterr().err
+        assert "error: poisoned: 13 of 24 rows evaluated to NaN or +-inf" in capsys.readouterr().err
         assert not (tmp_path / "z").exists()
 
 
@@ -310,13 +334,20 @@ class TestCli:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("algo, dim", [(",", "2"), ("opsom,opsom", "2"), ("opsom", "2,2")])
-    def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim):
+    @pytest.mark.parametrize("algo, dim, jobs, message", [
+        (",", "2", "1", "non-empty without repeats"),
+        ("opsom,opsom", "2", "1", "non-empty without repeats"),
+        ("opsom", "2,2", "1", "non-empty without repeats"),
+        ("opsom", "2", "0", "jobs must be at least 1, got 0"),
+        ("opsom", "2", "-5", "jobs must be at least 1, got -5"),
+    ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs"])
+    def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, message):
+        # also a worker count below 1, which used to run sequentially without a word
         out = tmp_path / "z"
         status = main(["run", "--algo", algo, "--dim", dim, "--runs", "1", "--pop", "6", "--budget", "200",
-                       "--out", str(out)])
+                       "--jobs", jobs, "--out", str(out)])
         assert status == 1
-        assert "non-empty without repeats" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output_dir(self, tmp_path, capsys):

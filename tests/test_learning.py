@@ -11,13 +11,14 @@ from opsom.swarm_core import velocity_update
 
 
 def singleton_archives(fits, positions):
-    """phi, psi and chi holding one (position, fitness) entry each, in that order."""
+    """One run's phi, psi and chi holding one (position, fitness) entry each, in that order."""
     positions = [np.asarray(p, dtype=float) for p in positions]
-    a = ArchiveSet(2, len(positions[0]))
-    a.phi_positions = positions[0][None, :].copy()
-    a.phi_fitness = np.array([fits[0]], dtype=float)
-    push_psi(a, positions[1], fits[1], 0.5)
-    push_chi(a, positions[2], fits[2], 0.5)
+    a = ArchiveSet(1, 2, len(positions[0]))
+    a.phi_positions[0, 0] = positions[0]
+    a.phi_fitness[0, 0] = fits[0]
+    one = np.ones((1, 1), bool)
+    push_psi(a, positions[1][None, None], np.array([[fits[1]]]), one, np.array([[0.5]]))
+    push_chi(a, positions[2][None, None], np.array([[fits[2]]]), one, np.array([[0.5]]))
     return a
 
 
@@ -26,7 +27,7 @@ def guide_for(fits, values=None):
     each entry's position is filled with its value (default: its fitness)."""
     values = fits if values is None else values
     archives = singleton_archives(fits, [np.full(2, float(v)) for v in values])
-    return _archive_guides(archives, np.random.default_rng(0).random((3, 1)))[0]
+    return _archive_guides(archives, np.random.default_rng(0).random((1, 3, 1)))[0, 0]
 
 
 class TestSelectScheme:
@@ -108,7 +109,7 @@ class TestRegularVelocityUpdate:
             fits[which] = 0.0
             positions = [rng.uniform(-50, 50, 4) for _ in range(3)]
             positions[which] = guide
-            chosen = _archive_guides(singleton_archives(fits, positions), rng.random((3, 1)))[0]
+            chosen = _archive_guides(singleton_archives(fits, positions), rng.random((1, 3, 1)))[0, 0]
             np.testing.assert_array_equal(chosen, guide)
             outs.append(velocity_update(v, x, chosen, gbest, 40.0, r1, r2, r3))
         np.testing.assert_array_equal(outs[0], outs[1])

@@ -18,6 +18,18 @@ def elites(*rows):
     return np.array(rows, dtype=float)
 
 
+def pairs(u):
+    """`draw_partners` on one run's (2, m) uniforms."""
+    g, h = draw_partners(np.asarray(u)[None])
+    return g[0], h[0]
+
+
+def mutate_run(elite_positions, phi_positions, bounds, u):
+    """`mutate_elites` on one run: (m, d) elites and phi rows, flat uniforms."""
+    runs = (np.asarray(a)[None] for a in (elite_positions, phi_positions))
+    return mutate_elites(*runs, bounds, np.asarray(u)[None])[0]
+
+
 def scalar_mutation(j, phi_position, elite_positions, delta1, delta2, g, h):
     """Reference for one elite: x + delta1*(phi_j - x) + delta2*(x_g - x_h), clamped into the box."""
     x = elite_positions[j]
@@ -58,7 +70,7 @@ def mutate_one(j, phi_j, positions, rng, *, delta1=None, delta2=None, partners=N
         g, h = (np.arange(m) + 1) % m, (np.arange(m) + 2) % m
         g[j], h[j] = partners
         partners = (g, h)
-    return mutate_elites(positions, phi, BOUNDS, mutation_uniforms(rng, m, d, delta1, delta2, partners))[j]
+    return mutate_run(positions, phi, BOUNDS, mutation_uniforms(rng, m, d, delta1, delta2, partners))[j]
 
 
 class TestEliteMutate:
@@ -107,7 +119,7 @@ class TestEliteMutate:
 
     def test_rejects_small_subgroup(self):
         with pytest.raises(ValueError):
-            mutate_elites(elites([0.0], [1.0]), np.zeros((2, 1)), BOUNDS, np.zeros(8))
+            mutate_run(elites([0.0], [1.0]), np.zeros((2, 1)), BOUNDS, np.zeros(8))
 
     def test_random_partners_come_from_the_elite_subgroup(self):
         # with delta1 = 0, delta2 = 1 the step is exactly x_g - x_h; it must
@@ -131,14 +143,14 @@ class TestDrawPartners:
         rng = np.random.default_rng(3)
         for m in (3, 4, 7, 20):
             for _ in range(200):
-                g, h = draw_partners(rng.random((2, m)))
+                g, h = pairs(rng.random((2, m)))
                 j = np.arange(m)
                 assert (g != j).all() and (h != j).all() and (g != h).all()
                 assert (0 <= g).all() and (g < m).all() and (0 <= h).all() and (h < m).all()
 
     def test_rejects_small_subgroup(self):
         with pytest.raises(ValueError):
-            draw_partners(np.random.default_rng(0).random((2, 2)))
+            pairs(np.random.default_rng(0).random((2, 2)))
 
     def test_pairs_roughly_uniform(self):
         rng = np.random.default_rng(4)
@@ -146,7 +158,7 @@ class TestDrawPartners:
         counts = np.zeros((m, m))
         trials = 12_000
         for _ in range(trials):
-            g, h = draw_partners(rng.random((2, m)))
+            g, h = pairs(rng.random((2, m)))
             counts[g[0], h[0]] += 1
         # row j=0 can draw any ordered pair of {1,2,3}: 6 pairs, ~2000 each
         occupied = counts[counts > 0]
@@ -160,7 +172,7 @@ class TestDrawPartners:
             for g, h in itertools.permutations([i for i in range(m) if i != j], 2):
                 gs, hs = (np.arange(m) + 1) % m, (np.arange(m) + 2) % m
                 gs[j], hs[j] = g, h
-                drawn = draw_partners(partner_uniforms(gs, hs))
+                drawn = pairs(partner_uniforms(gs, hs))
                 assert drawn[0].tolist() == gs.tolist() and drawn[1].tolist() == hs.tolist()
 
     @settings(max_examples=300, deadline=None)
@@ -170,7 +182,7 @@ class TestDrawPartners:
         # the largest uniform below 1 included: no index may reach m
         u = np.array(u).reshape(2, -1)
         m = u.shape[1]
-        g, h = draw_partners(u)
+        g, h = pairs(u)
         j = np.arange(m)
         assert (g != j).all() and (h != j).all() and (g != h).all()
         assert (0 <= g).all() and (g < m).all() and (0 <= h).all() and (h < m).all()
@@ -184,9 +196,9 @@ class TestMutateElites:
         positions = rng.uniform(-100, 100, (m, d))
         phi = rng.uniform(-100, 100, (m, d))
         u = rng.random(2 * m * (1 + d))
-        g, h = draw_partners(u[: 2 * m].reshape(2, m))
+        g, h = pairs(u[: 2 * m].reshape(2, m))
         d1, d2 = u[2 * m :].reshape(2, m, d)
-        batch = mutate_elites(positions, phi, BOUNDS, u)
+        batch = mutate_run(positions, phi, BOUNDS, u)
         for j in range(m):
             row = scalar_mutation(j, phi[j], positions, d1[j], d2[j], int(g[j]), int(h[j]))
             np.testing.assert_array_equal(batch[j], row)
@@ -197,11 +209,11 @@ class TestMutateElites:
         positions = rng.uniform(-100, 100, (m, d))
         phi = rng.uniform(-100, 100, (m, d))
         partner_u = rng.random(2 * m)
-        g, h = draw_partners(partner_u.reshape(2, m))
+        g, h = pairs(partner_u.reshape(2, m))
         d1, d2 = rng.uniform(0, 2, size=(2, m, d))  # wide enough to push rows past both walls
         expected = np.clip(positions + d1 * (phi - positions) + d2 * (positions[g] - positions[h]), -100.0, 100.0)
         assert (np.abs(expected) == 100.0).any() and (np.abs(expected) < 100.0).any()
-        out = mutate_elites(positions, phi, BOUNDS, np.concatenate((partner_u, d1.ravel(), d2.ravel())))
+        out = mutate_run(positions, phi, BOUNDS, np.concatenate((partner_u, d1.ravel(), d2.ravel())))
         assert out.tobytes() == expected.tobytes()
 
     def test_all_outputs_inside_bounds(self):
@@ -209,5 +221,19 @@ class TestMutateElites:
         for _ in range(20):
             positions = rng.uniform(-100, 100, (8, 3))
             phi = rng.uniform(-100, 100, (8, 3))
-            out = mutate_elites(positions, phi, BOUNDS, rng.random(2 * 8 * 4))
+            out = mutate_run(positions, phi, BOUNDS, rng.random(2 * 8 * 4))
             assert ((out >= -100) & (out <= 100)).all()
+
+    def test_stacked_runs_match_one_run_at_a_time(self):
+        # R runs mutated in one call give each run's bits from its own rows and uniforms
+        rng = np.random.default_rng(8)
+        runs, m, d = 3, 5, 4
+        positions = rng.uniform(-100, 100, (runs, m, d))
+        phi = rng.uniform(-100, 100, (runs, m, d))
+        u = rng.random((runs, 2 * m * (1 + d)))
+        stacked = mutate_elites(positions, phi, BOUNDS, u)
+        g, h = draw_partners(u[:, : 2 * m].reshape(runs, 2, m))
+        for r in range(runs):
+            assert stacked[r].tobytes() == mutate_run(positions[r], phi[r], BOUNDS, u[r]).tobytes()
+            one_g, one_h = pairs(u[r, : 2 * m].reshape(2, m))
+            assert g[r].tolist() == one_g.tolist() and h[r].tolist() == one_h.tolist()

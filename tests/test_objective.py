@@ -44,8 +44,8 @@ def errors_of(spec, best_fitnesses):
     """The `RunRecord.errors` of a trace whose best fitness took these values."""
     trace = _Trace()
     for f in best_fitnesses:
-        trace.snap(SwarmState(np.zeros((1, spec.dimension)), np.zeros((1, spec.dimension)), [f]), counter())
-    return trace.record(OptimizerConfig(), spec, None, 1, 0.0).errors
+        trace.snap(SwarmState(np.zeros((1, 1, spec.dimension)), np.zeros((1, 1, spec.dimension)), [[f]]), [counter()])
+    return trace.records([OptimizerConfig()], spec, 1, 0.0)[0].errors
 
 
 class TestSearchBounds:

@@ -14,6 +14,7 @@ from opsom.optimizer import (
     diversity,
     exploration_ratio,
     run,
+    run_cell,
 )
 from opsom.ortho_init import array_shape
 from opsom.swarm_core import PsoParams, SwarmState, pso_step, sort_and_split
@@ -166,32 +167,34 @@ class _CountingRng:
 class TestAblations:
     def test_full_ablation_reduces_to_baseline_step(self):
         # with every strategy disabled, one iteration must equal pso_step bit
-        # for bit when pso gets the same uniforms for the same particles: the
-        # opsom block is (2, n, d) with rows in learner order
+        # for bit when pso gets the same uniforms for the same particles: each
+        # run's opsom block is (2, n, d) with rows in that run's learner order
         rng = np.random.default_rng(0)
-        positions = rng.uniform(-100, 100, (8, 10))
-        fitness = np.array([float(f) for f in (positions**2).sum(axis=1)])
-        velocities = rng.uniform(-40, 40, (8, 10))
+        positions = rng.uniform(-100, 100, (2, 8, 10))
+        fitness = (positions**2).sum(axis=2)
+        velocities = rng.uniform(-40, 40, (2, 8, 10))
         state_a = SwarmState(positions.copy(), velocities.copy(), fitness.copy())
         state_b = SwarmState(positions.copy(), velocities.copy(), fitness.copy())
         config = OptimizerConfig(
             population=8, budget=10_000,
             no_oa=True, no_archives=True, no_mutation=True, fixed_inertia=True,
         )
-        archives = ArchiveSet(8, 10)
+        archives = ArchiveSet(2, 8, 10)
         refresh_phi(archives, state_a)
         elite_idx, regular_idx = sort_and_split(state_a)
-        learner_idx = np.concatenate([regular_idx, elite_idx])
-        assert not np.array_equal(learner_idx, np.arange(8))
-        u = rng.random(2 * 8 * 10)
-        r = u.reshape(2, 8, 10)
+        learner_idx = np.concatenate([regular_idx, elite_idx], 1)
+        assert not (learner_idx == np.arange(8)).all(1).any()
+        u = rng.random((2, 2 * 8 * 10))
+        r = u.reshape(2, 2, 8, 10)
         u_pso = np.empty_like(r)
-        u_pso[:, learner_idx] = r
-        _opsom_iteration(state_a, archives, config, SPEC, EvaluationCounter(budget=100), u)
-        pso_step(state_b, config.pso_params, SPEC, EvaluationCounter(budget=100), u_pso)
-        for name in ("positions", "velocities", "fitness", "pbest_positions", "pbest_fitness", "gbest_position"):
+        for k in range(2):
+            u_pso[k][:, learner_idx[k]] = r[k]
+        _opsom_iteration(state_a, archives, config, SPEC, [EvaluationCounter(budget=100) for _ in range(2)], u)
+        pso_step(state_b, config.pso_params, SPEC, [EvaluationCounter(budget=100) for _ in range(2)], u_pso)
+        for name in ("positions", "velocities", "fitness", "pbest_positions", "pbest_fitness", "gbest_position",
+                     "gbest_fitness"):
             assert getattr(state_a, name).tobytes() == getattr(state_b, name).tobytes(), name
-        assert state_a.gbest_fitness == state_b.gbest_fitness and state_a.iteration == state_b.iteration == 1
+        assert state_a.iteration == state_b.iteration == 1
 
     def test_mutation_covers_the_elite_half(self, monkeypatch):
         import opsom.optimizer as mod
@@ -206,7 +209,7 @@ class TestAblations:
         monkeypatch.setattr(mod, "mutate_elites", spy)
         rec = run(small_config(budget=500), SPEC)
         iterations = len(rec.iterations) - 1
-        assert calls == [(4, 10)] * iterations
+        assert calls == [(1, 4, 10)] * iterations
 
     def test_no_mutation_routes_elites_through_the_scheme_path(self, monkeypatch):
         import opsom.optimizer as mod
@@ -217,7 +220,7 @@ class TestAblations:
         original_guides = mod._archive_guides
 
         def spy(archives, u):
-            guide_shapes.append(u.shape[1])
+            guide_shapes.append(u.shape[2])
             return original_guides(archives, u)
 
         monkeypatch.setattr(mod, "_archive_guides", spy)
@@ -253,6 +256,8 @@ class TestUniformBlock:
         ({"algorithm": "pso"}, 2 * 8 * 10),
     ])
     def test_one_random_call_per_iteration(self, monkeypatch, flags, k):
+        import opsom.optimizer as mod
+
         generators = []
         default_rng = np.random.default_rng
 
@@ -261,15 +266,29 @@ class TestUniformBlock:
             return generators[-1]
 
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
-        # the observer runs after initialization and after every iteration, so
-        # the calls between two of its visits are one iteration's draws
+        # each step call marks how many calls every run's generator has had:
+        # between two steps lie exactly the next iteration's draws
         marks = []
-        rec = run(small_config(budget=1_000, **flags), SPEC, observer=lambda s, a: marks.append(len(generators[0].calls)))
-        calls = generators[0].calls
-        per_iteration = [calls[a:b] for a, b in zip(marks, marks[1:])]
-        assert len(generators) == 1 and len(per_iteration) == len(rec.iterations) - 1 > 10
-        assert all(drawn == [("random", (k,), {})] for drawn in per_iteration)
-        assert calls[marks[-1]:] == []
+        name = "pso_step" if flags.get("algorithm") == "pso" else "_opsom_iteration"
+        step = getattr(mod, name)
+
+        def marking_step(*args):
+            marks.append([len(g.calls) for g in generators])
+            return step(*args)
+
+        monkeypatch.setattr(mod, name, marking_step)
+        for runs in (1, 3):
+            generators.clear()
+            marks.clear()
+            records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], SPEC)
+            assert len(generators) == runs and len(marks) == len(records[0].iterations) - 1 > 10
+            for r, generator in enumerate(generators):
+                calls = generator.calls
+                # the call before each step filled run r's row of that iteration's block
+                ends = [mark[r] for mark in marks]
+                blocks = [calls[a - 1 : b - 1] for a, b in zip(ends, ends[1:] + [len(calls) + 1])]
+                assert all(len(drawn) == 1 and drawn[0][0] == "random" for drawn in blocks)
+                assert all(drawn[0][2]["out"].shape == (k,) for drawn in blocks)
 
     def test_largest_uniform_maps_below_every_size(self):
         u = np.nextafter(1.0, 0.0)
@@ -310,30 +329,34 @@ class TestRngIdentities:
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def one_run(positions):
+    """A one-run state at these (n, d) positions."""
+    positions = np.asarray(positions, dtype=float)[None]
+    return SwarmState(positions, np.zeros_like(positions), np.zeros(positions.shape[:2]))
+
+
 class TestDiversity:
     def test_identical_particles(self):
-        state = SwarmState(np.ones((5, 3)), np.zeros((5, 3)), np.zeros(5))
-        assert diversity(state) == 0.0
+        assert diversity(one_run(np.ones((5, 3)))).tolist() == [0.0]
 
     def test_symmetric_pair(self):
-        state = SwarmState(np.array([[0.0, 0.0], [2.0, 0.0]]), np.zeros((2, 2)), np.zeros(2))
-        assert diversity(state) == 1.0
+        assert diversity(one_run([[0.0, 0.0], [2.0, 0.0]])).tolist() == [1.0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
         positions = rng.uniform(-100, 100, (12, 4))
-        state = SwarmState(positions, np.zeros((12, 4)), np.zeros(12))
         centroid = positions.mean(axis=0)
         expected = np.mean([np.sqrt(((p - centroid) ** 2).sum()) for p in positions])
-        assert diversity(state) == pytest.approx(expected, rel=1e-12)
+        assert diversity(one_run(positions))[0] == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 100), d=st.integers(1, 60),
+    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 25), n=st.integers(1, 100), d=st.integers(1, 60),
            scale=st.sampled_from([1e-3, 1.0, 100.0, 1e6]))
-    def test_bitwise_equal_to_numpy_mean_and_norm(self, seed, n, d, scale):
-        positions = scale * np.random.default_rng(seed).uniform(-1, 1, (n, d))
-        state = SwarmState(positions, np.zeros((n, d)), np.zeros(n))
-        expected = float(np.linalg.norm(positions - positions.mean(0), axis=1).mean())
+    def test_bitwise_equal_to_numpy_mean_and_norm(self, seed, runs, n, d, scale):
+        # one call for R stacked runs gives each run the bits of numpy's mean and norm
+        positions = scale * np.random.default_rng(seed).uniform(-1, 1, (runs, n, d))
+        state = SwarmState(positions, np.zeros((runs, n, d)), np.zeros((runs, n)))
+        expected = [float(np.linalg.norm(p - p.mean(0), axis=1).mean()) for p in positions]
         assert np.array_equal(diversity(state), expected)
 
 
@@ -351,3 +374,54 @@ class TestExplorationRatio:
 
     def test_all_zero(self):
         np.testing.assert_array_equal(exploration_ratio(np.array([0.0, 0.0])), [0.0, 0.0])
+
+
+RECORD_ARRAYS = ("iterations", "evaluations", "errors", "diversities")
+RECORD_SCALARS = ("function_id", "algorithm", "dimension", "seed", "population", "budget", "best_error")
+
+
+class TestRunCell:
+    """`run_cell` advances a cell's runs in lockstep; each run's record is the one `run` gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=st.integers(1, 8), d=st.sampled_from([2, 10]), function=st.integers(0, 9),
+           variant=st.sampled_from(["pso", "opsom", "no_oa", "no_archives", "no_mutation", "fixed_inertia"]),
+           base_seed=st.integers(0, 2**64 - 1))
+    def test_matches_one_run_at_a_time(self, runs, d, function, variant, base_seed):
+        spec = make_suite(5, d)[function]
+        flags = {} if variant in ("pso", "opsom") else {variant: True}
+        algorithm = "pso" if variant == "pso" else "opsom"
+        configs = [OptimizerConfig(algorithm=algorithm, population=8, budget=600, seed=(base_seed + 7919 * r) % 2**64,
+                                   **flags) for r in range(runs)]
+        cell = run_cell(configs, spec)
+        assert len(cell) == runs
+        for config, lockstep in zip(configs, cell):
+            alone = run(config, spec)
+            for name in RECORD_ARRAYS:
+                a, b = getattr(alone, name), getattr(lockstep, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            for name in RECORD_SCALARS:
+                assert getattr(alone, name) == getattr(lockstep, name), name
+
+    def test_rejects_an_empty_cell(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            run_cell([], SPEC)
+
+    @pytest.mark.parametrize("change", [
+        dict(algorithm="pso"), dict(population=10), dict(budget=2_100), dict(no_oa=True), dict(no_archives=True),
+        dict(no_mutation=True), dict(fixed_inertia=True), dict(oa_levels=3), dict(pso_params=PsoParams(inertia=0.5)),
+    ])
+    def test_rejects_configs_differing_in_more_than_the_seed(self, change):
+        configs = [small_config(seed=1), small_config(seed=2, **change)]
+        with pytest.raises(ValueError, match="may differ only in seed"):
+            run_cell(configs, SPEC)
+        # the seed alone may differ, repeated seeds included
+        assert len(run_cell([small_config(seed=1), small_config(seed=2), small_config(seed=1)], SPEC)) == 3
+
+    def test_observer_watches_a_single_run(self):
+        with pytest.raises(ValueError, match="observer watches one run"):
+            run_cell([small_config(seed=1), small_config(seed=2)], SPEC, observer=lambda state, archives: None)
+
+    def test_shared_wall_time(self):
+        records = run_cell([small_config(seed=s) for s in range(3)], SPEC)
+        assert len({r.wall_time for r in records}) == 1 and records[0].wall_time > 0.0

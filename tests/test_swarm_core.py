@@ -1,5 +1,9 @@
 """Tests for swarm state, the baseline PSO step, boundary handling, best
-bookkeeping, and the elite/regular split."""
+bookkeeping, and the elite/regular split.
+
+Most cases build a cell of one run from (n, d) arrays and read it back
+through `SwarmState.view(0)`; the multi-run cases check that runs stacked on
+the leading axis do not affect each other."""
 
 import numpy as np
 import pytest
@@ -19,12 +23,25 @@ from opsom.swarm_core import (
 
 
 def make_state(positions, velocities=None, fitness=None):
+    """A one-run state from (n, d) positions (and velocities) and (n,) fitness."""
     positions = np.asarray(positions, dtype=float)
     if velocities is None:
         velocities = np.zeros_like(positions)
     if fitness is None:
         fitness = np.sum(positions**2, axis=1)
-    return SwarmState(positions, np.asarray(velocities, dtype=float), np.asarray(fitness, dtype=float))
+    velocities, fitness = np.asarray(velocities, dtype=float), np.asarray(fitness, dtype=float)
+    return SwarmState(positions[None], velocities[None], fitness[None])
+
+
+def step(state, params, spec, counter, u):
+    """`pso_step` on a one-run state, charging `counter`, with a (2, n, d) block."""
+    return pso_step(state, params, spec, [counter], np.asarray(u)[None])
+
+
+def split(state):
+    """The (elite, regular) index arrays of a one-run state."""
+    elite, regular = sort_and_split(state)
+    return elite[0], regular[0]
 
 
 class TestPsoParams:
@@ -46,7 +63,7 @@ class TestPsoParams:
 
 class TestSwarmState:
     def test_initial_bests(self):
-        state = make_state([[1.0, 0.0], [0.0, 0.0]])
+        state = make_state([[1.0, 0.0], [0.0, 0.0]]).view(0)
         assert state.gbest_fitness == 0.0
         np.testing.assert_array_equal(state.gbest_position, [0.0, 0.0])
         np.testing.assert_array_equal(state.pbest_fitness, state.fitness)
@@ -54,6 +71,18 @@ class TestSwarmState:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SwarmState(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            SwarmState(np.zeros((1, 3, 2)), np.zeros((1, 2, 2)), np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            SwarmState(np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), np.zeros((1, 3)))
+
+    def test_each_run_has_its_own_bests(self):
+        positions = np.arange(24.0).reshape(2, 4, 3)
+        state = SwarmState(positions, np.zeros_like(positions), np.array([[3.0, 1.0, 2.0, 5.0], [0.5, 4.0, 4.0, 0.25]]))
+        np.testing.assert_array_equal(state.gbest_fitness, [1.0, 0.25])
+        np.testing.assert_array_equal(state.gbest_position, [positions[0, 1], positions[1, 3]])
+        run = state.view(1)
+        assert run.positions.shape == (4, 3) and run.gbest_fitness == 0.25 and run.n == 4 and run.dimension == 3
 
 
 class TestHandleBounds:
@@ -87,44 +116,59 @@ class TestHandleBounds:
 class TestUpdateBests:
     def test_no_improvement_keeps_pbest(self):
         state = make_state([[1.0, 0.0]], fitness=[3.0])
-        state.fitness = np.array([5.0])
-        state.positions = np.array([[9.0, 9.0]])
-        update_bests(state)
-        assert state.pbest_fitness[0] == 3.0
-        np.testing.assert_array_equal(state.pbest_positions[0], [1.0, 0.0])
+        state.fitness = np.array([[5.0]])
+        state.positions = np.array([[[9.0, 9.0]]])
+        run = update_bests(state).view(0)
+        assert run.pbest_fitness[0] == 3.0
+        np.testing.assert_array_equal(run.pbest_positions[0], [1.0, 0.0])
 
     def test_improvement_cascades_to_gbest(self):
         state = make_state([[1.0, 0.0]], fitness=[3.0])
-        state.fitness = np.array([2.0])
-        state.positions = np.array([[0.5, 0.5]])
-        update_bests(state)
-        assert state.pbest_fitness[0] == 2.0
-        assert state.gbest_fitness == 2.0
-        np.testing.assert_array_equal(state.gbest_position, [0.5, 0.5])
+        state.fitness = np.array([[2.0]])
+        state.positions = np.array([[[0.5, 0.5]]])
+        run = update_bests(state).view(0)
+        assert run.pbest_fitness[0] == 2.0
+        assert run.gbest_fitness == 2.0
+        np.testing.assert_array_equal(run.gbest_position, [0.5, 0.5])
 
     def test_tie_keeps_incumbent(self):
         state = make_state([[1.0, 0.0]], fitness=[3.0])
-        state.fitness = np.array([3.0])
-        state.positions = np.array([[7.0, 7.0]])
+        state.fitness = np.array([[3.0]])
+        state.positions = np.array([[[7.0, 7.0]]])
+        run = update_bests(state).view(0)
+        np.testing.assert_array_equal(run.pbest_positions[0], [1.0, 0.0])
+        np.testing.assert_array_equal(run.gbest_position, [1.0, 0.0])
+
+    def test_runs_update_independently(self):
+        # run 0 improves its global best, run 1 only a personal best, run 2 nothing
+        positions = np.zeros((3, 2, 1))
+        state = SwarmState(positions, positions.copy(), np.array([[4.0, 2.0], [4.0, 2.0], [4.0, 2.0]]))
+        kept = state.gbest_fitness
+        state.positions = np.array([[[1.0], [2.0]], [[3.0], [4.0]], [[5.0], [6.0]]])
+        state.fitness = np.array([[1.0, 9.0], [3.0, 9.0], [9.0, 9.0]])
         update_bests(state)
-        np.testing.assert_array_equal(state.pbest_positions[0], [1.0, 0.0])
-        np.testing.assert_array_equal(state.gbest_position, [1.0, 0.0])
+        np.testing.assert_array_equal(state.pbest_fitness, [[1.0, 2.0], [3.0, 2.0], [4.0, 2.0]])
+        np.testing.assert_array_equal(state.pbest_positions[:, 0, 0], [1.0, 3.0, 0.0])
+        np.testing.assert_array_equal(state.gbest_fitness, [1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(state.gbest_position[:, 0], [1.0, 0.0, 0.0])
+        # the gbest arrays are replaced, not written into
+        np.testing.assert_array_equal(kept, [2.0, 2.0, 2.0])
 
 
 class TestSortAndSplit:
     def test_ranking_by_value(self):
         state = make_state(np.zeros((4, 2)), fitness=[3.0, 1.0, 4.0, 2.0])
-        elite, regular = sort_and_split(state)
+        elite, regular = split(state)
         assert set(elite) == {1, 3} and set(regular) == {0, 2}
 
     def test_all_equal_takes_first_half(self):
         state = make_state(np.zeros((4, 2)), fitness=[5.0, 5.0, 5.0, 5.0])
-        elite, regular = sort_and_split(state)
+        elite, regular = split(state)
         assert list(elite) == [0, 1] and list(regular) == [2, 3]
 
     def test_smallest_case(self):
         state = make_state(np.zeros((2, 2)), fitness=[2.0, 1.0])
-        elite, regular = sort_and_split(state)
+        elite, regular = split(state)
         assert list(elite) == [1] and list(regular) == [0]
 
     def test_disjoint_union_property(self):
@@ -132,10 +176,16 @@ class TestSortAndSplit:
         for _ in range(20):
             n = 2 * int(rng.integers(1, 20))
             state = make_state(np.zeros((n, 2)), fitness=rng.uniform(size=n))
-            elite, regular = sort_and_split(state)
+            elite, regular = split(state)
             assert len(elite) == len(regular) == n // 2
             assert sorted(np.concatenate([elite, regular]).tolist()) == list(range(n))
-            assert state.fitness[elite].max() <= state.fitness[regular].min()
+            assert state.fitness[0, elite].max() <= state.fitness[0, regular].min()
+
+    def test_splits_each_run(self):
+        fitness = np.array([[3.0, 1.0, 4.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+        elite, regular = sort_and_split(SwarmState(np.zeros((2, 4, 1)), np.zeros((2, 4, 1)), fitness))
+        np.testing.assert_array_equal(elite, [[1, 3], [0, 1]])
+        np.testing.assert_array_equal(regular, [[0, 2], [2, 3]])
 
     def test_rejects_odd_population(self):
         state = make_state(np.zeros((3, 2)), fitness=[1.0, 2.0, 3.0])
@@ -148,30 +198,30 @@ class TestPsoStep:
         # x == pbest == gbest and v == 0 stays put
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], fitness=[0.0])
-        pso_step(state, PsoParams(), spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
-        np.testing.assert_array_equal(state.positions, [[0.0, 0.0]])
-        np.testing.assert_array_equal(state.velocities, [[0.0, 0.0]])
+        step(state, PsoParams(), spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
+        np.testing.assert_array_equal(state.positions[0], [[0.0, 0.0]])
+        np.testing.assert_array_equal(state.velocities[0], [[0.0, 0.0]])
 
     def test_pure_drift(self):
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], velocities=[[1.0, 0.0]], fitness=[0.0])
         params = PsoParams(inertia=1.0, cognitive=0.0, social=0.0)
-        pso_step(state, params, spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
-        np.testing.assert_array_equal(state.positions, [[1.0, 0.0]])
+        step(state, params, spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
+        np.testing.assert_array_equal(state.positions[0], [[1.0, 0.0]])
 
     def test_single_particle_matches_hand_formula(self):
         # v' = 0.5 v + 1.5*0.5*(P - x) + 1.5*0.5*(G - x), x' = x + v'
         spec = base_spec("sphere", 2)
         state = make_state([[2.0, -1.0]], velocities=[[0.5, 0.25]], fitness=[5.0])
-        state.pbest_positions = np.array([[1.0, 1.0]])
-        state.pbest_fitness = np.array([2.0])
-        state.gbest_position = np.array([0.0, 0.0])
-        state.gbest_fitness = 0.0
+        state.pbest_positions = np.array([[[1.0, 1.0]]])
+        state.pbest_fitness = np.array([[2.0]])
+        state.gbest_position = np.array([[0.0, 0.0]])
+        state.gbest_fitness = np.array([0.0])
         params = PsoParams(inertia=0.5, cognitive=1.5, social=1.5)
-        pso_step(state, params, spec, EvaluationCounter(budget=100), np.full((2, 1, 2), 0.5))
+        step(state, params, spec, EvaluationCounter(budget=100), np.full((2, 1, 2), 0.5))
         v = 0.5 * np.array([0.5, 0.25]) + 0.75 * (np.array([1.0, 1.0]) - [2.0, -1.0]) + 0.75 * (np.array([0.0, 0.0]) - [2.0, -1.0])
-        np.testing.assert_allclose(state.velocities[0], v, atol=1e-15)
-        np.testing.assert_allclose(state.positions[0], np.array([2.0, -1.0]) + v, atol=1e-15)
+        np.testing.assert_allclose(state.velocities[0, 0], v, atol=1e-15)
+        np.testing.assert_allclose(state.positions[0, 0], np.array([2.0, -1.0]) + v, atol=1e-15)
         assert state.iteration == 1
 
     def test_velocity_bitwise_equal_to_clip_form(self):
@@ -191,28 +241,34 @@ class TestPsoStep:
         assert out.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), d=st.integers(1, 60),
+    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 4), n=st.integers(1, 50), d=st.integers(1, 60),
            inertia=st.floats(0.0, 1.0), cognitive=st.floats(0.0, 4.0), social=st.floats(0.0, 4.0),
            v_max_fraction=st.floats(0.01, 1.0))
-    def test_step_bitwise_equal_to_baseline_formula(self, seed, n, d, inertia, cognitive, social, v_max_fraction):
+    def test_step_bitwise_equal_to_baseline_formula(self, seed, runs, n, d, inertia, cognitive, social, v_max_fraction):
+        # every run of a cell follows the textbook step with its own gbest,
+        # uniforms and counter
         params = PsoParams(inertia, cognitive, social, v_max_fraction)
         rng = np.random.default_rng(seed)
         spec = base_spec("sphere", d)
-        x, pbest = rng.uniform(-100, 100, (2, n, d))
-        v = rng.uniform(-50, 50, (n, d))
-        state = make_state(x, velocities=v)
-        state.pbest_positions = pbest
-        u = rng.random((2, n, d))
+        x, pbest = rng.uniform(-100, 100, (2, runs, n, d))
+        v = rng.uniform(-50, 50, (runs, n, d))
+        state = SwarmState(x.copy(), v.copy(), (x**2).sum(2))
+        state.pbest_positions = pbest.copy()
+        u = rng.random((runs, 2, n, d))
         vmax = params.v_max(spec.bounds)
-        gbest = state.gbest_position
-        velocity = np.clip(
-            params.inertia * v + params.cognitive * u[0] * (pbest - x) + params.social * u[1] * (gbest - x), -vmax, vmax
-        )
-        position = x + velocity
-        outside = (position < -100.0) | (position > 100.0)
-        pso_step(state, params, spec, EvaluationCounter(budget=n), u)
-        assert state.positions.tobytes() == np.clip(position, -100.0, 100.0).tobytes()
-        assert state.velocities.tobytes() == np.where(outside, 0.0, velocity).tobytes()
+        counters = [EvaluationCounter(budget=n) for _ in range(runs)]
+        pso_step(state, params, spec, counters, u)
+        assert [c.used for c in counters] == [n] * runs
+        for r in range(runs):
+            gbest = x[r, (x[r] ** 2).sum(1).argmin()]
+            velocity = np.clip(
+                params.inertia * v[r] + params.cognitive * u[r, 0] * (pbest[r] - x[r])
+                + params.social * u[r, 1] * (gbest - x[r]), -vmax, vmax
+            )
+            position = x[r] + velocity
+            outside = (position < -100.0) | (position > 100.0)
+            assert state.positions[r].tobytes() == np.clip(position, -100.0, 100.0).tobytes()
+            assert state.velocities[r].tobytes() == np.where(outside, 0.0, velocity).tobytes()
 
     def test_unaffordable_sweep_raises_and_leaves_state_untouched(self):
         # the run loop only starts affordable sweeps; a direct call that cannot
@@ -223,9 +279,9 @@ class TestPsoStep:
             before = state.positions.copy()
             c = EvaluationCounter(budget=budget)
             with pytest.raises(BudgetExceeded):
-                pso_step(state, PsoParams(), spec, c, np.random.default_rng(1).random((2, 3, 2)))
+                step(state, PsoParams(), spec, c, np.random.default_rng(1).random((2, 3, 2)))
             np.testing.assert_array_equal(state.positions, before)
-            np.testing.assert_array_equal(state.velocities, np.ones((3, 2)))
+            np.testing.assert_array_equal(state.velocities, np.ones((1, 3, 2)))
             assert state.iteration == 0 and c.used == 0
 
     def test_invariants_over_many_steps(self):
@@ -239,10 +295,10 @@ class TestPsoStep:
         last_gbest = state.gbest_fitness
         last_pbest = state.pbest_fitness.copy()
         for _ in range(50):
-            pso_step(state, params, spec, c, rng.random((2, 8, 5)))
+            step(state, params, spec, c, rng.random((2, 8, 5)))
             assert ((state.positions >= -100) & (state.positions <= 100)).all()
             assert (np.abs(state.velocities) <= vmax).all()
-            assert state.gbest_fitness <= last_gbest
+            assert (state.gbest_fitness <= last_gbest).all()
             assert (state.pbest_fitness <= last_pbest).all()
             last_gbest = state.gbest_fitness
             last_pbest = state.pbest_fitness.copy()
