@@ -1,7 +1,9 @@
-"""One run loop for both algorithms - the full optimizer (orthogonal init +
-archive learning + elite mutation) and the baseline PSO - with per-iteration
-trace recording.  `run_cell` advances the R runs of one cell (configs equal
-but for the seed) in lockstep on (R, n, d) state; `run` is its R = 1 case.
+"""One run loop and one step function for both algorithms.  The full
+optimizer is plain PSO plus three strategies: orthogonal-array init, archive
+learning for the regular half and mutation of the elite half.  The baseline
+PSO is the same iteration with all three turned off.  `run_cell` advances the
+R runs of one cell (configs equal but for the seed) in lockstep on (R, n, d)
+state; `run` is its R = 1 case.
 
 Every iteration costs exactly n evaluations per run (one sweep over the
 swarm), and all R sweeps go to the objective as one batch.  A sweep starts
@@ -10,21 +12,26 @@ is skipped; a run ends within [budget - n, budget] evaluations and the trace
 reconciles exactly.  Runs are bitwise deterministic for a fixed (config,
 spec, seed), whichever cell they run in.
 
+Learners: with mutation the swarm is sorted by fitness and split in half; the
+worse half learns (in ascending-fitness order) and the better half is
+mutated.  With no mutation, the baseline's case, all m = n particles learn in
+particle order.
+
 Random stream: each run keeps its own generator, and initialization draws
 from it first.  After that each run's generator fills that run's row of an
-(R, K) block with exactly one `random(K)` call per iteration, for either
-algorithm, and the step function, which draws nothing itself, reads row r for
-run r.  A baseline PSO step reads a row as (2, n, d): r1, then r2.  An opsom
-iteration cuts it, in this order, into
-  guide uniforms        3*m      (none with no_archives),
-  velocity uniforms     3*m*d    (2*m*d with no_archives),
+(R, K) block with exactly one `random(K)` call per iteration, and the step
+function, which draws nothing itself, reads row r for run r.  The block is
+cut, in this order, into
+  guide uniforms        3*m      (none without archives),
+  velocity uniforms     3*m*d    (2*m*d without archives: r1, then r2),
   partner uniforms      2*e,
   mutation deltas       2*e*d,
-  eviction uniforms     n + 1    (none with no_archives),
-where n is the population, m the number of learners (n/2, or n with
-no_mutation) and e the number of mutated elites (n - m).  K depends only on
-n, d and the flags.  A uniform u picks index `int(u * size)`; the j-th archive
-push of an iteration evicts with the j-th eviction uniform when full.
+  eviction uniforms     n + 1    (none without archives),
+where n is the population, m the number of learners (n/2, or n with no
+mutation) and e the number of mutated elites (n - m).  K depends only on n, d
+and the flags; the baseline's block is (2, n, d): r1, then r2.  A uniform u
+picks index `int(u * size)`; the j-th archive push of an iteration evicts with
+the j-th eviction uniform when full.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .swarm_core import (
     PsoParams,
     SwarmState,
     handle_bounds,
-    pso_step,
     run_index,
     sort_and_split,
     update_bests,
@@ -79,6 +85,14 @@ class OptimizerConfig:
     @property
     def uses_oa(self) -> bool:
         return self.algorithm == "opsom" and not self.no_oa
+
+    @property
+    def uses_archives(self) -> bool:
+        return self.algorithm == "opsom" and not self.no_archives
+
+    @property
+    def uses_mutation(self) -> bool:
+        return self.algorithm == "opsom" and not self.no_mutation
 
     def validate(self, spec: ObjectiveSpec) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -139,7 +153,7 @@ class _Trace:
     def snap(self, state: SwarmState, counters: list[EvaluationCounter]) -> None:
         self.iterations.append(state.iteration)
         self.evaluations.append([counter.used for counter in counters])
-        # update_bests replaces gbest_fitness rather than writing into it
+        # a reference, not a copy: see `update_bests`
         self.best_fitness.append(state.gbest_fitness)
         self.diversities.append(diversity(state))
 
@@ -171,8 +185,9 @@ class _Trace:
 
 
 def _seed_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig) -> None:
-    refresh_phi(archives, state)
-    if config.no_archives:
+    if config.uses_archives or config.uses_mutation:
+        refresh_phi(archives, state)
+    if not config.uses_archives:
         return
     # n psi pushes and one chi push never fill an archive of capacity n, so
     # no eviction uniform is needed
@@ -205,11 +220,9 @@ def _block_layout(config: OptimizerConfig, n: int, d: int) -> tuple[int, ...]:
 
     The module docstring gives the layout; its sum is the block length K.
     """
-    if config.algorithm == "pso":
-        return (2 * n * d,)
-    m = n if config.no_mutation else n // 2
+    m = n // 2 if config.uses_mutation else n
     e = n - m
-    if config.no_archives:
+    if not config.uses_archives:
         return (0, 2 * m * d, 2 * e * (1 + d), 0)
     return (3 * m, 3 * m * d, 2 * e * (1 + d), n + 1)
 
@@ -220,77 +233,68 @@ def _opsom_iteration(
     config: OptimizerConfig,
     spec: ObjectiveSpec,
     counters: list[EvaluationCounter],
-    u: np.ndarray,
+    u: list[np.ndarray],
 ) -> None:
-    """One full iteration of every run: regular sweep, elite sweep, bests, archive updates.
+    """One iteration of every run: learner sweep, elite mutation, bests, archive updates.
 
-    `u` is the (R, K) uniform block, run r's in row r, cut as `_block_layout` states.
+    `u` holds the guide, velocity, partner-and-delta and eviction slices of
+    the (R, K) uniform block, run r's in row r, cut as `_block_layout` states.
+    With every strategy off this is one baseline PSO step, and `archives` is
+    never read.
     """
+    guide_u, velocity_u, mutation_u, evict_u = u
     params = config.pso_params
-    elite_idx, regular_idx = sort_and_split(state)
-    if config.no_mutation:
-        learner_idx = np.concatenate([regular_idx, elite_idx], 1)
-        mutate_idx = elite_idx[:, :0]
-    else:
-        learner_idx = regular_idx
-        mutate_idx = elite_idx
-
-    runs, n, d = state.positions.shape
-    m, e = learner_idx.shape[1], mutate_idx.shape[1]
-    archived = not config.no_archives
-    layout = _block_layout(config, n, d)
-    guide_u, velocity_u, mutation_u, evict_u = (
-        u[:, end - length : end] for length, end in zip(layout, itertools.accumulate(layout))
-    )
-
+    archived, mutating = config.uses_archives, config.uses_mutation
     X, V = state.positions, state.velocities
+    runs, n, d = X.shape
     rows = run_index(runs)
-    # learners and mutated elites together cover every row
-    new_positions = np.empty_like(X)
-    new_velocities = V.copy()
+    if mutating:
+        elite_idx, regular_idx = sort_and_split(state)
+        learners, m = (rows, regular_idx), n // 2
+    else:
+        # everyone learns, in particle order; `a[...]` is a view of the whole array
+        learners, m = ..., n
 
-    x = X[rows, learner_idx]
+    x = X[learners]
     r = velocity_u.reshape(runs, -1, m, d)
     if archived:
         guides = _archive_guides(archives, guide_u.reshape(runs, 3, m))
         a, b, c = params.inertia if config.fixed_inertia else r[:, 0], r[:, 1], r[:, 2]
     else:
-        # archive learning disabled: plain baseline velocity update
-        guides = state.pbest_positions[rows, learner_idx]
+        guides = state.pbest_positions[learners]
         a, b, c = params.inertia, params.cognitive * r[:, 0], params.social * r[:, 1]
     velocity = velocity_update(
-        V[rows, learner_idx], x, guides, state.gbest_position[:, None], params.v_max(spec.bounds), a, b, c
+        V[learners], x, guides, state.gbest_position[:, None], params.v_max(spec.bounds), a, b, c
     )
     position, velocity = handle_bounds(x + velocity, velocity, spec.bounds)
-    new_positions[rows, learner_idx] = position
-    new_velocities[rows, learner_idx] = velocity
-
-    if e:
-        # positions assigned directly from the iteration-start snapshot;
-        # velocities are left unchanged
-        new_positions[rows, mutate_idx] = mutate_elites(
-            X[rows, mutate_idx], archives.phi_positions, spec.bounds, mutation_u
+    if mutating:
+        # learners and mutated elites together cover every row; elites take
+        # positions mutated from the iteration-start snapshot and keep their velocities
+        new_positions = np.empty_like(X)
+        new_velocities = V.copy()
+        new_positions[learners] = position
+        new_velocities[learners] = velocity
+        new_positions[rows, elite_idx] = mutate_elites(
+            X[rows, elite_idx], archives.phi_positions, spec.bounds, mutation_u
         )
+        position, velocity = new_positions, new_velocities
 
-    fitness = evaluate_batch(spec, new_positions.reshape(-1, d), *counters).reshape(runs, n)
-    improved = fitness < state.pbest_fitness
-    previous_gbest = state.gbest_fitness
-    state.positions = new_positions
-    state.velocities = new_velocities
-    state.fitness = fitness
-    update_bests(state)
+    state.fitness = evaluate_batch(spec, position.reshape(-1, d), *counters).reshape(runs, n)
+    state.positions = position
+    state.velocities = velocity
+    improved, better = update_bests(state)
     state.iteration += 1
-    if not np.count_nonzero(improved):
-        return  # no personal best moved, so neither did phi, psi or chi
+    # phi is read only by the guides and the mutation; it, psi and chi move
+    # only when some personal best did
+    if not (archived or mutating) or not np.count_nonzero(improved):
+        return
     refresh_phi(archives, state)
     if archived:
         push_psi(archives, state.pbest_positions, state.pbest_fitness, improved, evict_u)
-        # update_bests replaced the gbest arrays: some run's global best improved
-        if state.gbest_fitness is not previous_gbest:
-            chi_pushed = (state.gbest_fitness < previous_gbest)[:, None]
+        if np.count_nonzero(better):
             # a run's chi push takes the eviction uniform after its psi pushes
             chi_u = evict_u[rows, improved.sum(1)[:, None]]
-            push_chi(archives, state.gbest_position[:, None], state.gbest_fitness[:, None], chi_pushed, chi_u)
+            push_chi(archives, state.gbest_position[:, None], state.gbest_fitness[:, None], better[:, None], chi_u)
 
 
 def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:
@@ -332,11 +336,12 @@ def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Obse
         fitness = evaluate_batch(spec, positions.reshape(-1, d), *counters).reshape(len(configs), n)
     state = SwarmState(positions, np.zeros_like(positions), fitness)
     archives = ArchiveSet(len(configs), n, d)  # left empty by the baseline
-    opsom = config.algorithm == "opsom"
-    if opsom:
-        _seed_archives(archives, state, config)
+    _seed_archives(archives, state, config)
 
-    u = np.empty((len(configs), sum(_block_layout(config, n, d))))
+    layout = _block_layout(config, n, d)
+    u = np.empty((len(configs), sum(layout)))
+    # views of the block's slices, cut once; every iteration refills the block
+    u_slices = np.split(u, list(itertools.accumulate(layout[:-1])), 1)
     trace = _Trace()
     while True:
         trace.snap(state, counters)
@@ -347,7 +352,4 @@ def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Obse
             return trace.records(configs, spec, budget, time.perf_counter() - start)
         for rng, row in zip(rngs, u):
             rng.random(out=row)
-        if opsom:
-            _opsom_iteration(state, archives, config, spec, counters, u)
-        else:
-            pso_step(state, config.pso_params, spec, counters, u.reshape(len(configs), 2, n, d))
+        _opsom_iteration(state, archives, config, spec, counters, u_slices)

@@ -1,5 +1,4 @@
-"""Swarm state, the velocity rule, the baseline PSO step, boundary handling,
-and best bookkeeping.
+"""Swarm state, the velocity rule, boundary handling, and best bookkeeping.
 
 State is kept as (R, n, d) arrays: the R runs of one cell, advanced in
 lockstep.  All fitness comparisons are minimizing and personal/global bests
@@ -9,12 +8,12 @@ are replaced only on strict improvement, so plateaus never churn positions.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import EvaluationCounter, ObjectiveSpec, SearchBounds, evaluate_batch
+from .objective import SearchBounds
 
 
 @dataclass
@@ -27,6 +26,8 @@ class PsoParams:
     v_max_fraction: float = 0.2
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.inertia, self.cognitive, self.social, self.v_max_fraction))):
+            raise ValueError(f"PSO coefficients must be finite, got {self}")
         if not 0.0 <= self.inertia <= 1.0:
             raise ValueError("inertia must lie in [0, 1]")
         if self.cognitive < 0.0 or self.social < 0.0:
@@ -105,15 +106,17 @@ def handle_bounds(position: np.ndarray, velocity: np.ndarray, bounds: SearchBoun
     return clipped, np.where(outside, 0.0, velocity)
 
 
-def update_bests(state: SwarmState) -> SwarmState:
+def update_bests(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     """Refresh personal and global bests from current fitness (strict improvement only).
 
-    A run whose global best improves gets new gbest arrays rather than an
-    in-place write, so a reference to the old ones keeps the old values.
+    Returns `improved` (R, n), the particles whose personal best moved, and
+    `better` (R,), the runs whose global best moved.  A run whose global best
+    improves gets new gbest arrays rather than an in-place write, so a
+    reference to the old ones keeps the old values.
     """
     improved = state.fitness < state.pbest_fitness
     if not np.count_nonzero(improved):
-        return state
+        return improved, np.zeros(len(improved), bool)
     np.copyto(state.pbest_positions, state.positions, where=improved[:, :, None])
     np.copyto(state.pbest_fitness, state.fitness, where=improved)
     best = state.pbest_fitness.argmin(1)[:, None]
@@ -124,7 +127,7 @@ def update_bests(state: SwarmState) -> SwarmState:
         best_position = state.pbest_positions[rows, best][:, 0]
         state.gbest_position = np.where(better[:, None], best_position, state.gbest_position)
         state.gbest_fitness = np.where(better, best_fitness, state.gbest_fitness)
-    return state
+    return improved, better
 
 
 def sort_and_split(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
@@ -152,38 +155,14 @@ def velocity_update(
 ) -> np.ndarray:
     """New velocity a*v + b*(guide - x) + c*(gbest - x), clamped to +-v_max.
 
-    The one velocity rule of both algorithms.  The baseline passes its
-    personal best as the guide with a = w, b = c1*r1 and c = c2*r2; the
-    archive-guided update passes per-dimension uniforms (a may be a fixed
-    inertia weight instead).  Works on a single (d,) particle or a stacked
-    (m, d) batch, or on (R, m, d) with gbest as (R, 1, d).
+    The one velocity rule of both algorithms.  With archive learning off (the
+    baseline PSO, or opsom without archives) the guide is the personal best,
+    with a = w, b = c1*r1 and c = c2*r2; the archive-guided update passes
+    per-dimension uniforms (a may be a fixed inertia weight instead).  Works
+    on a single (d,) particle or a stacked (m, d) batch, or on (R, m, d) with
+    gbest as (R, 1, d).
     """
     velocity = a * velocity + b * (guide_position - position) + c * (gbest_position - position)
     np.maximum(velocity, -v_max, out=velocity)
     return np.minimum(velocity, v_max, out=velocity)
 
-
-def pso_step(
-    state: SwarmState,
-    params: PsoParams,
-    spec: ObjectiveSpec,
-    counters: Sequence[EvaluationCounter],
-    u: np.ndarray,
-) -> SwarmState:
-    """One synchronous baseline PSO iteration over every run's whole swarm.
-
-    `u` is the (R, 2, n, d) block of uniforms in [0, 1): each run's r1 then
-    r2.  The sweep costs each run's counter n evaluations; if a budget cannot
-    cover it, `BudgetExceeded` is raised and the state is left untouched.
-    """
-    velocity = velocity_update(
-        state.velocities, state.positions, state.pbest_positions, state.gbest_position[:, None],
-        params.v_max(spec.bounds), params.inertia, params.cognitive * u[:, 0], params.social * u[:, 1],
-    )
-    position, velocity = handle_bounds(state.positions + velocity, velocity, spec.bounds)
-    state.fitness = evaluate_batch(spec, position.reshape(-1, state.dimension), *counters).reshape(state.fitness.shape)
-    state.positions = position
-    state.velocities = velocity
-    update_bests(state)
-    state.iteration += 1
-    return state

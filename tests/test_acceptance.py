@@ -15,9 +15,9 @@ from opsom.archives import ArchiveSet, push_chi, push_psi
 from opsom.harness import main, run_seed
 from opsom.mutation import mutate_elites
 from opsom.objective import EvaluationCounter, SearchBounds, base_spec, make_suite
-from opsom.optimizer import OptimizerConfig, _archive_guides, run, run_cell
+from opsom.optimizer import OptimizerConfig, _archive_guides, _block_layout, _opsom_iteration, run, run_cell
 from opsom.ortho_init import construct_oa, map_to_search_space, verify_oa
-from opsom.swarm_core import PsoParams, SwarmState, pso_step, velocity_update
+from opsom.swarm_core import PsoParams, SwarmState, velocity_update
 
 
 POPULATION = 40
@@ -198,6 +198,8 @@ def test_criterion_10_equation_level_oracles():
     params = PsoParams()
     vmax = params.v_max(spec.bounds)
     worst = 0.0
+    # the baseline step is the optimizer's step with every strategy off
+    baseline = OptimizerConfig(algorithm="pso", pso_params=params)
 
     for _ in range(100):
         n, d = 4, 5
@@ -211,7 +213,8 @@ def test_criterion_10_equation_level_oracles():
         state.gbest_position = gbest[None].copy()
         state.gbest_fitness = np.array([(gbest**2).sum()])
         r1, r2 = u = rng.uniform(size=(2, n, d))
-        pso_step(state, params, spec, [EvaluationCounter(budget=10_000)], u[None])
+        u_slices = np.split(u.reshape(1, -1), np.cumsum(_block_layout(baseline, n, d))[:-1], 1)
+        _opsom_iteration(state, None, baseline, spec, [EvaluationCounter(budget=10_000)], u_slices)
         state = state.view(0)
         for i in range(n):
             for k in range(d):

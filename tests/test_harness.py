@@ -334,18 +334,25 @@ class TestCli:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("algo, dim, jobs, message", [
-        (",", "2", "1", "non-empty without repeats"),
-        ("opsom,opsom", "2", "1", "non-empty without repeats"),
-        ("opsom", "2,2", "1", "non-empty without repeats"),
-        ("opsom", "2", "0", "jobs must be at least 1, got 0"),
-        ("opsom", "2", "-5", "jobs must be at least 1, got -5"),
-    ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs"])
-    def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, message):
-        # also a worker count below 1, which used to run sequentially without a word
+    @pytest.mark.parametrize("algo, dim, jobs, extra, message", [
+        (",", "2", "1", [], "non-empty without repeats"),
+        ("opsom,opsom", "2", "1", [], "non-empty without repeats"),
+        ("opsom", "2,2", "1", [], "non-empty without repeats"),
+        ("opsom", "2", "0", [], "jobs must be at least 1, got 0"),
+        ("opsom", "2", "-5", [], "jobs must be at least 1, got -5"),
+        ("opsom", "2", "1", ["--cognitive", "nan"], "PSO coefficients must be finite"),
+        ("pso", "2", "1", ["--cognitive", "nan"], "PSO coefficients must be finite"),
+        ("opsom,pso", "2", "1", ["--social", "inf"], "PSO coefficients must be finite"),
+        ("opsom", "2", "1", ["--v-max-fraction", "nan"], "PSO coefficients must be finite"),
+    ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs", "nan-cognitive", "pso-nan-cognitive",
+            "inf-social", "nan-v-max-fraction"])
+    def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, extra, message):
+        # also a worker count below 1, which used to run sequentially without a
+        # word, and non-finite PSO coefficients, which used to run (or fail at
+        # the first evaluation, blaming the objective)
         out = tmp_path / "z"
         status = main(["run", "--algo", algo, "--dim", dim, "--runs", "1", "--pop", "6", "--budget", "200",
-                       "--jobs", jobs, "--out", str(out)])
+                       "--jobs", jobs, *extra, "--out", str(out)])
         assert status == 1
         assert message in capsys.readouterr().err
         assert not out.exists()

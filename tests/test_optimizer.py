@@ -1,23 +1,25 @@
 """Tests for the assembled optimizer loops: determinism, budget accounting,
 trace invariants, ablation behavior, and the diversity metrics."""
 
+import itertools
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsom.archives import ArchiveSet, refresh_phi
-from opsom.objective import EvaluationCounter, base_spec, make_suite
+from opsom.objective import base_spec, make_suite
 from opsom.optimizer import (
     OptimizerConfig,
-    _opsom_iteration,
+    RunRecord,
     diversity,
     exploration_ratio,
     run,
     run_cell,
 )
 from opsom.ortho_init import array_shape
-from opsom.swarm_core import PsoParams, SwarmState, pso_step, sort_and_split
+from opsom.swarm_core import PsoParams, SwarmState
 
 
 SPEC = base_spec("rastrigin", 10, shift=np.full(10, 12.5))
@@ -166,35 +168,23 @@ class _CountingRng:
 
 class TestAblations:
     def test_full_ablation_reduces_to_baseline_step(self):
-        # with every strategy disabled, one iteration must equal pso_step bit
-        # for bit when pso gets the same uniforms for the same particles: each
-        # run's opsom block is (2, n, d) with rows in that run's learner order
-        rng = np.random.default_rng(0)
-        positions = rng.uniform(-100, 100, (2, 8, 10))
-        fitness = (positions**2).sum(axis=2)
-        velocities = rng.uniform(-40, 40, (2, 8, 10))
-        state_a = SwarmState(positions.copy(), velocities.copy(), fitness.copy())
-        state_b = SwarmState(positions.copy(), velocities.copy(), fitness.copy())
-        config = OptimizerConfig(
-            population=8, budget=10_000,
-            no_oa=True, no_archives=True, no_mutation=True, fixed_inertia=True,
-        )
-        archives = ArchiveSet(2, 8, 10)
-        refresh_phi(archives, state_a)
-        elite_idx, regular_idx = sort_and_split(state_a)
-        learner_idx = np.concatenate([regular_idx, elite_idx], 1)
-        assert not (learner_idx == np.arange(8)).all(1).any()
-        u = rng.random((2, 2 * 8 * 10))
-        r = u.reshape(2, 2, 8, 10)
-        u_pso = np.empty_like(r)
-        for k in range(2):
-            u_pso[k][:, learner_idx[k]] = r[k]
-        _opsom_iteration(state_a, archives, config, SPEC, [EvaluationCounter(budget=100) for _ in range(2)], u)
-        pso_step(state_b, config.pso_params, SPEC, [EvaluationCounter(budget=100) for _ in range(2)], u_pso)
-        for name in ("positions", "velocities", "fitness", "pbest_positions", "pbest_fitness", "gbest_position",
-                     "gbest_fitness"):
-            assert getattr(state_a, name).tobytes() == getattr(state_b, name).tobytes(), name
-        assert state_a.iteration == state_b.iteration == 1
+        # with every strategy off the optimizer is the baseline PSO: whole runs
+        # match bit for bit on every record field but the algorithm's name and
+        # the wall time, for single runs and lockstep cells
+        compared = [f.name for f in fields(RunRecord) if f.name not in ("algorithm", "wall_time")]
+        ablated = dict(algorithm="opsom", no_oa=True, no_archives=True, no_mutation=True)
+        for runs, d, seed in itertools.product((1, 3), (2, 10), (0, 5, 2**63 + 17)):
+            spec = make_suite(1, d)[seed % 10]
+            cells = [
+                run_cell([OptimizerConfig(population=8, budget=800, seed=seed + r, **flags) for r in range(runs)], spec)
+                for flags in (dict(algorithm="pso"), ablated)
+            ]
+            for pso, opsom in zip(*cells):
+                assert (pso.algorithm, opsom.algorithm) == ("pso", "opsom")
+                for name in compared:
+                    a, b = getattr(pso, name), getattr(opsom, name)
+                    same = a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+                    assert same, (runs, d, seed, name)
 
     def test_mutation_covers_the_elite_half(self, monkeypatch):
         import opsom.optimizer as mod
@@ -269,14 +259,13 @@ class TestUniformBlock:
         # each step call marks how many calls every run's generator has had:
         # between two steps lie exactly the next iteration's draws
         marks = []
-        name = "pso_step" if flags.get("algorithm") == "pso" else "_opsom_iteration"
-        step = getattr(mod, name)
+        step = mod._opsom_iteration
 
         def marking_step(*args):
             marks.append([len(g.calls) for g in generators])
             return step(*args)
 
-        monkeypatch.setattr(mod, name, marking_step)
+        monkeypatch.setattr(mod, "_opsom_iteration", marking_step)
         for runs in (1, 3):
             generators.clear()
             marks.clear()

@@ -1,5 +1,6 @@
-"""Tests for swarm state, the baseline PSO step, boundary handling, best
-bookkeeping, and the elite/regular split.
+"""Tests for swarm state, the baseline PSO step (the optimizer's step function
+with every strategy off), boundary handling, best bookkeeping, and the
+elite/regular split.
 
 Most cases build a cell of one run from (n, d) arrays and read it back
 through `SwarmState.view(0)`; the multi-run cases check that runs stacked on
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec
+from opsom.optimizer import OptimizerConfig, _block_layout, _opsom_iteration
 from opsom.swarm_core import (
     PsoParams,
     SwarmState,
     handle_bounds,
-    pso_step,
     sort_and_split,
     update_bests,
     velocity_update,
@@ -33,9 +34,22 @@ def make_state(positions, velocities=None, fitness=None):
     return SwarmState(positions[None], velocities[None], fitness[None])
 
 
+def baseline_step(state, params, spec, counters, u):
+    """One baseline PSO iteration of every run through the optimizer's step function.
+
+    `u` is the (R, 2, n, d) block: each run's r1, then r2.  The block is cut
+    as `run_cell` cuts it; the baseline reads no archive.
+    """
+    runs, n, d = state.positions.shape
+    config = OptimizerConfig(algorithm="pso", pso_params=params)
+    u = np.asarray(u, dtype=float).reshape(runs, -1)
+    _opsom_iteration(state, None, config, spec, counters, np.split(u, np.cumsum(_block_layout(config, n, d))[:-1], 1))
+    return state
+
+
 def step(state, params, spec, counter, u):
-    """`pso_step` on a one-run state, charging `counter`, with a (2, n, d) block."""
-    return pso_step(state, params, spec, [counter], np.asarray(u)[None])
+    """`baseline_step` on a one-run state, charging `counter`, with a (2, n, d) block."""
+    return baseline_step(state, params, spec, [counter], np.asarray(u)[None])
 
 
 def split(state):
@@ -59,6 +73,12 @@ class TestPsoParams:
             PsoParams(cognitive=-0.1)
         with pytest.raises(ValueError):
             PsoParams(v_max_fraction=0.0)
+        # NaN slips past the sign checks on cognitive and social, and an infinite
+        # coefficient turns velocities into NaN: both are rejected up front
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for name in ("inertia", "cognitive", "social", "v_max_fraction"):
+                with pytest.raises(ValueError, match="must be finite"):
+                    PsoParams(**{name: bad})
 
 
 class TestSwarmState:
@@ -118,7 +138,9 @@ class TestUpdateBests:
         state = make_state([[1.0, 0.0]], fitness=[3.0])
         state.fitness = np.array([[5.0]])
         state.positions = np.array([[[9.0, 9.0]]])
-        run = update_bests(state).view(0)
+        improved, better = update_bests(state)
+        assert improved.tolist() == [[False]] and better.tolist() == [False]
+        run = state.view(0)
         assert run.pbest_fitness[0] == 3.0
         np.testing.assert_array_equal(run.pbest_positions[0], [1.0, 0.0])
 
@@ -126,7 +148,9 @@ class TestUpdateBests:
         state = make_state([[1.0, 0.0]], fitness=[3.0])
         state.fitness = np.array([[2.0]])
         state.positions = np.array([[[0.5, 0.5]]])
-        run = update_bests(state).view(0)
+        improved, better = update_bests(state)
+        assert improved.tolist() == [[True]] and better.tolist() == [True]
+        run = state.view(0)
         assert run.pbest_fitness[0] == 2.0
         assert run.gbest_fitness == 2.0
         np.testing.assert_array_equal(run.gbest_position, [0.5, 0.5])
@@ -135,7 +159,9 @@ class TestUpdateBests:
         state = make_state([[1.0, 0.0]], fitness=[3.0])
         state.fitness = np.array([[3.0]])
         state.positions = np.array([[[7.0, 7.0]]])
-        run = update_bests(state).view(0)
+        improved, better = update_bests(state)
+        assert improved.tolist() == [[False]] and better.tolist() == [False]
+        run = state.view(0)
         np.testing.assert_array_equal(run.pbest_positions[0], [1.0, 0.0])
         np.testing.assert_array_equal(run.gbest_position, [1.0, 0.0])
 
@@ -146,7 +172,9 @@ class TestUpdateBests:
         kept = state.gbest_fitness
         state.positions = np.array([[[1.0], [2.0]], [[3.0], [4.0]], [[5.0], [6.0]]])
         state.fitness = np.array([[1.0, 9.0], [3.0, 9.0], [9.0, 9.0]])
-        update_bests(state)
+        improved, better = update_bests(state)
+        assert improved.tolist() == [[True, False], [True, False], [False, False]]
+        assert better.tolist() == [True, False, False]
         np.testing.assert_array_equal(state.pbest_fitness, [[1.0, 2.0], [3.0, 2.0], [4.0, 2.0]])
         np.testing.assert_array_equal(state.pbest_positions[:, 0, 0], [1.0, 3.0, 0.0])
         np.testing.assert_array_equal(state.gbest_fitness, [1.0, 2.0, 2.0])
@@ -257,7 +285,7 @@ class TestPsoStep:
         u = rng.random((runs, 2, n, d))
         vmax = params.v_max(spec.bounds)
         counters = [EvaluationCounter(budget=n) for _ in range(runs)]
-        pso_step(state, params, spec, counters, u)
+        baseline_step(state, params, spec, counters, u)
         assert [c.used for c in counters] == [n] * runs
         for r in range(runs):
             gbest = x[r, (x[r] ** 2).sum(1).argmin()]
