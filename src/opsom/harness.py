@@ -65,6 +65,10 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+        # the ablations switch off opsom's strategies; pso has none to switch off
+        ablated = [f for f in ("no_oa", "no_archives", "no_mutation", "fixed_inertia") if getattr(self.optimizer, f)]
+        if ablated and "opsom" not in self.algorithms:
+            raise ValueError(f"{ablated[0]} ablates opsom, which is not among the algorithms {list(self.algorithms)}")
 
     def optimizer_for(self, algorithm: str, seed: int) -> OptimizerConfig:
         return replace(self.optimizer, algorithm=algorithm, seed=seed)
@@ -101,11 +105,6 @@ def summarize(errors) -> SummaryStats:
     )
 
 
-def _run_cell_task(task: tuple[list[OptimizerConfig], ObjectiveSpec]) -> list[RunRecord]:
-    configs, spec = task
-    return run_cell(configs, spec)
-
-
 def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunRecord]]:
     """Execute all runs of an experiment, grouped by (function, dimension, algorithm).
 
@@ -113,23 +112,24 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
     cells are distributed over worker processes.  Results are identical to a
     sequential execution.
     """
-    tasks: list[tuple[list[OptimizerConfig], ObjectiveSpec]] = []
+    cells: list[list[OptimizerConfig]] = []
+    specs: list[ObjectiveSpec] = []
     keys: list[tuple[str, int, str]] = []
     for dim in config.dimensions:
         for spec in make_suite(config.suite_seed, dim):
             for algo in config.algorithms:
-                configs = [config.optimizer_for(algo, run_seed(config.base_seed, r)) for r in range(config.runs)]
-                tasks.append((configs, spec))
+                cells.append([config.optimizer_for(algo, run_seed(config.base_seed, r)) for r in range(config.runs)])
+                specs.append(spec)
                 keys.append((spec.id, dim, algo))
     if config.jobs > 1:
         # costlier cells come last (higher dimensions, and the suite's hybrid
         # and composite functions), so the pool takes them first and the
         # cheap ones even out the end
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            cells = list(pool.map(_run_cell_task, tasks[::-1], chunksize=1))[::-1]
+            records = list(pool.map(run_cell, cells[::-1], specs[::-1], chunksize=1))[::-1]
     else:
-        cells = [_run_cell_task(t) for t in tasks]
-    return dict(zip(keys, cells))
+        records = list(map(run_cell, cells, specs))
+    return dict(zip(keys, records))
 
 
 def format_convergence_csv(record: RunRecord) -> str:

@@ -36,7 +36,6 @@ the j-th eviction uniform when full.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -99,6 +98,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.population < 6 or self.population % 2:
             raise ValueError(f"population must be even and >= 6, got {self.population}")
+        if self.fixed_inertia and self.no_archives:  # the no-archives velocity always takes the inertia
+            raise ValueError("fixed_inertia has no effect with no_archives")
         # orthogonal init scores every array row, topping up to n when the array is smaller
         init_cost = self.population
         if self.uses_oa:
@@ -184,19 +185,6 @@ class _Trace:
         ]
 
 
-def _seed_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig) -> None:
-    if config.uses_archives or config.uses_mutation:
-        refresh_phi(archives, state)
-    if not config.uses_archives:
-        return
-    # n psi pushes and one chi push never fill an archive of capacity n, so
-    # no eviction uniform is needed
-    everyone = np.ones(state.fitness.shape, bool)
-    zeros = np.zeros(state.fitness.shape)
-    push_psi(archives, state.pbest_positions, state.pbest_fitness, everyone, zeros)
-    push_chi(archives, state.gbest_position[:, None], state.gbest_fitness[:, None], everyone[:, :1], zeros)
-
-
 def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
     """Sample one representative triple per particle and resolve the guides.
 
@@ -215,16 +203,16 @@ def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
     return archives.positions[rows, idx[rows, which, np.arange(u.shape[2])]]
 
 
-def _block_layout(config: OptimizerConfig, n: int, d: int) -> tuple[int, ...]:
-    """Lengths of the consecutive slices of one iteration's uniform block.
-
-    The module docstring gives the layout; its sum is the block length K.
-    """
+def _uniform_block(config: OptimizerConfig, runs: int, n: int, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """An empty (R, K) uniform block and views of its guide, velocity,
+    partner-and-delta and eviction slices, cut as the module docstring states."""
     m = n // 2 if config.uses_mutation else n
     e = n - m
+    layout = (3 * m, 3 * m * d, 2 * e * (1 + d), n + 1)
     if not config.uses_archives:
-        return (0, 2 * m * d, 2 * e * (1 + d), 0)
-    return (3 * m, 3 * m * d, 2 * e * (1 + d), n + 1)
+        layout = (0, 2 * m * d, 2 * e * (1 + d), 0)
+    u = np.empty((runs, sum(layout)))
+    return u, np.split(u, np.cumsum(layout)[:-1], 1)
 
 
 def _opsom_iteration(
@@ -238,7 +226,7 @@ def _opsom_iteration(
     """One iteration of every run: learner sweep, elite mutation, bests, archive updates.
 
     `u` holds the guide, velocity, partner-and-delta and eviction slices of
-    the (R, K) uniform block, run r's in row r, cut as `_block_layout` states.
+    the (R, K) uniform block, run r's in row r, cut by `_uniform_block`.
     With every strategy off this is one baseline PSO step, and `archives` is
     never read.
     """
@@ -284,16 +272,23 @@ def _opsom_iteration(
     state.velocities = velocity
     improved, better = update_bests(state)
     state.iteration += 1
+    _update_archives(archives, state, config, improved, better, evict_u)
+
+
+def _update_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig, improved: np.ndarray,
+                     better: np.ndarray, evict_u: np.ndarray) -> None:
+    """Refresh phi and push `update_bests`' improved personal bests (R, n) to psi and better
+    global bests (R,) to chi; `evict_u` holds the (R, n + 1) eviction uniforms."""
     # phi is read only by the guides and the mutation; it, psi and chi move
     # only when some personal best did
-    if not (archived or mutating) or not np.count_nonzero(improved):
+    if not (config.uses_archives or config.uses_mutation) or not np.count_nonzero(improved):
         return
     refresh_phi(archives, state)
-    if archived:
+    if config.uses_archives:
         push_psi(archives, state.pbest_positions, state.pbest_fitness, improved, evict_u)
         if np.count_nonzero(better):
             # a run's chi push takes the eviction uniform after its psi pushes
-            chi_u = evict_u[rows, improved.sum(1)[:, None]]
+            chi_u = evict_u[run_index(len(better)), improved.sum(1)[:, None]]
             push_chi(archives, state.gbest_position[:, None], state.gbest_fitness[:, None], better[:, None], chi_u)
 
 
@@ -324,24 +319,19 @@ def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Obse
     config.validate(spec)
     start = time.perf_counter()
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    n, d = config.population, spec.dimension
+    runs, n, d = len(configs), config.population, spec.dimension
     budget = config.resolved_budget(d)
     counters = [EvaluationCounter(budget=budget) for _ in configs]
 
-    if config.uses_oa:
-        swarms = [build_initial_swarm(n, spec, c, rng, levels=config.oa_levels) for c, rng in zip(counters, rngs)]
-        positions, fitness = (np.stack(parts) for parts in zip(*swarms))
-    else:
-        positions = np.stack([rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(n, d)) for rng in rngs])
-        fitness = evaluate_batch(spec, positions.reshape(-1, d), *counters).reshape(len(configs), n)
+    levels = config.oa_levels if config.uses_oa else None
+    positions, fitness = build_initial_swarm(n, spec, counters, rngs, levels=levels)
     state = SwarmState(positions, np.zeros_like(positions), fitness)
-    archives = ArchiveSet(len(configs), n, d)  # left empty by the baseline
-    _seed_archives(archives, state, config)
+    archives = ArchiveSet(runs, n, d)  # left empty by the baseline
+    # every initial best is new; n + 1 pushes never fill an archive of capacity n, so evict_u is unread
+    _update_archives(archives, state, config, np.ones((runs, n), bool), np.ones(runs, bool), np.zeros((runs, n + 1)))
 
-    layout = _block_layout(config, n, d)
-    u = np.empty((len(configs), sum(layout)))
-    # views of the block's slices, cut once; every iteration refills the block
-    u_slices = np.split(u, list(itertools.accumulate(layout[:-1])), 1)
+    # the slices are views, cut once; every iteration refills the block
+    u, u_slices = _uniform_block(config, runs, n, d)
     trace = _Trace()
     while True:
         trace.snap(state, counters)

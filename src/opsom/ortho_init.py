@@ -6,6 +6,11 @@ prime number of levels: with J basic columns there are alpha^J rows and
 level pair equally often (strength 2).  Rows are mapped affinely into the
 search box - level 1 lands exactly on the lower bound and level alpha exactly
 on the upper bound - to give the optimizer an evenly spread initial swarm.
+
+`build_initial_swarm` starts the swarms of all R runs of a cell, for either
+algorithm and every ablation, and scores them in one batch.  Runs without the
+array (pso, or opsom with `--no-oa`) start uniformly at random; the harness
+rejects `--no-oa` when only pso runs, as it would change nothing.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import EvaluationCounter, ObjectiveSpec, SearchBounds, evaluate_batch
+from .swarm_core import run_index
 
-DEFAULT_ROW_CAP = 4096
+ROW_CAP = 4096
 
 
 @dataclass(eq=False)
@@ -49,7 +55,7 @@ def array_shape(levels: int, min_factors: int) -> tuple[int, int, int]:
     return j, levels**j, (levels**j - 1) // (levels - 1)
 
 
-def construct_oa(levels: int, min_factors: int, *, row_cap: int = DEFAULT_ROW_CAP) -> OrthogonalArray:
+def construct_oa(levels: int, min_factors: int) -> OrthogonalArray:
     """Construct the smallest strength-2 array with at least `min_factors` columns.
 
     Basic column k sits at index (levels**(k-1) - 1)/(levels - 1) and cycles
@@ -62,8 +68,8 @@ def construct_oa(levels: int, min_factors: int, *, row_cap: int = DEFAULT_ROW_CA
     if min_factors < 1:
         raise ValueError("min_factors must be at least 1")
     j_cols, rows, cols = array_shape(levels, min_factors)
-    if rows > row_cap:
-        raise ValueError(f"array would need {rows} rows, exceeding the cap of {row_cap}")
+    if rows > ROW_CAP:
+        raise ValueError(f"array would need {rows} rows, exceeding the cap of {ROW_CAP}")
 
     a = np.zeros((rows, cols), dtype=np.int64)
     row_index = np.arange(rows)
@@ -124,30 +130,30 @@ def map_to_search_space(oa: OrthogonalArray, bounds: SearchBounds, dimension: in
 def build_initial_swarm(
     n: int,
     spec: ObjectiveSpec,
-    counter: EvaluationCounter,
-    rng: np.random.Generator,
+    counters: list[EvaluationCounter],
+    rngs: list[np.random.Generator],
     *,
-    levels: int = 2,
+    levels: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seed and score an initial swarm of exactly n positions from an OA.
+    """Seed and score the (R, n, d) initial swarms of R runs; return them and their (R, n) fitness.
 
-    When the array has at least n rows, all rows are evaluated (charged to the
-    counter) and the n fittest kept; otherwise all rows are kept and the
-    remainder filled uniformly at random inside the bounds.
+    Every run starts with the rows of the `levels` array (none without one),
+    then its generator fills up to n rows uniformly in the bounds.  One batch
+    scores all runs, each charged to its own counter.  When the array has at
+    least n rows, each run keeps its n fittest, in stable fitness order.
     """
     if n < 2 or n % 2:
         raise ValueError(f"population size must be even and >= 2, got {n}")
     d = spec.dimension
-    oa = construct_oa(levels, d)
-    points = map_to_search_space(oa, spec.bounds, d)
-    if len(points) >= n:
-        fitness = evaluate_batch(spec, points, counter)
-        keep = np.argsort(fitness, kind="stable")[:n]
-        return points[keep].copy(), fitness[keep].copy()
-    fill = rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(n - len(points), d))
-    positions = np.vstack([points, fill])
-    fitness = evaluate_batch(spec, positions, counter)
-    return positions, fitness
+    points = np.empty((0, d)) if levels is None else map_to_search_space(construct_oa(levels, d), spec.bounds, d)
+    fill = (max(n - len(points), 0), d)
+    positions = np.stack([np.vstack([points, rng.uniform(spec.bounds.lower, spec.bounds.upper, fill)]) for rng in rngs])
+    fitness = evaluate_batch(spec, positions.reshape(-1, d), *counters).reshape(len(rngs), -1)
+    if len(points) < n:
+        return positions, fitness
+    keep = fitness.argsort(1, kind="stable")[:, :n]
+    rows = run_index(len(rngs))
+    return positions[rows, keep], fitness[rows, keep]
 
 
 def format_oa(oa: OrthogonalArray) -> str:

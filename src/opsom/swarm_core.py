@@ -75,12 +75,12 @@ class SwarmState:
         self.positions = positions
         self.velocities = velocities
         self.fitness = fitness
+        # no best yet: every finite fitness is an improvement
         self.pbest_positions = positions.copy()
-        self.pbest_fitness = fitness.copy()
-        best = fitness.argmin(1)[:, None]
-        rows = run_index(len(fitness))
-        self.gbest_position = positions[rows, best][:, 0]
-        self.gbest_fitness = fitness[rows, best][:, 0]
+        self.pbest_fitness = np.full_like(fitness, np.inf)
+        self.gbest_position = positions[:, 0].copy()
+        self.gbest_fitness = np.full(len(fitness), np.inf)
+        update_bests(self)
         self.iteration = 0
 
     @property

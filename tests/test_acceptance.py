@@ -15,7 +15,7 @@ from opsom.archives import ArchiveSet, push_chi, push_psi
 from opsom.harness import main, run_seed
 from opsom.mutation import mutate_elites
 from opsom.objective import EvaluationCounter, SearchBounds, base_spec, make_suite
-from opsom.optimizer import OptimizerConfig, _archive_guides, _block_layout, _opsom_iteration, run, run_cell
+from opsom.optimizer import OptimizerConfig, _archive_guides, _opsom_iteration, _uniform_block, run, run_cell
 from opsom.ortho_init import construct_oa, map_to_search_space, verify_oa
 from opsom.swarm_core import PsoParams, SwarmState, velocity_update
 
@@ -212,8 +212,9 @@ def test_criterion_10_equation_level_oracles():
         gbest = rng.uniform(-100, 100, d)
         state.gbest_position = gbest[None].copy()
         state.gbest_fitness = np.array([(gbest**2).sum()])
+        block, u_slices = _uniform_block(baseline, 1, n, d)
         r1, r2 = u = rng.uniform(size=(2, n, d))
-        u_slices = np.split(u.reshape(1, -1), np.cumsum(_block_layout(baseline, n, d))[:-1], 1)
+        block[0] = u.ravel()
         _opsom_iteration(state, None, baseline, spec, [EvaluationCounter(budget=10_000)], u_slices)
         state = state.view(0)
         for i in range(n):

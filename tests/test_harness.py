@@ -136,6 +136,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("flag", ["no_oa", "no_archives", "no_mutation", "fixed_inertia"])
+    def test_rejects_ablations_without_opsom(self, flag):
+        # pso has none of the strategies the flags switch off
+        ablated = OptimizerConfig(**{flag: True})
+        with pytest.raises(ValueError, match=f"{flag} ablates opsom"):
+            ExperimentConfig(algorithms=("pso",), optimizer=ablated)
+        ExperimentConfig(algorithms=("pso", "opsom"), optimizer=ablated)
+
 
 SMALL = dict(
     suite_seed=0,
@@ -289,6 +297,11 @@ class TestNonFiniteObjective:
 
 
 class TestCli:
+    def test_oa_subcommand_rejects_an_array_over_the_row_cap(self, capsys):
+        assert main(["oa", "--levels", "2", "--factors", "4096"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out and "8192 rows, exceeding the cap of 4096" in captured.err
+
     def test_oa_subcommand_prints_verifiable_array(self, capsys):
         assert main(["oa", "--levels", "2", "--factors", "7"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -344,12 +357,20 @@ class TestCli:
         ("pso", "2", "1", ["--cognitive", "nan"], "PSO coefficients must be finite"),
         ("opsom,pso", "2", "1", ["--social", "inf"], "PSO coefficients must be finite"),
         ("opsom", "2", "1", ["--v-max-fraction", "nan"], "PSO coefficients must be finite"),
+        ("pso", "2", "1", ["--no-oa"], "no_oa ablates opsom"),
+        ("pso", "2", "1", ["--no-archives"], "no_archives ablates opsom"),
+        ("pso", "2", "1", ["--no-mutation"], "no_mutation ablates opsom"),
+        ("pso", "2", "1", ["--fixed-inertia"], "fixed_inertia ablates opsom"),
+        ("opsom", "2", "1", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
+        ("opsom,pso", "2", "2", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
     ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs", "nan-cognitive", "pso-nan-cognitive",
-            "inf-social", "nan-v-max-fraction"])
+            "inf-social", "nan-v-max-fraction", "pso-no-oa", "pso-no-archives", "pso-no-mutation",
+            "pso-fixed-inertia", "no-archives-fixed-inertia", "no-archives-fixed-inertia-jobs-2"])
     def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, extra, message):
         # also a worker count below 1, which used to run sequentially without a
-        # word, and non-finite PSO coefficients, which used to run (or fail at
-        # the first evaluation, blaming the objective)
+        # word, non-finite PSO coefficients, which used to run (or fail at the
+        # first evaluation, blaming the objective), and ablation flags that
+        # change nothing, which used to run as if they were absent
         out = tmp_path / "z"
         status = main(["run", "--algo", algo, "--dim", dim, "--runs", "1", "--pop", "6", "--budget", "200",
                        "--jobs", jobs, *extra, "--out", str(out)])

@@ -45,6 +45,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(algorithm="genetic").validate(SPEC)
 
+    def test_rejects_fixed_inertia_without_archives(self):
+        # without archive learning the velocity always takes the inertia weight
+        for algorithm in ("opsom", "pso"):
+            with pytest.raises(ValueError, match="fixed_inertia has no effect with no_archives"):
+                OptimizerConfig(algorithm=algorithm, no_archives=True, fixed_inertia=True).validate(SPEC)
+        OptimizerConfig(no_archives=True).validate(SPEC)
+        OptimizerConfig(fixed_inertia=True).validate(SPEC)
+
     def test_rejects_infeasible_budget(self):
         # orthogonal init scores max(n, array rows): 16 rows at d = 10, 64 at d = 50;
         # uniform init (pso, or no_oa) scores exactly n
@@ -108,6 +116,27 @@ class TestBudgetAccounting:
         rec = run(small_config(population=8, budget=1_000, no_oa=True), SPEC)
         assert rec.evaluations[0] == 8
 
+    @pytest.mark.parametrize("algorithm, d, init_cost", [("pso", 10, 40), ("opsom", 10, 40), ("opsom", 50, 64)])
+    def test_one_evaluation_call_scores_every_initial_swarm(self, monkeypatch, algorithm, d, init_cost):
+        # a budget of exactly the initialization leaves no iteration, so the
+        # initial swarms of all 3 runs are the only call
+        import opsom.optimizer
+        import opsom.ortho_init
+
+        calls = []
+        original = opsom.optimizer.evaluate_batch
+
+        def spy(spec, points, *counters):
+            calls.append((len(points), len(counters)))
+            return original(spec, points, *counters)
+
+        for module in (opsom.optimizer, opsom.ortho_init):
+            monkeypatch.setattr(module, "evaluate_batch", spy)
+        spec = base_spec("rastrigin", d)
+        records = run_cell([OptimizerConfig(algorithm=algorithm, budget=init_cost, seed=s) for s in range(3)], spec)
+        assert calls == [(3 * init_cost, 3)]
+        assert [rec.evaluations.tolist() for rec in records] == [[init_cost]] * 3
+
     def test_never_exceeds_budget(self):
         for budget in (56, 57, 99, 100, 101, 199):
             rec = run(small_config(population=8, budget=budget), SPEC)
@@ -141,6 +170,24 @@ class TestTraceInvariants:
             (len(a.phi_fitness), len(a.psi), len(a.chi))
         ))
         assert all(p == 4 and q >= 1 and c >= 1 for p, q, c in sizes)
+
+    def test_archives_seeded_from_the_initial_swarm(self):
+        # psi holds every personal best in particle order, chi the global
+        # best alone, phi the top half by fitness
+        seen = []
+        run(small_config(budget=16), SPEC, observer=lambda s, a: seen.append((
+            s.pbest_positions.copy(), s.pbest_fitness.copy(), s.gbest_position.copy(), s.gbest_fitness,
+            a.psi.positions, a.psi.fitness, a.chi.positions, a.chi.fitness, a.phi_positions.copy(),
+            a.phi_fitness.copy(),
+        )))
+        (pbest, pbest_fit, gbest, gbest_fit, psi, psi_fit, chi, chi_fit, phi, phi_fit), = seen
+        np.testing.assert_array_equal(psi, pbest)
+        np.testing.assert_array_equal(psi_fit, pbest_fit)
+        np.testing.assert_array_equal(chi, gbest[None])
+        np.testing.assert_array_equal(chi_fit, [gbest_fit])
+        top = np.argsort(pbest_fit, kind="stable")[:4]
+        np.testing.assert_array_equal(phi, pbest[top])
+        np.testing.assert_array_equal(phi_fit, pbest_fit[top])
 
     def test_run_dispatcher(self):
         rec = run(small_config(algorithm="pso"), SPEC)

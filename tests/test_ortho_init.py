@@ -75,8 +75,9 @@ class TestConstruct:
             construct_oa(2, 0)
 
     def test_row_cap(self):
+        # 4096 factors need the 8192-row array, over the 4096-row cap
         with pytest.raises(ValueError, match="cap"):
-            construct_oa(2, 10, row_cap=8)
+            construct_oa(2, 4096)
 
 
 class TestVerify:
@@ -129,12 +130,17 @@ class TestMapping:
             map_to_search_space(oa, SearchBounds(), 4)
 
 
+def initial_swarm(n, spec, counter, seed, levels=2):
+    """One run's (n, d) swarm and (n,) fitness from `build_initial_swarm`."""
+    positions, fitness = build_initial_swarm(n, spec, [counter], [np.random.default_rng(seed)], levels=levels)
+    return positions[0], fitness[0]
+
+
 class TestBuildInitialSwarm:
     def test_exact_fit_keeps_all_rows(self):
         # n = 4, d = 3, two levels: the L4 array is the whole swarm
         spec = base_spec("sphere", 3)
-        rng = np.random.default_rng(0)
-        positions, fitness = build_initial_swarm(4, spec, EvaluationCounter(budget=100), rng)
+        positions, fitness = initial_swarm(4, spec, EvaluationCounter(budget=100), 0)
         expected = map_to_search_space(construct_oa(2, 3), spec.bounds, 3)
         np.testing.assert_array_equal(np.sort(positions, axis=0), np.sort(expected, axis=0))
         assert len(fitness) == 4
@@ -143,7 +149,7 @@ class TestBuildInitialSwarm:
         # d = 10 with two levels gives a 16-row array; 24 slots filled randomly
         spec = base_spec("rastrigin", 10)
         c = EvaluationCounter(budget=1000)
-        positions, fitness = build_initial_swarm(40, spec, c, np.random.default_rng(1))
+        positions, fitness = initial_swarm(40, spec, c, 1)
         assert positions.shape == (40, 10) and c.used == 40
         expected = map_to_search_space(construct_oa(2, 10), spec.bounds, 10)
         np.testing.assert_array_equal(positions[:16], expected)
@@ -153,7 +159,7 @@ class TestBuildInitialSwarm:
         # n = 4, d = 2, three levels: 9 rows evaluated, best 4 kept
         spec = base_spec("sphere", 2, shift=np.array([10.0, -20.0]))
         c = EvaluationCounter(budget=1000)
-        positions, fitness = build_initial_swarm(4, spec, c, np.random.default_rng(2), levels=3)
+        positions, fitness = initial_swarm(4, spec, c, 2, levels=3)
         assert c.used == 9
         all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
         all_fit = np.sort([evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in all_points])
@@ -161,7 +167,7 @@ class TestBuildInitialSwarm:
 
     def test_no_discarded_point_beats_a_kept_one(self):
         spec = base_spec("rastrigin", 2, shift=np.array([5.0, 5.0]))
-        positions, fitness = build_initial_swarm(4, spec, EvaluationCounter(budget=1000), np.random.default_rng(3), levels=3)
+        positions, fitness = initial_swarm(4, spec, EvaluationCounter(budget=1000), 3, levels=3)
         all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
         all_fit = sorted(evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in all_points)
         # kept set is exactly the 4 best of the 9 evaluated rows
@@ -169,26 +175,59 @@ class TestBuildInitialSwarm:
 
     def test_fitness_matches_reevaluation(self):
         spec = base_spec("ackley", 10, shift=np.full(10, 7.0))
-        positions, fitness = build_initial_swarm(40, spec, EvaluationCounter(budget=1000), np.random.default_rng(4))
+        positions, fitness = initial_swarm(40, spec, EvaluationCounter(budget=1000), 4)
         again = [evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in positions]
         np.testing.assert_array_equal(fitness, again)
 
     def test_deterministic_under_fixed_seed(self):
         spec = base_spec("griewank", 10)
-        a = build_initial_swarm(40, spec, EvaluationCounter(budget=1000), np.random.default_rng(5))
-        b = build_initial_swarm(40, spec, EvaluationCounter(budget=1000), np.random.default_rng(5))
+        a = initial_swarm(40, spec, EvaluationCounter(budget=1000), 5)
+        b = initial_swarm(40, spec, EvaluationCounter(budget=1000), 5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_no_array_is_one_uniform_draw(self):
+        spec = base_spec("ackley", 10, shift=np.full(10, 7.0))
+        c = EvaluationCounter(budget=1000)
+        rng, again = np.random.default_rng(7), np.random.default_rng(7)
+        positions, fitness = build_initial_swarm(40, spec, [c], [rng])
+        np.testing.assert_array_equal(positions[0], again.uniform(spec.bounds.lower, spec.bounds.upper, (40, 10)))
+        assert rng.bit_generator.state == again.bit_generator.state
+        assert c.used == 40
+
+    @pytest.mark.parametrize("d, levels", [
+        (10, None),  # uniform init: every row drawn
+        (10, 2),  # 16 array rows, 24 drawn
+        (50, 2),  # 64 array rows, nothing drawn, best 40 kept
+    ])
+    def test_stacked_runs_equal_one_run_calls(self, d, levels):
+        spec = base_spec("rastrigin", d, shift=np.full(d, 3.0))
+        seeds = (11, 12, 13)
+        counters = [EvaluationCounter(budget=10_000) for _ in seeds]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        positions, fitness = build_initial_swarm(40, spec, counters, rngs, levels=levels)
+        assert positions.shape == (3, 40, d) and fitness.shape == (3, 40)
+        for r, seed in enumerate(seeds):
+            c, rng = EvaluationCounter(budget=10_000), np.random.default_rng(seed)
+            alone = build_initial_swarm(40, spec, [c], [rng], levels=levels)
+            assert positions[r].tobytes() == alone[0][0].tobytes()
+            assert fitness[r].tobytes() == alone[1][0].tobytes()
+            assert counters[r].used == c.used == (64 if d == 50 else 40)
+            assert rngs[r].bit_generator.state == rng.bit_generator.state
+        if d == 50:
+            # the array covers n: the generators drew nothing
+            assert all(rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+                       for rng, seed in zip(rngs, seeds))
 
     def test_budget_too_small(self):
         spec = base_spec("sphere", 10)
         with pytest.raises(BudgetExceeded):
-            build_initial_swarm(40, spec, EvaluationCounter(budget=30), np.random.default_rng(6))
+            initial_swarm(40, spec, EvaluationCounter(budget=30), 6)
 
     def test_rejects_odd_population(self):
         spec = base_spec("sphere", 2)
         with pytest.raises(ValueError):
-            build_initial_swarm(5, spec, EvaluationCounter(budget=100), np.random.default_rng(0))
+            initial_swarm(5, spec, EvaluationCounter(budget=100), 0)
 
 
 def test_format_oa_round_trip():

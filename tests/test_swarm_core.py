@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec
-from opsom.optimizer import OptimizerConfig, _block_layout, _opsom_iteration
+from opsom.optimizer import OptimizerConfig, _opsom_iteration, _uniform_block
 from opsom.swarm_core import (
     PsoParams,
     SwarmState,
@@ -40,10 +40,10 @@ def baseline_step(state, params, spec, counters, u):
     `u` is the (R, 2, n, d) block: each run's r1, then r2.  The block is cut
     as `run_cell` cuts it; the baseline reads no archive.
     """
-    runs, n, d = state.positions.shape
     config = OptimizerConfig(algorithm="pso", pso_params=params)
-    u = np.asarray(u, dtype=float).reshape(runs, -1)
-    _opsom_iteration(state, None, config, spec, counters, np.split(u, np.cumsum(_block_layout(config, n, d))[:-1], 1))
+    block, u_slices = _uniform_block(config, *state.positions.shape)
+    block[...] = np.reshape(u, block.shape)
+    _opsom_iteration(state, None, config, spec, counters, u_slices)
     return state
 
 
