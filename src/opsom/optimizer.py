@@ -30,8 +30,9 @@ cut, in this order, into
 where n is the population, m the number of learners (n/2, or n with no
 mutation) and e the number of mutated elites (n - m).  K depends only on n, d
 and the flags; the baseline's block is (2, n, d): r1, then r2.  A uniform u
-picks index `int(u * size)`; the j-th archive push of an iteration evicts with
-the j-th eviction uniform when full.
+picks index `int(u * size)`.  Into a full archive, particle i's psi push
+overwrites the slot picked by eviction uniform i, and the chi push the slot
+picked by the last one.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .archives import ArchiveSet, push_chi, push_psi, refresh_phi
+from .archives import ArchiveSet, refresh_phi
 from .mutation import mutate_elites
 from .objective import EvaluationCounter, ObjectiveSpec, evaluate_batch
 from .ortho_init import array_shape, build_initial_swarm
@@ -57,8 +58,6 @@ from .swarm_core import (
 )
 
 ALGORITHMS = ("opsom", "pso")
-# picks psi's (0) and chi's (1) push order out of `ArchiveSet.order`
-_PSI_CHI = np.array([[0], [1]])
 
 Observer = Callable[[SwarmState, ArchiveSet], None]
 
@@ -189,16 +188,14 @@ def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
     """Sample one representative triple per particle and resolve the guides.
 
     `u` is (R, 3, m) uniforms in [0, 1) picking each run's phi, psi and chi
-    representatives (the `int(u * size)`-th row; psi's and chi's in push
+    representatives (the `int(u * size)`-th row; psi's and chi's in slot
     order).  Returns the (R, m, d) guides: row-wise argmin fitness across the
     three, ties resolved in phi, psi, chi priority order.
     """
     if np.count_nonzero(archives.fill) < archives.fill.size:
         raise ValueError("every archive needs an entry before it can supply guides")
-    idx = (u * archives.fill[:, :, None]).astype(np.intp)
-    # psi and chi: push-order position -> slot -> row of the table
+    idx = (u * archives.fill[:, :, None]).astype(np.intp) + archives.offsets  # rows of the table
     rows = run_index(len(u))
-    idx[:, 1:] = archives.order[rows[:, :, None], _PSI_CHI, idx[:, 1:]] + archives.offsets
     which = archives.fitness[rows[:, :, None], idx].argmin(1)  # first minimum == phi > psi > chi priority
     return archives.positions[rows, idx[rows, which, np.arange(u.shape[2])]]
 
@@ -285,11 +282,10 @@ def _update_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerC
         return
     refresh_phi(archives, state)
     if config.uses_archives:
-        push_psi(archives, state.pbest_positions, state.pbest_fitness, improved, evict_u)
+        archives.psi.push(state.pbest_positions, state.pbest_fitness, improved, evict_u[:, :-1])
         if np.count_nonzero(better):
-            # a run's chi push takes the eviction uniform after its psi pushes
-            chi_u = evict_u[run_index(len(better)), improved.sum(1)[:, None]]
-            push_chi(archives, state.gbest_position[:, None], state.gbest_fitness[:, None], better[:, None], chi_u)
+            archives.chi.push(state.gbest_position[:, None], state.gbest_fitness[:, None], better[:, None],
+                              evict_u[:, -1:])
 
 
 def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:

@@ -48,7 +48,9 @@ def _is_prime(n: int) -> bool:
 
 
 def array_shape(levels: int, min_factors: int) -> tuple[int, int, int]:
-    """Smallest (J, rows, cols) of the constructed family with cols >= min_factors."""
+    """Smallest (J, rows, cols) of the family with cols >= min_factors, for a prime level count."""
+    if not _is_prime(levels):
+        raise ValueError(f"level count must be prime, got {levels}")
     j = 1
     while (levels**j - 1) // (levels - 1) < min_factors:
         j += 1
@@ -63,8 +65,6 @@ def construct_oa(levels: int, min_factors: int) -> OrthogonalArray:
     combination of an earlier column with the nearest basic column to its left.
     Requires a prime level count.
     """
-    if not _is_prime(levels):
-        raise ValueError(f"level count must be prime, got {levels}")
     if min_factors < 1:
         raise ValueError("min_factors must be at least 1")
     j_cols, rows, cols = array_shape(levels, min_factors)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from opsom.archives import ArchiveSet, push_chi, push_psi
+from opsom.archives import ArchiveSet
 from opsom.harness import main, run_seed
 from opsom.mutation import mutate_elites
 from opsom.objective import EvaluationCounter, SearchBounds, base_spec, make_suite
@@ -145,8 +145,8 @@ def test_criterion_7_scheme_selection_oracle():
         archives.phi_fitness[0, 0] = fits[0]
         u = np.random.default_rng(0).random(5)
         one = np.ones((1, 1), bool)
-        push_psi(archives, np.array([[[1.0]]]), np.array([[fits[1]]]), one, u[None, :1])
-        push_chi(archives, np.array([[[2.0]]]), np.array([[fits[2]]]), one, u[None, 1:2])
+        archives.psi.push(np.array([[[1.0]]]), np.array([[fits[1]]]), one, u[None, :1])
+        archives.chi.push(np.array([[[2.0]]]), np.array([[fits[2]]]), one, u[None, 1:2])
         guide = _archive_guides(archives, u[2:].reshape(1, 3, 1))
         brute = min(range(3), key=lambda i: (fits[i], i))
         ok &= guide[0, 0, 0] == float(brute)

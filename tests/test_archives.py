@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsom.archives import ArchiveSet, push_chi, push_psi, refresh_phi
-from opsom.optimizer import _archive_guides
+from opsom.archives import ArchiveSet, refresh_phi
+from opsom.optimizer import OptimizerConfig, _archive_guides, _update_archives
 from opsom.swarm_core import SwarmState
 
 
@@ -24,21 +24,24 @@ def row(value, d=2):
     return np.full(d, value, dtype=float), float(value)
 
 
-def push_one(push, archives, position, fitness, u):
-    """Push one row into run 0 of `archives` through `push_psi` or `push_chi`."""
-    push(archives, np.asarray(position, dtype=float)[None, None], np.array([[fitness]]), np.ones((1, 1), bool),
-         np.array([[u]]))
+def push_one(archive, position, fitness, u):
+    """Push one row into run 0 of `archive`, an `ArchiveSet`'s psi or chi."""
+    archive.push(np.asarray(position, dtype=float)[None, None], np.array([[fitness]]), np.ones((1, 1), bool),
+                 np.array([[u]]))
 
 
-def newest_fitness(archive):
-    return archive.fitness[len(archive) - 1]
+def newest_fitness(archive, u):
+    """The fitness in the slot that a one-row push with uniform `u` into a full
+    one-run `archive` view wrote."""
+    return archive.fitness[int(u * len(archive))]
 
 
-def list_push(entries, entry, capacity, u):
-    """Reference eviction rule on a push-ordered list of (position, fitness) pairs."""
-    entries.append(entry)
-    while len(entries) > capacity:
-        entries.pop(int(u * (len(entries) - 1)))
+def slot_push(slots, entry, capacity, u):
+    """Reference rule on a plain list of slots: fill the next one, then overwrite a random one."""
+    if len(slots) < capacity:
+        slots.append(entry)
+    else:
+        slots[int(u * capacity)] = entry
 
 
 class TestArchiveSet:
@@ -57,7 +60,7 @@ class TestArchiveSet:
         with pytest.raises(TypeError, match="one fill count per run"):
             len(a.psi)
         pushed = np.array([[True, False], [True, True], [False, False]])
-        push_psi(a, np.ones((3, 2, 2)), np.ones((3, 2)), pushed, np.zeros((3, 2)))
+        a.psi.push(np.ones((3, 2, 2)), np.ones((3, 2)), pushed, np.zeros((3, 2)))
         np.testing.assert_array_equal(a.psi.size, [1, 2, 0])
         assert [len(a.view(r).psi) for r in range(3)] == [1, 2, 0]
 
@@ -110,7 +113,7 @@ class TestRefreshPhi:
 class TestPushes:
     def test_first_insert(self):
         a = ArchiveSet(1, 4, 2)
-        push_one(push_psi, a, *row(1.0), 0.5)
+        push_one(a.psi, *row(1.0), 0.5)
         psi = a.view(0).psi
         assert len(psi) == 1 and psi.fitness[0] == 1.0
         np.testing.assert_array_equal(psi.positions[0], [1.0, 1.0])
@@ -119,71 +122,112 @@ class TestPushes:
         u = np.random.default_rng(1).random(5)
         a = ArchiveSet(1, 4, 2)
         for v in range(4):
-            push_one(push_psi, a, *row(float(v)), u[v])
-        push_one(push_psi, a, *row(99.0), u[4])
+            push_one(a.psi, *row(float(v)), u[v])
+        push_one(a.psi, *row(99.0), u[4])
         psi = a.view(0).psi
         assert len(psi) == 4
-        assert newest_fitness(psi) == 99.0
+        assert newest_fitness(psi, u[4]) == 99.0
+        # the other slots keep their rows
+        kept = [k for k in range(4) if k != int(u[4] * 4)]
+        np.testing.assert_array_equal(psi.fitness[kept], kept)
 
     def test_newest_survives_many_evictions(self):
         u = np.random.default_rng(2).random(200)
         a = ArchiveSet(1, 6, 2)
         for v in range(200):
-            push_one(push_chi, a, *row(float(-v)), u[v])
+            push_one(a.chi, *row(float(-v)), u[v])
             chi = a.view(0).chi
-            assert newest_fitness(chi) == float(-v)
-            assert len(chi) <= 6
+            assert len(chi) == min(v + 1, 6)
+            assert (newest_fitness(chi, u[v]) if v >= 6 else chi.fitness[v]) == float(-v)
 
     def test_chi_min_equals_latest_push_for_improving_sequence(self):
         # pushes are gated on strict gbest improvement, so values decrease
         u = iter(np.random.default_rng(3).random(6))
         a = ArchiveSet(1, 4, 2)
         for v in [5.0, 4.0, 2.5, 1.0, 0.5, 0.1]:
-            push_one(push_chi, a, *row(v), next(u))
+            push_one(a.chi, *row(v), next(u))
             chi = a.view(0).chi
             assert chi.fitness[: len(chi)].min() == v
 
     def test_eviction_is_random_among_older_entries(self):
-        # with a 2-slot archive the survivor of each push is uniform over the
-        # two older entries; check both outcomes occur
+        # with a 2-slot archive the third push overwrites either older entry
+        # and keeps the other; check both outcomes occur
         survivors = set()
         for seed in range(40):
             a = ArchiveSet(1, 2, 2)
             u = np.random.default_rng(seed).random(3)
-            push_one(push_psi, a, *row(1.0), u[0])
-            push_one(push_psi, a, *row(2.0), u[1])
-            push_one(push_psi, a, *row(3.0), u[2])
-            survivors.add(a.view(0).psi.fitness[0])
+            push_one(a.psi, *row(1.0), u[0])
+            push_one(a.psi, *row(2.0), u[1])
+            push_one(a.psi, *row(3.0), u[2])
+            fitness = a.view(0).psi.fitness.tolist()
+            assert 3.0 in fitness
+            survivors.update(set(fitness) - {3.0})
         assert survivors == {1.0, 2.0}
+
+    def test_later_row_wins_a_shared_slot(self):
+        # a full 4-slot archive; rows 0, 2 and 3 of one call all pick slot 1:
+        # row 3 lands there, row 1 overwrites slot 3
+        a = ArchiveSet(1, 4, 1)
+        for v in range(4):
+            push_one(a.psi, [float(v)], float(v), 0.0)
+        u = np.array([[0.3, 0.9, 0.4, 0.49]])
+        a.psi.push(np.array([[[10.0], [11.0], [12.0], [13.0]]]), np.array([[10.0, 11.0, 12.0, 13.0]]),
+                   np.ones((1, 4), bool), u)
+        assert a.view(0).psi.fitness.tolist() == [0.0, 13.0, 2.0, 11.0]
+        assert a.view(0).psi.positions[:, 0].tolist() == [0.0, 13.0, 2.0, 11.0]
+
+    def test_fills_free_slots_before_evicting(self):
+        # 3 of 4 slots taken: row 0 fills slot 3, row 2 then overwrites it
+        a = ArchiveSet(1, 4, 1)
+        for v in range(3):
+            push_one(a.psi, [float(v)], float(v), 0.0)
+        a.psi.push(np.array([[[10.0], [11.0], [12.0]]]), np.array([[10.0, 11.0, 12.0]]),
+                   np.array([[True, False, True]]), np.array([[0.1, 0.1, 0.8]]))
+        assert a.view(0).psi.fitness.tolist() == [0.0, 1.0, 2.0, 12.0]
 
     @settings(max_examples=60, deadline=None)
     @given(runs=st.integers(1, 3), half=st.integers(1, 8), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
-           calls=st.integers(0, 30), chi=st.booleans())
-    def test_matches_list_reference(self, runs, half, d, seed, calls, chi):
-        # every run's archive, read through `order`, evicts exactly like list.pop
-        # on its own push-ordered list fed the same eviction uniforms, however
-        # many rows each run pushes in one call
+           calls=st.integers(0, 30), chi=st.booleans(), coarse=st.integers(1, 3))
+    def test_matches_list_reference(self, runs, half, d, seed, calls, chi, coarse):
+        # every run's archive holds exactly the slots of a plain list that is
+        # appended to until full and then has slot int(u_i * cap) overwritten
+        # by row i, however many rows each run pushes in one call; `coarse`
+        # uniforms pick among few slots, so rows of one call often share one
         n = 2 * half
         data = np.random.default_rng(seed)
         a = ArchiveSet(runs, n, d)
-        archive, push = (a.chi, push_chi) if chi else (a.psi, push_psi)
+        archive = a.chi if chi else a.psi
         refs = [[] for _ in range(runs)]
         for _ in range(calls):
             c = int(data.integers(1, n + 1))
             positions, fitness = data.uniform(-100, 100, (runs, c, d)), data.uniform(size=(runs, c))
-            pushed, u = data.random((runs, c)) < data.random(), data.random((runs, c))
-            push(a, positions, fitness, pushed, u)
+            pushed = data.random((runs, c)) < data.random()
+            u = data.random((runs, c)) if coarse == 3 else data.integers(0, coarse + 1, (runs, c)) / (coarse + 1)
+            archive.push(positions, fitness, pushed, u)
             for r, ref in enumerate(refs):
-                for j, i in enumerate(pushed[r].nonzero()[0]):
-                    list_push(ref, (positions[r, i], fitness[r, i]), n, u[r, j])
+                for i in pushed[r].nonzero()[0]:
+                    slot_push(ref, (positions[r, i], fitness[r, i]), n, u[r, i])
         for r, ref in enumerate(refs):
             assert archive.size[r] == len(ref) <= n
-            slots = archive.order[r, : len(ref)]
-            assert sorted(archive.order[r].tolist()) == list(range(2 * n))  # every slot listed once
-            np.testing.assert_array_equal(archive.positions[r, slots], np.array([p for p, _ in ref]).reshape(-1, d))
-            np.testing.assert_array_equal(archive.fitness[r, slots], [f for _, f in ref])
+            filled = slice(len(ref))
+            np.testing.assert_array_equal(archive.positions[r, filled], np.array([p for p, _ in ref]).reshape(-1, d))
+            np.testing.assert_array_equal(archive.fitness[r, filled], [f for _, f in ref])
             view = a.view(r).chi if chi else a.view(r).psi
-            assert view.fitness.tolist() == [f for _, f in ref]  # a one-run view lists oldest push first
+            assert view.fitness.tolist() == [f for _, f in ref]  # a one-run view lists its slots in order
+
+    def test_stream_contract(self):
+        # in a full archive, particle i's psi push evicts with eviction uniform
+        # i and the chi push with the last one (n), whoever else pushed
+        a = ArchiveSet(1, 4, 2)
+        for v in range(4):
+            push_one(a.psi, *row(100.0 + v), 0.0)
+            push_one(a.chi, *row(100.0 + v), 0.0)
+        state = state_with_pbests([3.0, 1.0, 4.0, 2.0])
+        improved = np.array([[False, True, False, True]])
+        evict_u = np.array([[0.0, 0.3, 0.55, 0.8, 0.6]])
+        _update_archives(a, state, OptimizerConfig(), improved, np.ones(1, bool), evict_u)
+        assert a.view(0).psi.fitness.tolist() == [100.0, 1.0, 102.0, 2.0]
+        assert a.view(0).chi.fitness.tolist() == [100.0, 101.0, 1.0, 103.0]
 
 
 class TestSampleRepresentatives:
@@ -193,8 +237,8 @@ class TestSampleRepresentatives:
         a = ArchiveSet(1, n, 2)
         refresh_phi(a, state_with_pbests(list(np.arange(1.0, n + 1.0))))
         for v in range(n):
-            push_one(push_psi, a, *row(10.0 + v), 0.5)
-        push_one(push_chi, a, *row(0.5), 0.5)
+            push_one(a.psi, *row(10.0 + v), 0.5)
+        push_one(a.chi, *row(0.5), 0.5)
         return a
 
     def test_singleton_archives_are_deterministic(self):
@@ -202,8 +246,8 @@ class TestSampleRepresentatives:
         for psi_fit, chi_fit, winner in ((3.0, 4.0, [0.0, 1.0]), (0.5, 4.0, [0.5, 0.5]), (3.0, 0.25, [0.25, 0.25])):
             a = ArchiveSet(1, 2, 2)
             refresh_phi(a, state_with_pbests([1.0, 2.0]))
-            push_one(push_psi, a, *row(psi_fit), 0.5)
-            push_one(push_chi, a, *row(chi_fit), 0.5)
+            push_one(a.psi, *row(psi_fit), 0.5)
+            push_one(a.chi, *row(chi_fit), 0.5)
             for seed in range(5):
                 guides = _archive_guides(a, np.random.default_rng(seed).random((1, 3, 6)))
                 np.testing.assert_array_equal(guides[0], np.tile(winner, (6, 1)))
@@ -226,9 +270,9 @@ class TestSampleRepresentatives:
         a = ArchiveSet(1, 20, 2)
         rng = np.random.default_rng(7)
         for v in range(10):
-            push_one(push_psi, a, *row(float(v) - 10.0), rng.random())
+            push_one(a.psi, *row(float(v) - 10.0), rng.random())
         refresh_phi(a, state_with_pbests(list(np.arange(1.0, 21.0))))
-        push_one(push_chi, a, *row(0.0), rng.random())
+        push_one(a.chi, *row(0.0), rng.random())
         guides = _archive_guides(a, rng.random((1, 3, 10_000)))[0]
         counts = np.bincount((guides[:, 0] + 10.0).astype(int), minlength=10)
         assert counts.sum() == 10_000 and len(counts) == 10
@@ -242,20 +286,21 @@ class TestSampleRepresentatives:
         assert (run.phi_positions >= 0).all()
         assert (run.psi.positions >= 0).all() and (run.chi.positions >= 0).all()
 
-    def test_picks_in_push_order(self):
-        # the representative of u is the int(u * size)-th oldest row, whatever
-        # slot evictions moved it to
+    def test_picks_in_slot_order(self):
+        # the representative of u is the row in slot int(u * size), whenever
+        # it was pushed
         a = ArchiveSet(1, 4, 1)
         refresh_phi(a, SwarmState(np.full((1, 4, 1), 50.0), np.zeros((1, 4, 1)), np.full((1, 4), 50.0)))
         for v, u in zip(range(7), (0.0, 0.0, 0.0, 0.0, 0.6, 0.1, 0.9)):
-            push_one(push_psi, a, [float(v)], float(v), u)
-            push_one(push_chi, a, [40.0 + v], 40.0 + v, u)
+            push_one(a.psi, [float(v)], float(v), u)
+            push_one(a.chi, [40.0 + v], 40.0 + v, u)
         ref = []
         for v, u in zip(range(7), (0.0, 0.0, 0.0, 0.0, 0.6, 0.1, 0.9)):
-            list_push(ref, float(v), 4, u)
+            slot_push(ref, float(v), 4, u)
+        assert ref == [5.0, 1.0, 4.0, 6.0]
         assert a.view(0).psi.fitness.tolist() == ref
         for k, value in enumerate(ref):
-            # psi's k-th oldest row wins against phi (50) and chi (>= 40)
+            # psi's row in slot k wins against phi (50) and chi (>= 40)
             u = np.array([[[0.0], [(k + 0.5) / 4], [0.0]]])
             assert _archive_guides(a, u)[0, 0, 0] == value
 
@@ -264,7 +309,7 @@ class TestSampleRepresentatives:
         a = ArchiveSet(2, 2, 1)
         refresh_phi(a, SwarmState(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), np.full((2, 2), 9.0)))
         pushed = np.ones((2, 1), bool)
-        push_psi(a, np.array([[[1.0]], [[2.0]]]), np.array([[1.0], [2.0]]), pushed, np.zeros((2, 1)))
-        push_chi(a, np.array([[[5.0]], [[6.0]]]), np.array([[5.0], [6.0]]), pushed, np.zeros((2, 1)))
+        a.psi.push(np.array([[[1.0]], [[2.0]]]), np.array([[1.0], [2.0]]), pushed, np.zeros((2, 1)))
+        a.chi.push(np.array([[[5.0]], [[6.0]]]), np.array([[5.0], [6.0]]), pushed, np.zeros((2, 1)))
         guides = _archive_guides(a, np.random.default_rng(3).random((2, 3, 5)))
         np.testing.assert_array_equal(guides[:, :, 0], [[1.0] * 5, [2.0] * 5])

@@ -330,6 +330,20 @@ class TestCli:
             assert proc.returncode == 0, (module, proc.stderr)
             assert proc.stdout.splitlines() == ["1 1 1", "1 2 2", "2 1 2", "2 2 1"], module
 
+    @pytest.mark.parametrize("levels", ["0", "1", "4"])
+    def test_bad_oa_levels_exit_1_without_output(self, tmp_path, levels):
+        # 0 used to hang and 1 to end in a ZeroDivisionError traceback; a
+        # subprocess with a timeout turns a hang into a failure
+        src = str(Path(opsom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "x"
+        argv = ["-m", "opsom", "run", "--algo", "opsom", "--dim", "2", "--runs", "1", "--pop", "6", "--budget", "300",
+                "--oa-levels", levels, "--out", str(out)]
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert f"level count must be prime, got {levels}" in proc.stderr
+        assert not out.exists()
+
     def test_compare_requires_two_algorithms(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["compare", "--algo", "opsom", "--dim", "2", "--out", str(tmp_path / "x")])

@@ -70,6 +70,13 @@ class TestConstruct:
             with pytest.raises(ValueError, match="prime"):
                 construct_oa(levels, 3)
 
+    @pytest.mark.parametrize("levels", [-1, 0, 1, 4])
+    def test_array_shape_rejects_non_prime_levels(self, levels):
+        # the optimizer sizes the array before building it; levels <= 0 used to
+        # loop forever there and 1 to divide by zero
+        with pytest.raises(ValueError, match=f"prime, got {levels}"):
+            array_shape(levels, 3)
+
     def test_rejects_bad_min_factors(self):
         with pytest.raises(ValueError):
             construct_oa(2, 0)
