@@ -69,6 +69,9 @@ class ExperimentConfig:
         ablated = [f for f in ("no_oa", "no_archives", "no_mutation", "fixed_inertia") if getattr(self.optimizer, f)]
         if ablated and "opsom" not in self.algorithms:
             raise ValueError(f"{ablated[0]} ablates opsom, which is not among the algorithms {list(self.algorithms)}")
+        levels = self.optimizer.oa_levels
+        if levels != OptimizerConfig.oa_levels and ("opsom" not in self.algorithms or self.optimizer.no_oa):
+            raise ValueError(f"oa_levels={levels} has no effect: no run uses the orthogonal array")
 
     def optimizer_for(self, algorithm: str, seed: int) -> OptimizerConfig:
         return replace(self.optimizer, algorithm=algorithm, seed=seed)
@@ -176,23 +179,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_experiment_flags(p):
-        p.add_argument("--algo", default="opsom", help="comma-separated algorithms (opsom, pso)")
-        p.add_argument("--dim", default="10,30,50", help="comma-separated dimensions")
-        p.add_argument("--runs", type=int, default=25, help="runs per (function, dimension, algorithm)")
-        p.add_argument("--seed", type=int, default=0, help="base seed for per-run seed derivation")
-        p.add_argument("--suite-seed", type=int, default=0, help="seed for suite shifts/rotations")
-        p.add_argument("--pop", type=int, default=40, help="population size (even, >= 6)")
-        p.add_argument("--budget", type=int, default=None, help="evaluation budget (default 10000*d)")
-        p.add_argument("--oa-levels", type=int, default=2, help="orthogonal-array level count (prime)")
-        p.add_argument("--inertia", type=float, default=0.729)
-        p.add_argument("--cognitive", type=float, default=1.49445)
-        p.add_argument("--social", type=float, default=1.49445)
-        p.add_argument("--v-max-fraction", type=float, default=0.2)
+        exp, opt, pso = ExperimentConfig, OptimizerConfig, PsoParams
+        p.add_argument("--algo", default=",".join(exp.algorithms), help="comma-separated algorithms (opsom, pso)")
+        p.add_argument("--dim", default=",".join(map(str, exp.dimensions)), help="comma-separated dimensions")
+        p.add_argument("--runs", type=int, default=exp.runs, help="runs per (function, dimension, algorithm)")
+        p.add_argument("--seed", type=int, default=exp.base_seed, help="base seed for per-run seed derivation")
+        p.add_argument("--suite-seed", type=int, default=exp.suite_seed, help="seed for suite shifts/rotations")
+        p.add_argument("--pop", type=int, default=opt.population, help="population size (even, >= 6)")
+        p.add_argument("--budget", type=int, default=opt.budget, help="evaluation budget (default 10000*d)")
+        p.add_argument("--oa-levels", type=int, default=opt.oa_levels, help="orthogonal-array level count (prime)")
+        p.add_argument("--inertia", type=float, default=pso.inertia)
+        p.add_argument("--cognitive", type=float, default=pso.cognitive)
+        p.add_argument("--social", type=float, default=pso.social)
+        p.add_argument("--v-max-fraction", type=float, default=pso.v_max_fraction)
         p.add_argument("--no-oa", action="store_true", help="ablation: uniform random initialization")
         p.add_argument("--no-archives", action="store_true", help="ablation: baseline updates for regulars")
         p.add_argument("--no-mutation", action="store_true", help="ablation: elites learn like regulars")
         p.add_argument("--fixed-inertia", action="store_true", help="ablation: fixed inertia in scheme updates")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes, each taking whole cells")
+        p.add_argument("--jobs", type=int, default=exp.jobs, help="worker processes, each taking whole cells")
         p.add_argument("--out", required=True, help="output directory")
 
     run_p = sub.add_parser("run", help="run an experiment")

@@ -3,7 +3,10 @@
 The suite mirrors the usual four-category layout of competition benchmarks
 (unimodal, multimodal, hybrid, composite) on the default box [-100, 100]^d,
 but every function is generated from a seed and carries an analytically known
-optimum, so runs are self-contained and error values are exact.
+optimum, so runs are self-contained and error values are exact.  A plain
+base function is the one-block case of a hybrid, and so is each composite
+component: one class, `ShiftedBlocks`, scores them all and holds and validates
+each shift and rotation once.
 """
 
 from __future__ import annotations
@@ -136,60 +139,49 @@ SUITE_SCALES = {
 # Plain dataclasses (picklable, so runs can be farmed out to worker processes).
 
 
-def _transform(points, shift, rotation, scale):
+def _transform(points, shift, rotation):
     # unoptimized einsum sums each row in an order fixed by d alone, so a row is
     # bitwise-identical at any batch size, offset or alignment, with no (m, d, d)
     # temporary; `@` (or optimize=True) goes to BLAS, whose blocking follows m
-    return scale * np.einsum("ij,kj->ik", points - shift, rotation)
+    return np.einsum("ij,kj->ik", points - shift, rotation)
 
 
 @dataclass(eq=False)
-class ShiftedBase:
-    """A single base function under shift/rotation plus a constant offset.
+class ShiftedBlocks:
+    """Contiguous coordinate blocks of a shifted and rotated point, each scored
+    by its own base function, plus a constant offset.
 
-    `scale` maps the box onto the base's natural domain before evaluation.
-    """
-
-    base: str
-    shift: np.ndarray
-    rotation: np.ndarray
-    bias: float = 0.0
-    scale: float = 1.0
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        z = _transform(points, self.shift, self.rotation, self.scale)
-        return BASE_FUNCTIONS[self.base](z) + self.bias
-
-
-@dataclass(eq=False)
-class HybridBlocks:
-    """Contiguous coordinate blocks, each scored by a different base function.
-
-    All blocks share one shift and rotation, so the global optimum sits at the
+    A plain base function is the one-block case.  `scales` maps each block onto
+    its base's natural domain.  The shift is a vector of length d and the
+    rotation an orthonormal d x d matrix, so the global optimum sits at the
     shift with value exactly `bias`.
     """
 
     bases: tuple[str, ...]
     shift: np.ndarray
     rotation: np.ndarray
-    bias: float = 0.0
-    scales: tuple[float, ...] | None = None
+    bias: float
+    scales: tuple[float, ...]
     # (base, scale, block) per block, fixed by the fields above
     blocks: list[tuple[str, float, slice]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        scales = self.scales or (1.0,) * len(self.bases)
-        self.blocks = list(zip(self.bases, scales, self.block_slices(len(self.shift))))
-
-    def block_slices(self, dimension: int) -> list[slice]:
-        k = min(len(self.bases), dimension)
-        edges = np.linspace(0, dimension, k + 1).astype(int)
-        return [slice(int(edges[i]), int(edges[i + 1])) for i in range(k)]
+        self.shift = np.asarray(self.shift, dtype=float)
+        self.rotation = np.asarray(self.rotation, dtype=float)
+        d = self.shift.size
+        if self.shift.shape != (d,) or self.rotation.shape != (d, d):
+            raise ValueError(f"shift {self.shift.shape} and rotation {self.rotation.shape} must be (d,) and (d, d)")
+        err = np.abs(self.rotation @ self.rotation.T - np.eye(d)).max()
+        if err > 1e-9:
+            raise ValueError(f"rotation is not orthonormal (max deviation {err:.3e})")
+        edges = np.linspace(0, d, min(len(self.bases), d) + 1).astype(int).tolist()
+        self.blocks = list(zip(self.bases, self.scales, map(slice, edges[:-1], edges[1:])))
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        z = _transform(points, self.shift, self.rotation, 1.0)
-        total = np.zeros(len(points))
-        for base, scale, block in self.blocks:
+        z = _transform(points, self.shift, self.rotation)
+        (base, scale, block), *rest = self.blocks
+        total = BASE_FUNCTIONS[base](scale * z[:, block])
+        for base, scale, block in rest:
             total += BASE_FUNCTIONS[base](scale * z[:, block])
         return total + self.bias
 
@@ -205,7 +197,7 @@ class WeightedComposite:
     shift of the zero-offset component.
     """
 
-    components: tuple[ShiftedBase, ...]
+    components: tuple[ShiftedBlocks, ...]
     sigmas: tuple[float, ...]
     bias: float = 0.0
     # fixed by the fields above, so computed once rather than on every call
@@ -213,8 +205,15 @@ class WeightedComposite:
     width: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if all(c.bias != 0.0 for c in self.components):
+            raise ValueError("a composite needs a zero-offset component, where its optimum sits")
         self.shifts = np.stack([c.shift for c in self.components])
         self.width = 2.0 * self.shifts.shape[-1] * np.asarray(self.sigmas) ** 2
+
+    @property
+    def shift(self) -> np.ndarray:
+        """Where the global optimum sits: the zero-offset component's shift."""
+        return next(c.shift for c in self.components if c.bias == 0.0)
 
     def component_values(self, points: np.ndarray) -> np.ndarray:
         return np.stack([c.values(points) for c in self.components], axis=1)
@@ -246,27 +245,19 @@ class ObjectiveSpec:
     category: str
     dimension: int
     bounds: SearchBounds
-    shift: np.ndarray
-    rotation: np.ndarray
     f_opt: float
     suite_seed: int
-    fn: ShiftedBase | HybridBlocks | WeightedComposite = field(repr=False, default=None)
+    fn: ShiftedBlocks | WeightedComposite = field(repr=False)
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        self.shift = np.asarray(self.shift, dtype=float)
-        self.rotation = np.asarray(self.rotation, dtype=float)
-        if self.shift.shape != (self.dimension,):
+        shift = self.fn.shift
+        if np.shape(shift) != (self.dimension,):
             raise ValueError("shift length must match dimension")
-        if self.rotation.shape != (self.dimension, self.dimension):
-            raise ValueError("rotation must be a d x d matrix")
-        err = np.abs(self.rotation @ self.rotation.T - np.eye(self.dimension)).max()
-        if err > 1e-9:
-            raise ValueError(f"rotation is not orthonormal (max deviation {err:.3e})")
-        if not (self.shift > self.bounds.lower).all() or not (self.shift < self.bounds.upper).all():
+        if not (shift > self.bounds.lower).all() or not (shift < self.bounds.upper).all():
             raise ValueError("shift must lie strictly inside the bounds")
 
 
@@ -329,18 +320,19 @@ def base_spec(
         category=category,
         dimension=dimension,
         bounds=bounds,
-        shift=np.asarray(shift, dtype=float),
-        rotation=np.asarray(rotation, dtype=float),
         f_opt=bias,
         suite_seed=suite_seed,
-        fn=ShiftedBase(name, np.asarray(shift, dtype=float), np.asarray(rotation, dtype=float), bias, scale),
+        fn=ShiftedBlocks((name,), shift, rotation, bias, (scale,)),
     )
 
 
-_HYBRID_MIXES = {
-    "hybrid_1": ("rastrigin", "griewank", "sphere"),
-    "hybrid_2": ("ackley", "schwefel", "bent_cigar"),
-}
+# (id, category, bases) of the suite's block functions, in suite order
+_BLOCK_FUNCTIONS = (
+    *((name, "unimodal", (name,)) for name in UNIMODAL_BASES),
+    *((name, "multimodal", (name,)) for name in MULTIMODAL_BASES),
+    ("hybrid_1", "hybrid", ("rastrigin", "griewank", "sphere")),
+    ("hybrid_2", "hybrid", ("ackley", "schwefel", "bent_cigar")),
+)
 _COMPOSITE_MIXES = {
     "composite_1": (("rastrigin", "griewank", "ackley"), (10.0, 20.0, 30.0)),
     "composite_2": (("schwefel", "rastrigin", "ackley"), (10.0, 30.0, 50.0)),
@@ -358,49 +350,23 @@ def make_suite(suite_seed: int, dimension: int, bounds: SearchBounds | None = No
         raise ValueError("suite requires dimension >= 2")
     bounds = bounds or SearchBounds()
     rng = np.random.default_rng(suite_seed)
-    specs: list[ObjectiveSpec] = []
 
-    def register(spec_id, category, shift, rotation, f_opt, fn):
-        specs.append(
-            ObjectiveSpec(
-                id=spec_id,
-                category=category,
-                dimension=dimension,
-                bounds=bounds,
-                shift=shift,
-                rotation=rotation,
-                f_opt=f_opt,
-                suite_seed=suite_seed,
-                fn=fn,
-            )
-        )
+    def draw_blocks(bases, bias):
+        # the shift is drawn before the rotation, and the suite's bits follow that order
+        scales = tuple(SUITE_SCALES[name] for name in bases)
+        return ShiftedBlocks(bases, _draw_shift(rng, dimension, bounds), random_rotation(rng, dimension), bias, scales)
 
-    for name in UNIMODAL_BASES + MULTIMODAL_BASES:
-        bias = 100.0 * (len(specs) + 1)
-        shift = _draw_shift(rng, dimension, bounds)
-        rotation = random_rotation(rng, dimension)
-        category = "unimodal" if name in UNIMODAL_BASES else "multimodal"
-        register(name, category, shift, rotation, bias, ShiftedBase(name, shift, rotation, bias, SUITE_SCALES[name]))
-
-    for hybrid_id, mix in _HYBRID_MIXES.items():
-        bias = 100.0 * (len(specs) + 1)
-        shift = _draw_shift(rng, dimension, bounds)
-        rotation = random_rotation(rng, dimension)
-        scales = tuple(SUITE_SCALES[name] for name in mix)
-        register(hybrid_id, "hybrid", shift, rotation, bias, HybridBlocks(mix, shift, rotation, bias, scales))
-
+    named = []  # (id, category, function) in suite order
+    for spec_id, category, bases in _BLOCK_FUNCTIONS:
+        named.append((spec_id, category, draw_blocks(bases, 100.0 * (len(named) + 1))))
     for comp_id, (mix, sigmas) in _COMPOSITE_MIXES.items():
-        bias = 100.0 * (len(specs) + 1)
-        components = tuple(
-            ShiftedBase(name, _draw_shift(rng, dimension, bounds), random_rotation(rng, dimension), offset, SUITE_SCALES[name])
-            for name, offset in zip(mix, _COMPONENT_OFFSETS)
-        )
-        fn = WeightedComposite(components, sigmas, bias)
-        # the spec-level shift/rotation are those of the zero-offset component,
-        # i.e. the location of the global optimum
-        register(comp_id, "composite", components[0].shift, components[0].rotation, bias, fn)
-
-    return specs
+        components = tuple(draw_blocks((name,), offset) for name, offset in zip(mix, _COMPONENT_OFFSETS))
+        named.append((comp_id, "composite", WeightedComposite(components, sigmas, 100.0 * (len(named) + 1))))
+    return [
+        ObjectiveSpec(id=spec_id, category=category, dimension=dimension, bounds=bounds, f_opt=fn.bias,
+                      suite_seed=suite_seed, fn=fn)
+        for spec_id, category, fn in named
+    ]
 
 
 def describe_suite(specs: list[ObjectiveSpec]) -> str:

@@ -99,10 +99,10 @@ class OptimizerConfig:
             raise ValueError(f"population must be even and >= 6, got {self.population}")
         if self.fixed_inertia and self.no_archives:  # the no-archives velocity always takes the inertia
             raise ValueError("fixed_inertia has no effect with no_archives")
-        # orthogonal init scores every array row, topping up to n when the array is smaller
-        init_cost = self.population
-        if self.uses_oa:
-            init_cost = max(init_cost, array_shape(self.oa_levels, spec.dimension)[1])
+        # orthogonal init scores every array row, topping up to n when the array
+        # is smaller; the level count is checked whether or not the array is used
+        rows = array_shape(self.oa_levels, spec.dimension)[1]
+        init_cost = max(self.population, rows) if self.uses_oa else self.population
         budget = self.resolved_budget(spec.dimension)
         if budget < init_cost:
             raise ValueError(f"budget {budget} cannot cover initialization ({init_cost} evaluations)")

@@ -17,6 +17,8 @@ from opsom.harness import (
     CSV_HEADER,
     ExperimentConfig,
     SummaryStats,
+    _build_parser,
+    _experiment_from_args,
     execute,
     format_convergence_csv,
     main,
@@ -33,9 +35,10 @@ from opsom.ortho_init import OrthogonalArray, verify_oa
 class PoisonedSphere:
     """Sphere whose batches, from the `after`-th call on, hold NaN on even rows and +inf on row 1."""
 
-    def __init__(self, after: int):
+    def __init__(self, after: int, dimension: int):
         self.after = after
         self.calls = 0
+        self.shift = np.zeros(dimension)
 
     def values(self, points):
         self.calls += 1
@@ -48,9 +51,8 @@ class PoisonedSphere:
 
 def poisoned_spec(dimension: int, after: int = 3) -> ObjectiveSpec:
     return ObjectiveSpec(
-        id="poisoned", category="unimodal", dimension=dimension, bounds=SearchBounds(),
-        shift=np.zeros(dimension), rotation=np.eye(dimension), f_opt=0.0, suite_seed=0,
-        fn=PoisonedSphere(after),
+        id="poisoned", category="unimodal", dimension=dimension, bounds=SearchBounds(), f_opt=0.0, suite_seed=0,
+        fn=PoisonedSphere(after, dimension),
     )
 
 
@@ -143,6 +145,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{flag} ablates opsom"):
             ExperimentConfig(algorithms=("pso",), optimizer=ablated)
         ExperimentConfig(algorithms=("pso", "opsom"), optimizer=ablated)
+
+    @pytest.mark.parametrize("algorithms, flags", [(("pso",), {}), (("opsom",), dict(no_oa=True))], ids=["pso", "no-oa"])
+    def test_rejects_oa_levels_where_no_run_uses_the_array(self, algorithms, flags):
+        with pytest.raises(ValueError, match="oa_levels=3 has no effect"):
+            ExperimentConfig(algorithms=algorithms, optimizer=OptimizerConfig(oa_levels=3, **flags))
+        ExperimentConfig(algorithms=algorithms, optimizer=OptimizerConfig(**flags))
+        ExperimentConfig(algorithms=("pso", "opsom"), optimizer=OptimizerConfig(oa_levels=3))
 
 
 SMALL = dict(
@@ -343,6 +352,23 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert f"level count must be prime, got {levels}" in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo, extra, message", [
+        ("pso", ["--oa-levels", "0"], "oa_levels=0 has no effect"),
+        ("opsom", ["--no-oa", "--oa-levels", "4"], "oa_levels=4 has no effect"),
+        ("pso", ["--oa-levels", "3"], "oa_levels=3 has no effect"),
+    ], ids=["pso-levels-0", "no-oa-levels-4", "pso-levels-3"])
+    def test_oa_levels_where_no_run_uses_the_array_exit_1_without_output(self, tmp_path, capsys, algo, extra, message):
+        # these used to run as if the flag were absent
+        out = tmp_path / "x"
+        argv = ["run", "--algo", algo, "--dim", "2", "--runs", "1", "--pop", "6", "--budget", "300", *extra]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = _build_parser().parse_args(["run", "--out", "x"])
+        assert _experiment_from_args(args) == ExperimentConfig(out_dir=Path("x"))
 
     def test_compare_requires_two_algorithms(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 and the exactness/finiteness invariants the error metric depends on."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 from opsom.objective import (
     _SCHWEFEL_MU,
     _SCHWEFEL_PEAK,
+    BASE_FUNCTIONS,
     BudgetExceeded,
     EvaluationCounter,
     ObjectiveSpec,
     SearchBounds,
+    ShiftedBlocks,
+    WeightedComposite,
     base_spec,
     describe_suite,
     evaluate_batch,
@@ -38,6 +42,11 @@ def counter(budget=1_000_000):
 def one_row_value(spec, point, counter):
     """The value of one point, evaluated as a one-row batch."""
     return float(evaluate_batch(spec, np.asarray(point, dtype=float)[None, :], counter)[0])
+
+
+def shifted_blocks(spec):
+    """Every `ShiftedBlocks` of a spec: its function, or a composite's components."""
+    return getattr(spec.fn, "components", (spec.fn,))
 
 
 def errors_of(spec, best_fitnesses):
@@ -157,17 +166,18 @@ class TestMakeSuite:
         assert cats.count("composite") == 2
         for s in suite:
             assert s.dimension == 10
-            assert (s.shift > -100.0).all() and (s.shift < 100.0).all()
+            assert (s.fn.shift > -100.0).all() and (s.fn.shift < 100.0).all()
 
     def test_deterministic_per_seed(self):
         a, b = make_suite(0, 10), make_suite(0, 10)
         for s, t in zip(a, b):
-            np.testing.assert_array_equal(s.shift, t.shift)
-            np.testing.assert_array_equal(s.rotation, t.rotation)
+            for f, g in zip(shifted_blocks(s), shifted_blocks(t), strict=True):
+                np.testing.assert_array_equal(f.shift, g.shift)
+                np.testing.assert_array_equal(f.rotation, g.rotation)
 
     def test_seeds_differ(self):
         a, b = make_suite(0, 10), make_suite(1, 10)
-        assert any(not np.array_equal(s.shift, t.shift) for s, t in zip(a, b))
+        assert any(not np.array_equal(s.fn.shift, t.fn.shift) for s, t in zip(a, b))
 
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
@@ -193,8 +203,41 @@ class TestSpecValidation:
     def test_rejects_unknown_category(self):
         with pytest.raises(ValueError, match="category"):
             ObjectiveSpec(
-                id="x", category="weird", dimension=2, bounds=SearchBounds(),
-                shift=np.zeros(2), rotation=np.eye(2), f_opt=0.0, suite_seed=0,
+                id="x", category="weird", dimension=2, bounds=SearchBounds(), f_opt=0.0, suite_seed=0,
+                fn=ShiftedBlocks(("sphere",), np.zeros(2), np.eye(2), 0.0, (1.0,)),
+            )
+
+    @pytest.mark.parametrize("shift, rotation", [
+        (np.zeros(3), np.eye(2)), (np.zeros((2, 1)), np.eye(2)), (np.zeros(2), np.eye(2)[:1]),
+    ], ids=["mismatched", "matrix-shift", "non-square-rotation"])
+    def test_rejects_misshapen_shift_or_rotation(self, shift, rotation):
+        with pytest.raises(ValueError, match=r"must be \(d,\) and \(d, d\)"):
+            ShiftedBlocks(("sphere",), shift, rotation, 0.0, (1.0,))
+
+    def test_rejects_shift_not_matching_dimension(self):
+        with pytest.raises(ValueError, match="shift length must match dimension"):
+            ObjectiveSpec(
+                id="x", category="unimodal", dimension=3, bounds=SearchBounds(), f_opt=0.0, suite_seed=0,
+                fn=ShiftedBlocks(("sphere",), np.zeros(2), np.eye(2), 0.0, (1.0,)),
+            )
+
+    def test_rejects_a_composite_without_a_zero_offset_component(self):
+        components = tuple(ShiftedBlocks(("sphere",), np.full(2, k), np.eye(2), 100.0 * k, (1.0,)) for k in (1, 2))
+        with pytest.raises(ValueError, match="zero-offset component"):
+            WeightedComposite(components, (10.0, 20.0))
+
+    def test_rejects_a_composite_component_with_a_non_orthonormal_rotation(self):
+        # a composite's optimum is its zero-offset component's shift, but every
+        # component's rotation is checked, not only that one's
+        sheared = np.array([[1.0, 0.0], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="orthonormal"):
+            ObjectiveSpec(
+                id="x", category="composite", dimension=2, bounds=SearchBounds(), f_opt=0.0, suite_seed=0,
+                fn=WeightedComposite(
+                    (ShiftedBlocks(("rastrigin",), np.zeros(2), np.eye(2), 0.0, (1.0,)),
+                     ShiftedBlocks(("ackley",), np.ones(2), sheared, 100.0, (1.0,))),
+                    (10.0, 20.0),
+                ),
             )
 
 
@@ -209,7 +252,7 @@ class TestSuiteInvariants:
     def test_optimum_exact_at_shift(self):
         for d in (8,) + SUITE_DIMS:
             for spec in make_suite(5, d):
-                assert one_row_value(spec, spec.shift, counter()) == spec.f_opt, (spec.id, d)
+                assert one_row_value(spec, spec.fn.shift, counter()) == spec.f_opt, (spec.id, d)
 
     def test_values_never_below_f_opt(self):
         # required for the non-increasing error trace
@@ -241,8 +284,14 @@ class TestSuiteInvariants:
 
     def test_rotations_orthonormal_to_tolerance(self):
         for spec in make_suite(0, 10):
-            err = np.abs(spec.rotation @ spec.rotation.T - np.eye(10)).max()
-            assert err <= 1e-9, spec.id
+            for fn in shifted_blocks(spec):
+                err = np.abs(fn.rotation @ fn.rotation.T - np.eye(10)).max()
+                assert err <= 1e-9, spec.id
+
+    def test_composite_optimum_is_its_zero_offset_component_shift(self):
+        for spec in make_suite(0, 10)[8:]:
+            zero_offset = [c for c in spec.fn.components if c.bias == 0.0]
+            assert len(zero_offset) == 1 and spec.fn.shift is zero_offset[0].shift
 
 
 def assert_same_bits(actual, expected, what):
@@ -282,7 +331,7 @@ class TestBatchInvariance:
         shift = rng.uniform(-80, 80, d)
         rotation = random_rotation(rng, d)
         reference = scale * ((points - shift) @ rotation.T)
-        worst = np.abs(_transform(points, shift, rotation, scale) - reference).max()
+        worst = np.abs(scale * _transform(points, shift, rotation) - reference).max()
         assert worst <= 1e-12 * np.abs(reference).max()
 
 
@@ -337,6 +386,22 @@ def composite_stacking_shifts(fn, points):
     return out + fn.bias
 
 
+def one_class_form(fn, points):
+    """A block function as the two classes it replaced scored it: a plain base
+    as its base of the scaled transform plus the bias, a hybrid as a sum that
+    starts from zeros, over blocks cut as they cut them."""
+    d = points.shape[-1]
+    if len(fn.bases) == 1:
+        z = fn.scales[0] * np.einsum("ij,kj->ik", points - fn.shift, fn.rotation)
+        return BASE_FUNCTIONS[fn.bases[0]](z) + fn.bias
+    z = np.einsum("ij,kj->ik", points - fn.shift, fn.rotation)
+    edges = np.linspace(0, d, min(len(fn.bases), d) + 1).astype(int)
+    total = np.zeros(len(points))
+    for base, scale, lo, hi in zip(fn.bases, fn.scales, edges[:-1], edges[1:]):
+        total += BASE_FUNCTIONS[base](scale * z[:, lo:hi])
+    return total + fn.bias
+
+
 # z coordinates whose u = z + mu lands on, or within a few ulps of, +-500
 SCHWEFEL_EDGES = np.array([
     u - _SCHWEFEL_MU for edge in (500.0, -500.0) for u in edge + np.arange(-3, 4) * np.spacing(500.0)
@@ -374,6 +439,24 @@ class TestKernelOracles:
         z = scale * np.random.default_rng(seed).uniform(-1, 1, (m, d))
         assert_same_bits(ackley(z), ackley_mean_form(z), "ackley")
         assert_same_bits(griewank(z), griewank_prod_form(z), "griewank")
+
+    @settings(max_examples=30, deadline=None)
+    @given(suite_seed=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+           d=st.sampled_from(SUITE_DIMS), bias=st.sampled_from([None, 0.0, -0.0, 300.0]))
+    def test_block_functions_match_their_two_class_forms(self, suite_seed, seed, m, d, bias):
+        # every plain base, hybrid and composite component of the suite, with
+        # its own bias (0, 100, ..., 1000) or the drawn one, on rows that
+        # include one exactly at the shift
+        rng = np.random.default_rng(seed)
+        for spec in make_suite(suite_seed, d):
+            for fn in shifted_blocks(spec):
+                if bias is not None:
+                    fn = replace(fn, bias=bias)
+                points = rng.uniform(-100, 100, (m, d))
+                points[0] = fn.shift
+                values = fn.values(points)
+                assert_same_bits(values, one_class_form(fn, points), f"{spec.id} bias {fn.bias}")
+                assert values[0] == fn.bias, spec.id
 
     @pytest.mark.parametrize("d", SUITE_DIMS)
     def test_composite_matches_per_call_stacking(self, d):

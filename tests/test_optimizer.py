@@ -53,6 +53,13 @@ class TestConfig:
         OptimizerConfig(no_archives=True).validate(SPEC)
         OptimizerConfig(fixed_inertia=True).validate(SPEC)
 
+    def test_rejects_a_non_prime_level_count_with_or_without_the_array(self):
+        for kw in ({}, dict(no_oa=True), dict(algorithm="pso")):
+            for levels in (0, 1, 4):
+                with pytest.raises(ValueError, match=f"level count must be prime, got {levels}"):
+                    OptimizerConfig(oa_levels=levels, **kw).validate(SPEC)
+            OptimizerConfig(oa_levels=3, **kw).validate(SPEC)
+
     def test_rejects_infeasible_budget(self):
         # orthogonal init scores max(n, array rows): 16 rows at d = 10, 64 at d = 50;
         # uniform init (pso, or no_oa) scores exactly n
