@@ -24,10 +24,6 @@ _SCHWEFEL_PEAK = float(_SCHWEFEL_MU * np.sin(np.sqrt(_SCHWEFEL_MU)))
 CATEGORIES = ("unimodal", "multimodal", "hybrid", "composite")
 
 
-class BudgetExceeded(RuntimeError):
-    """Raised when an evaluation would overrun the evaluation budget."""
-
-
 @dataclass
 class SearchBounds:
     """Uniform per-dimension box bounds for the decision variables."""
@@ -42,19 +38,6 @@ class SearchBounds:
     @property
     def span(self) -> float:
         return self.upper - self.lower
-
-
-@dataclass
-class EvaluationCounter:
-    """Tracks objective evaluations against a hard budget."""
-
-    budget: int
-    used: int = 0
-
-    def spend(self, amount: int) -> None:
-        if self.used + amount > self.budget:
-            raise BudgetExceeded(f"budget of {self.budget} evaluations exhausted ({self.used} used, {amount} requested)")
-        self.used += amount
 
 
 # --- base functions, applied to already shifted/rotated coordinates ---------
@@ -215,13 +198,10 @@ class WeightedComposite:
         """Where the global optimum sits: the zero-offset component's shift."""
         return next(c.shift for c in self.components if c.bias == 0.0)
 
-    def component_values(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([c.values(points) for c in self.components], axis=1)
-
     def values(self, points: np.ndarray) -> np.ndarray:
         sq_dist = np.add.reduce((points[:, None, :] - self.shifts[None, :, :]) ** 2, -1)
         hit = sq_dist == 0.0
-        vals = self.component_values(points)
+        vals = np.stack([c.values(points) for c in self.components], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.exp(-sq_dist / self.width) / np.sqrt(sq_dist)
             wsum = np.add.reduce(w, 1, keepdims=True)
@@ -261,21 +241,14 @@ class ObjectiveSpec:
             raise ValueError("shift must lie strictly inside the bounds")
 
 
-def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray, *counters: EvaluationCounter) -> np.ndarray:
-    """Evaluate an (m, d) batch of points in one call, charging for it up front.
+def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
+    """Evaluate an (m, d) batch of points in one call.
 
-    The rows form one equal block per counter, in counter order (the R runs
-    of a cell stack their swarms this way), and each counter pays for its own
-    block.  A batch with any non-finite value (NaN or +-inf) raises ValueError
-    naming the function and the number of such rows, before any of it is used.
+    A batch with any non-finite value (NaN or +-inf) raises ValueError naming
+    the function and the number of such rows, before any of it is used.
     """
     if points.ndim != 2 or points.shape[1] != spec.dimension:
         raise ValueError(f"points have shape {points.shape}, expected (m, {spec.dimension})")
-    block, rest = divmod(len(points), len(counters))
-    if rest:
-        raise ValueError(f"{len(points)} rows do not split into {len(counters)} equal blocks")
-    for counter in counters:
-        counter.spend(block)
     values = spec.fn.values(points)
     if not np.isfinite(values).all():
         bad = len(values) - int(np.isfinite(values).sum())

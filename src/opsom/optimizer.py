@@ -5,11 +5,14 @@ PSO is the same iteration with all three turned off.  `run_cell` advances the
 R runs of one cell (configs equal but for the seed) in lockstep on (R, n, d)
 state; `run` is its R = 1 case.
 
-Every iteration costs exactly n evaluations per run (one sweep over the
-swarm), and all R sweeps go to the objective as one batch.  A sweep starts
-only while `used + n < budget`, so one that would end exactly on the budget
-is skipped; a run ends within [budget - n, budget] evaluations and the trace
-reconciles exactly.  Runs are bitwise deterministic for a fixed (config,
+Budget: initialization costs each run `init = max(n, array rows)`
+evaluations with the orthogonal array and n without it, and every iteration
+exactly n more (one sweep over the swarm; all R sweeps go to the objective
+as one batch).  A sweep starts only if it would end below the budget, so a
+run makes exactly K = max(0, (budget - init - 1) // n) iterations, counted
+before the loop, and ends within [budget - n, budget] evaluations: below the
+budget unless the budget is init itself.  After iteration k a run has made
+init + n*k evaluations.  Runs are bitwise deterministic for a fixed (config,
 spec, seed), whichever cell they run in.
 
 Learners: with mutation the swarm is sorted by fitness and split in half; the
@@ -45,7 +48,7 @@ import numpy as np
 
 from .archives import ArchiveSet, refresh_phi
 from .mutation import mutate_elites
-from .objective import EvaluationCounter, ObjectiveSpec, evaluate_batch
+from .objective import ObjectiveSpec, evaluate_batch
 from .ortho_init import array_shape, build_initial_swarm
 from .swarm_core import (
     PsoParams,
@@ -92,7 +95,8 @@ class OptimizerConfig:
     def uses_mutation(self) -> bool:
         return self.algorithm == "opsom" and not self.no_mutation
 
-    def validate(self, spec: ObjectiveSpec) -> None:
+    def validate(self, spec: ObjectiveSpec) -> int:
+        """Check the config against `spec`; return the evaluations initialization costs each run."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.population < 6 or self.population % 2:
@@ -106,6 +110,7 @@ class OptimizerConfig:
         budget = self.resolved_budget(spec.dimension)
         if budget < init_cost:
             raise ValueError(f"budget {budget} cannot cover initialization ({init_cost} evaluations)")
+        return init_cost
 
 
 @dataclass(eq=False)
@@ -144,27 +149,23 @@ def exploration_ratio(diversities: np.ndarray) -> np.ndarray:
 
 
 class _Trace:
-    def __init__(self):
-        self.iterations: list[int] = []
-        self.evaluations: list[list[int]] = []
-        self.best_fitness: list[np.ndarray] = []
-        self.diversities: list[np.ndarray] = []
+    """Each run's best fitness and swarm diversity after iterations 0..K, in (R, K + 1) arrays."""
 
-    def snap(self, state: SwarmState, counters: list[EvaluationCounter]) -> None:
-        self.iterations.append(state.iteration)
-        self.evaluations.append([counter.used for counter in counters])
-        # a reference, not a copy: see `update_bests`
-        self.best_fitness.append(state.gbest_fitness)
-        self.diversities.append(diversity(state))
+    def __init__(self, runs: int, iterations: int):
+        self.best_fitness = np.empty((runs, iterations + 1))
+        self.diversities = np.empty((runs, iterations + 1))
 
-    def records(self, configs: list[OptimizerConfig], spec: ObjectiveSpec, budget, wall_time) -> list[RunRecord]:
-        # |best fitness - f_opt| for every run's whole trace at once, one row per run
-        fitness = np.stack(self.best_fitness, 1)
-        if not np.isfinite(fitness).all():
+    def snap(self, state: SwarmState) -> None:
+        self.best_fitness[:, state.iteration] = state.gbest_fitness
+        self.diversities[:, state.iteration] = diversity(state)
+
+    def records(self, configs: list[OptimizerConfig], spec: ObjectiveSpec, budget: int, init_cost: int,
+                wall_time: float) -> list[RunRecord]:
+        if not np.isfinite(self.best_fitness).all():
             raise ValueError("best_fitness must be finite")
-        errors = np.abs(fitness - spec.f_opt)
-        evaluations = np.array(self.evaluations).T.copy()
-        diversities = np.stack(self.diversities, 1)
+        # |best fitness - f_opt| for every run's whole trace at once, one row per run
+        errors = np.abs(self.best_fitness - spec.f_opt)
+        iterations = np.arange(errors.shape[1])
         return [
             RunRecord(
                 function_id=spec.id,
@@ -173,10 +174,10 @@ class _Trace:
                 seed=config.seed,
                 population=config.population,
                 budget=budget,
-                iterations=np.array(self.iterations),
-                evaluations=evaluations[r],
+                iterations=iterations.copy(),
+                evaluations=init_cost + config.population * iterations,
                 errors=errors[r],
-                diversities=diversities[r],
+                diversities=self.diversities[r],
                 best_error=float(errors[r, -1]),
                 wall_time=wall_time / len(configs),
             )
@@ -217,7 +218,6 @@ def _opsom_iteration(
     archives: ArchiveSet,
     config: OptimizerConfig,
     spec: ObjectiveSpec,
-    counters: list[EvaluationCounter],
     u: list[np.ndarray],
 ) -> None:
     """One iteration of every run: learner sweep, elite mutation, bests, archive updates.
@@ -264,7 +264,7 @@ def _opsom_iteration(
         )
         position, velocity = new_positions, new_velocities
 
-    state.fitness = evaluate_batch(spec, position.reshape(-1, d), *counters).reshape(runs, n)
+    state.fitness = evaluate_batch(spec, position.reshape(-1, d)).reshape(runs, n)
     state.positions = position
     state.velocities = velocity
     improved, better = update_bests(state)
@@ -300,10 +300,11 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
 def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Observer | None = None) -> list[RunRecord]:
     """Run R configs that differ only in seed in lockstep; return their traces in order.
 
-    Each run keeps its own generator and evaluation counter, so run r's record
-    is bitwise the one `run(configs[r], spec)` gives.  An observer watches a
-    single run, so it needs exactly one config; it sees that run's state and
-    archives with the run axis dropped.
+    Every run makes the K iterations its budget affords (see the module
+    docstring), and each keeps its own generator, so run r's record is bitwise
+    the one `run(configs[r], spec)` gives.  An observer watches a single run,
+    so it needs exactly one config; it sees that run's state and archives with
+    the run axis dropped.
     """
     if not configs:
         raise ValueError("run_cell needs at least one config")
@@ -312,15 +313,15 @@ def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Obse
         raise ValueError("the configs of a cell may differ only in seed")
     if observer is not None and len(configs) > 1:
         raise ValueError(f"an observer watches one run, got {len(configs)} configs")
-    config.validate(spec)
+    init_cost = config.validate(spec)
     start = time.perf_counter()
     rngs = [np.random.default_rng(c.seed) for c in configs]
     runs, n, d = len(configs), config.population, spec.dimension
     budget = config.resolved_budget(d)
-    counters = [EvaluationCounter(budget=budget) for _ in configs]
+    iterations = max(0, (budget - init_cost - 1) // n)
 
     levels = config.oa_levels if config.uses_oa else None
-    positions, fitness = build_initial_swarm(n, spec, counters, rngs, levels=levels)
+    positions, fitness = build_initial_swarm(n, spec, rngs, levels=levels)
     state = SwarmState(positions, np.zeros_like(positions), fitness)
     archives = ArchiveSet(runs, n, d)  # left empty by the baseline
     # every initial best is new; n + 1 pushes never fill an archive of capacity n, so evict_u is unread
@@ -328,14 +329,13 @@ def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Obse
 
     # the slices are views, cut once; every iteration refills the block
     u, u_slices = _uniform_block(config, runs, n, d)
-    trace = _Trace()
+    trace = _Trace(runs, iterations)
     while True:
-        trace.snap(state, counters)
+        trace.snap(state)
         if observer is not None:
             observer(state.view(0), archives.view(0))
-        # every run pays the same initialization and n per iteration, so all stop together
-        if counters[0].used + n >= budget:
-            return trace.records(configs, spec, budget, time.perf_counter() - start)
+        if state.iteration == iterations:
+            return trace.records(configs, spec, budget, init_cost, time.perf_counter() - start)
         for rng, row in zip(rngs, u):
             rng.random(out=row)
-        _opsom_iteration(state, archives, config, spec, counters, u_slices)
+        _opsom_iteration(state, archives, config, spec, u_slices)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import EvaluationCounter, ObjectiveSpec, SearchBounds, evaluate_batch
+from .objective import ObjectiveSpec, SearchBounds, evaluate_batch
 from .swarm_core import run_index
 
 ROW_CAP = 4096
@@ -82,36 +82,6 @@ def construct_oa(levels: int, min_factors: int) -> OrthogonalArray:
     return OrthogonalArray(levels=levels, entries=a + 1)
 
 
-def verify_oa(oa: OrthogonalArray) -> bool:
-    """Exhaustively check strength-2 balance (and per-column level balance).
-
-    Returns False for malformed arrays instead of raising.
-    """
-    a = np.asarray(oa.entries)
-    alpha = oa.levels
-    if a.ndim != 2 or a.size == 0 or alpha < 2:
-        return False
-    if a.min() < 1 or a.max() > alpha:
-        return False
-    rows, cols = a.shape
-    if rows % alpha:
-        return False
-    per_level = rows // alpha
-    for c in range(cols):
-        if not (np.bincount(a[:, c] - 1, minlength=alpha) == per_level).all():
-            return False
-    if cols >= 2:
-        if rows % alpha**2:
-            return False
-        per_pair = rows // alpha**2
-        for c1 in range(cols):
-            for c2 in range(c1 + 1, cols):
-                codes = (a[:, c1] - 1) * alpha + (a[:, c2] - 1)
-                if not (np.bincount(codes, minlength=alpha**2) == per_pair).all():
-                    return False
-    return True
-
-
 def map_to_search_space(oa: OrthogonalArray, bounds: SearchBounds, dimension: int) -> np.ndarray:
     """Map the first `dimension` columns of every row into the search box.
 
@@ -130,7 +100,6 @@ def map_to_search_space(oa: OrthogonalArray, bounds: SearchBounds, dimension: in
 def build_initial_swarm(
     n: int,
     spec: ObjectiveSpec,
-    counters: list[EvaluationCounter],
     rngs: list[np.random.Generator],
     *,
     levels: int | None = None,
@@ -138,9 +107,10 @@ def build_initial_swarm(
     """Seed and score the (R, n, d) initial swarms of R runs; return them and their (R, n) fitness.
 
     Every run starts with the rows of the `levels` array (none without one),
-    then its generator fills up to n rows uniformly in the bounds.  One batch
-    scores all runs, each charged to its own counter.  When the array has at
-    least n rows, each run keeps its n fittest, in stable fitness order.
+    then its generator fills up to n rows uniformly in the bounds, so each
+    run scores max(n, array rows) points.  One batch scores all runs.  When
+    the array has at least n rows, each run keeps its n fittest, in stable
+    fitness order.
     """
     if n < 2 or n % 2:
         raise ValueError(f"population size must be even and >= 2, got {n}")
@@ -148,7 +118,7 @@ def build_initial_swarm(
     points = np.empty((0, d)) if levels is None else map_to_search_space(construct_oa(levels, d), spec.bounds, d)
     fill = (max(n - len(points), 0), d)
     positions = np.stack([np.vstack([points, rng.uniform(spec.bounds.lower, spec.bounds.upper, fill)]) for rng in rngs])
-    fitness = evaluate_batch(spec, positions.reshape(-1, d), *counters).reshape(len(rngs), -1)
+    fitness = evaluate_batch(spec, positions.reshape(-1, d)).reshape(len(rngs), -1)
     if len(points) < n:
         return positions, fitness
     keep = fitness.argsort(1, kind="stable")[:, :n]

@@ -87,10 +87,6 @@ class SwarmState:
     def n(self) -> int:
         return self.positions.shape[-2]
 
-    @property
-    def dimension(self) -> int:
-        return self.positions.shape[-1]
-
     def view(self, run: int) -> SwarmState:
         """Run `run` alone: every array with the run axis dropped (views, not copies)."""
         view = object.__new__(SwarmState)
@@ -110,9 +106,7 @@ def update_bests(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     """Refresh personal and global bests from current fitness (strict improvement only).
 
     Returns `improved` (R, n), the particles whose personal best moved, and
-    `better` (R,), the runs whose global best moved.  A run whose global best
-    improves gets new gbest arrays rather than an in-place write, so a
-    reference to the old ones keeps the old values.
+    `better` (R,), the runs whose global best moved.
     """
     improved = state.fitness < state.pbest_fitness
     if not np.count_nonzero(improved):

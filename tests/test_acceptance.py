@@ -6,18 +6,20 @@ a few minutes of CPU and are marked `slow`; everything else is fast.  Run with
 """
 
 import itertools
+import os
 import time
 
 import numpy as np
 import pytest
 
 from opsom.archives import ArchiveSet
-from opsom.harness import main, run_seed
+from opsom.harness import ExperimentConfig, execute, main, run_seed
 from opsom.mutation import mutate_elites
-from opsom.objective import EvaluationCounter, SearchBounds, base_spec, make_suite
+from opsom.objective import SearchBounds, base_spec, make_suite
 from opsom.optimizer import OptimizerConfig, _archive_guides, _opsom_iteration, _uniform_block, run, run_cell
-from opsom.ortho_init import construct_oa, map_to_search_space, verify_oa
+from opsom.ortho_init import construct_oa, map_to_search_space
 from opsom.swarm_core import PsoParams, SwarmState, velocity_update
+from test_ortho_init import verify_oa
 
 
 POPULATION = 40
@@ -45,12 +47,13 @@ def paired_configs(**kw):
 @pytest.fixture(scope="module")
 def comparison_records():
     """25 paired runs of both algorithms over the d=10 suite (criteria 4, 5, 8),
-    each cell's runs in lockstep as the CLI runs them."""
-    return {
-        (spec.id, algo): run_cell(paired_configs(algorithm=algo), spec)
-        for spec in make_suite(SUITE_SEED, DIMENSION)
-        for algo in ("opsom", "pso")
-    }
+    keyed by (function, algorithm) and run through the CLI's `execute`."""
+    experiment = ExperimentConfig(
+        suite_seed=SUITE_SEED, dimensions=(DIMENSION,), runs=RUNS, base_seed=BASE_SEED,
+        algorithms=("opsom", "pso"), optimizer=OptimizerConfig(population=POPULATION, budget=BUDGET),
+        jobs=min(2, os.cpu_count() or 1),
+    )
+    return {(function_id, algo): records for (function_id, _, algo), records in execute(experiment).items()}
 
 
 def test_criterion_1_oa_validity():
@@ -215,7 +218,7 @@ def test_criterion_10_equation_level_oracles():
         block, u_slices = _uniform_block(baseline, 1, n, d)
         r1, r2 = u = rng.uniform(size=(2, n, d))
         block[0] = u.ravel()
-        _opsom_iteration(state, None, baseline, spec, [EvaluationCounter(budget=10_000)], u_slices)
+        _opsom_iteration(state, None, baseline, spec, u_slices)
         state = state.view(0)
         for i in range(n):
             for k in range(d):

@@ -29,7 +29,8 @@ from opsom.harness import (
 from opsom import harness
 from opsom.objective import ObjectiveSpec, SearchBounds, base_spec
 from opsom.optimizer import OptimizerConfig, run, run_cell
-from opsom.ortho_init import OrthogonalArray, verify_oa
+from opsom.ortho_init import OrthogonalArray
+from test_ortho_init import verify_oa
 
 
 class PoisonedSphere:

@@ -13,8 +13,6 @@ from opsom.objective import (
     _SCHWEFEL_MU,
     _SCHWEFEL_PEAK,
     BASE_FUNCTIONS,
-    BudgetExceeded,
-    EvaluationCounter,
     ObjectiveSpec,
     SearchBounds,
     ShiftedBlocks,
@@ -35,13 +33,9 @@ from opsom.swarm_core import SwarmState
 SUITE_DIMS = (2, 3, 10, 30, 50)
 
 
-def counter(budget=1_000_000):
-    return EvaluationCounter(budget=budget)
-
-
-def one_row_value(spec, point, counter):
+def one_row_value(spec, point):
     """The value of one point, evaluated as a one-row batch."""
-    return float(evaluate_batch(spec, np.asarray(point, dtype=float)[None, :], counter)[0])
+    return float(evaluate_batch(spec, np.asarray(point, dtype=float)[None, :])[0])
 
 
 def shifted_blocks(spec):
@@ -49,12 +43,19 @@ def shifted_blocks(spec):
     return getattr(spec.fn, "components", (spec.fn,))
 
 
+def component_values(fn, points):
+    """The (m, 3) values of a composite's components, which `WeightedComposite.values` blends."""
+    return np.stack([c.values(points) for c in fn.components], axis=1)
+
+
 def errors_of(spec, best_fitnesses):
     """The `RunRecord.errors` of a trace whose best fitness took these values."""
-    trace = _Trace()
-    for f in best_fitnesses:
-        trace.snap(SwarmState(np.zeros((1, 1, spec.dimension)), np.zeros((1, 1, spec.dimension)), [[f]]), [counter()])
-    return trace.records([OptimizerConfig()], spec, 1, 0.0)[0].errors
+    trace = _Trace(1, len(best_fitnesses) - 1)
+    for k, f in enumerate(best_fitnesses):
+        state = SwarmState(np.zeros((1, 1, spec.dimension)), np.zeros((1, 1, spec.dimension)), [[f]])
+        state.iteration = k
+        trace.snap(state)
+    return trace.records([OptimizerConfig()], spec, 1, 1, 0.0)[0].errors
 
 
 class TestSearchBounds:
@@ -67,33 +68,18 @@ class TestSearchBounds:
             SearchBounds(lower=1.0, upper=-1.0)
 
 
-class TestEvaluationCounter:
-    def test_spend(self):
-        c = EvaluationCounter(budget=5)
-        c.spend(3)
-        c.spend(2)
-        assert c.used == 5
-
-    def test_overdraft_rejected_without_side_effects(self):
-        c = EvaluationCounter(budget=5)
-        c.spend(4)
-        with pytest.raises(BudgetExceeded):
-            c.spend(2)
-        assert c.used == 4
-
-
 class TestEvaluateExamples:
     def test_sphere_at_origin(self):
         spec = base_spec("sphere", 2)
-        assert one_row_value(spec, np.zeros(2), counter()) == 0.0
+        assert one_row_value(spec, np.zeros(2)) == 0.0
 
     def test_sphere_at_ones(self):
         spec = base_spec("sphere", 2)
-        assert one_row_value(spec, np.ones(2), counter()) == 2.0
+        assert one_row_value(spec, np.ones(2)) == 2.0
 
     def test_rastrigin_at_origin(self):
         spec = base_spec("rastrigin", 3)
-        assert one_row_value(spec, np.zeros(3), counter()) == 0.0
+        assert one_row_value(spec, np.zeros(3)) == 0.0
 
     def test_rastrigin_one_dim_half(self):
         # independent direct-formula evaluation of x^2 - 10 cos(2 pi x) + 10
@@ -101,35 +87,20 @@ class TestEvaluateExamples:
         expected = x * x - 10.0 * math.cos(2.0 * math.pi * x) + 10.0
         assert expected == pytest.approx(20.25, abs=1e-12)
         spec = base_spec("rastrigin", 1)
-        assert one_row_value(spec, np.array([x]), counter()) == pytest.approx(expected, abs=1e-12)
+        assert one_row_value(spec, np.array([x])) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         spec = base_spec("sphere", 3)
         for points in (np.zeros((1, 2)), np.zeros(3)):
             with pytest.raises(ValueError):
-                evaluate_batch(spec, points, counter())
-
-    def test_budget_exhausted_signal(self):
-        spec = base_spec("sphere", 2)
-        c = EvaluationCounter(budget=1)
-        one_row_value(spec, np.zeros(2), c)
-        with pytest.raises(BudgetExceeded):
-            one_row_value(spec, np.zeros(2), c)
-
-    def test_counter_accounting_exact(self):
-        spec = base_spec("sphere", 2)
-        c = counter()
-        for _ in range(7):
-            one_row_value(spec, np.zeros(2), c)
-        evaluate_batch(spec, np.zeros((5, 2)), c)
-        assert c.used == 12
+                evaluate_batch(spec, points)
 
     def test_batch_matches_single_evaluations(self):
         spec = make_suite(3, 6)[7]
         rng = np.random.default_rng(0)
         points = rng.uniform(-100, 100, size=(20, 6))
-        batch = evaluate_batch(spec, points, counter())
-        singles = [one_row_value(spec, p, counter()) for p in points]
+        batch = evaluate_batch(spec, points)
+        singles = [one_row_value(spec, p) for p in points]
         np.testing.assert_array_equal(batch, singles)
 
 
@@ -246,20 +217,20 @@ class TestSuiteInvariants:
         rng = np.random.default_rng(7)
         for spec in make_suite(0, 10):
             points = rng.uniform(-100, 100, size=(200, 10))
-            values = evaluate_batch(spec, points, counter())
+            values = evaluate_batch(spec, points)
             assert np.isfinite(values).all(), spec.id
 
     def test_optimum_exact_at_shift(self):
         for d in (8,) + SUITE_DIMS:
             for spec in make_suite(5, d):
-                assert one_row_value(spec, spec.fn.shift, counter()) == spec.f_opt, (spec.id, d)
+                assert one_row_value(spec, spec.fn.shift) == spec.f_opt, (spec.id, d)
 
     def test_values_never_below_f_opt(self):
         # required for the non-increasing error trace
         rng = np.random.default_rng(11)
         for spec in make_suite(2, 10):
             points = rng.uniform(-100, 100, size=(500, 10))
-            assert (evaluate_batch(spec, points, counter()) >= spec.f_opt).all(), spec.id
+            assert (evaluate_batch(spec, points) >= spec.f_opt).all(), spec.id
 
     def test_sphere_rotation_invariance(self):
         rng = np.random.default_rng(3)
@@ -267,8 +238,8 @@ class TestSuiteInvariants:
         rotated = base_spec("sphere", 10, shift=shift, rotation=random_rotation(rng, 10))
         plain = base_spec("sphere", 10, shift=shift)
         points = rng.uniform(-100, 100, size=(100, 10))
-        a = evaluate_batch(rotated, points, counter())
-        b = evaluate_batch(plain, points, counter())
+        a = evaluate_batch(rotated, points)
+        b = evaluate_batch(plain, points)
         for x, y in zip(a, b):
             assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -278,8 +249,8 @@ class TestSuiteInvariants:
             if spec.category != "composite":
                 continue
             points = rng.uniform(-100, 100, size=(300, 10))
-            total = evaluate_batch(spec, points, counter())
-            component_vals = spec.fn.component_values(points) + spec.f_opt
+            total = evaluate_batch(spec, points)
+            component_vals = component_values(spec.fn, points) + spec.f_opt
             assert (total >= component_vals.min(axis=1) - 1e-9).all(), spec.id
 
     def test_rotations_orthonormal_to_tolerance(self):
@@ -314,13 +285,13 @@ class TestBatchInvariance:
         embedded = np.empty(m * d + 1)[1:].reshape(m, d)  # one element into a larger buffer
         embedded[...] = points
         for spec in make_suite(suite_seed, d):
-            full = evaluate_batch(spec, points, counter())
-            alone = [evaluate_batch(spec, points[i : i + 1], counter())[0] for i in range(m)]
+            full = evaluate_batch(spec, points)
+            alone = [evaluate_batch(spec, points[i : i + 1])[0] for i in range(m)]
             assert_same_bits(alone, full, f"{spec.id} rows alone")
             for k in range(1, m):
-                assert_same_bits(evaluate_batch(spec, points[:k], counter()), full[:k], f"{spec.id} prefix {k}")
-                assert_same_bits(evaluate_batch(spec, points[k:], counter()), full[k:], f"{spec.id} offset {k}")
-            assert_same_bits(evaluate_batch(spec, embedded, counter()), full, f"{spec.id} embedded copy")
+                assert_same_bits(evaluate_batch(spec, points[:k]), full[:k], f"{spec.id} prefix {k}")
+                assert_same_bits(evaluate_batch(spec, points[k:]), full[k:], f"{spec.id} offset {k}")
+            assert_same_bits(evaluate_batch(spec, embedded), full, f"{spec.id} embedded copy")
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), d=st.sampled_from(SUITE_DIMS),
@@ -370,7 +341,7 @@ def composite_stacking_shifts(fn, points):
     sq_dist = np.sum((points[:, None, :] - shifts[None, :, :]) ** 2, axis=-1)
     sigmas = np.asarray(fn.sigmas)
     hit = sq_dist == 0.0
-    vals = fn.component_values(points)
+    vals = component_values(fn, points)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.exp(-sq_dist / (2.0 * d * sigmas**2)) / np.sqrt(sq_dist)
         wsum = w.sum(axis=1, keepdims=True)

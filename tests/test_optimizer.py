@@ -31,6 +31,37 @@ def small_config(**kw):
     return OptimizerConfig(**defaults)
 
 
+@pytest.fixture
+def rows_sent(monkeypatch):
+    """The row count of every `evaluate_batch` call a run makes, from the
+    initialization and from the iterations, in call order."""
+    import opsom.optimizer
+    import opsom.ortho_init
+
+    rows = []
+    original = opsom.optimizer.evaluate_batch
+
+    def spy(spec, points):
+        rows.append(len(points))
+        return original(spec, points)
+
+    for module in (opsom.optimizer, opsom.ortho_init):
+        monkeypatch.setattr(module, "evaluate_batch", spy)
+    return rows
+
+
+# every algorithm and ablation, with its initialization cost for n = 8 at
+# d = 10: the two-level array has 16 rows, uniform init scores n
+FLAG_SETS = [
+    (dict(algorithm="pso"), 8),
+    ({}, 16),
+    (dict(no_oa=True), 8),
+    (dict(no_archives=True), 16),
+    (dict(no_mutation=True), 16),
+    (dict(fixed_inertia=True), 16),
+]
+
+
 class TestConfig:
     def test_resolved_budget_default(self):
         assert OptimizerConfig().resolved_budget(10) == 100_000
@@ -124,25 +155,84 @@ class TestBudgetAccounting:
         assert rec.evaluations[0] == 8
 
     @pytest.mark.parametrize("algorithm, d, init_cost", [("pso", 10, 40), ("opsom", 10, 40), ("opsom", 50, 64)])
-    def test_one_evaluation_call_scores_every_initial_swarm(self, monkeypatch, algorithm, d, init_cost):
+    def test_one_evaluation_call_scores_every_initial_swarm(self, rows_sent, algorithm, d, init_cost):
         # a budget of exactly the initialization leaves no iteration, so the
         # initial swarms of all 3 runs are the only call
-        import opsom.optimizer
-        import opsom.ortho_init
-
-        calls = []
-        original = opsom.optimizer.evaluate_batch
-
-        def spy(spec, points, *counters):
-            calls.append((len(points), len(counters)))
-            return original(spec, points, *counters)
-
-        for module in (opsom.optimizer, opsom.ortho_init):
-            monkeypatch.setattr(module, "evaluate_batch", spy)
         spec = base_spec("rastrigin", d)
         records = run_cell([OptimizerConfig(algorithm=algorithm, budget=init_cost, seed=s) for s in range(3)], spec)
-        assert calls == [(3 * init_cost, 3)]
+        assert rows_sent == [3 * init_cost]
         assert [rec.evaluations.tolist() for rec in records] == [[init_cost]] * 3
+
+    @pytest.mark.parametrize("flags, init", FLAG_SETS)
+    def test_rows_sent_match_the_trace_within_budget(self, rows_sent, flags, init):
+        # the rows a cell of 3 runs really sends, counted at `evaluate_batch`:
+        # exactly what the trace records, never past any run's budget, and
+        # one sweep of n per iteration, which starts only if it ends below the budget
+        n = 8
+        for budget, iterations in ((init, 0), (init + n - 1, 0), (init + n, 0), (init + n + 1, 1),
+                                   (10 * n, (10 * n - init - 1) // n)):
+            rows_sent.clear()
+            records = run_cell([small_config(budget=budget, seed=s, **flags) for s in range(3)], SPEC)
+            rec = records[0]
+            assert sum(rows_sent) == 3 * rec.evaluations[-1] <= 3 * budget, (flags, budget)
+            assert rows_sent == [3 * init] + [3 * n] * iterations, (flags, budget)
+            assert all(r.evaluations.tolist() == rec.evaluations.tolist() for r in records)
+            assert budget - n <= rec.evaluations[-1] <= budget
+
+    def test_evaluations_accumulate_exactly(self, rows_sent):
+        # each run's count is its initialization plus n per iteration, and
+        # the trace's count after every iteration is the rows sent so far
+        for flags, init in FLAG_SETS:
+            rows_sent.clear()
+            records = run_cell([small_config(budget=500, seed=s, **flags) for s in range(3)], SPEC)
+            for rec in records:
+                np.testing.assert_array_equal(rec.evaluations, init + 8 * rec.iterations)
+                np.testing.assert_array_equal(3 * rec.evaluations, np.cumsum(rows_sent))
+
+    def test_rows_sent_equal_recorded_evaluations(self, rows_sent):
+        # over a whole experiment through the harness, every row scored is on
+        # some run's record, at d = 2 (init = n = 6) and d = 10 (16 array rows)
+        from opsom.harness import ExperimentConfig, execute
+
+        experiment = ExperimentConfig(dimensions=(2, 10), runs=2, algorithms=("opsom", "pso"),
+                                      optimizer=OptimizerConfig(population=6, budget=101))
+        records = [rec for cell in execute(experiment).values() for rec in cell]
+        assert len(records) == 2 * 10 * 2 * 2
+        assert sum(rows_sent) == sum(int(rec.evaluations[-1]) for rec in records)
+
+    def test_infeasible_budget_rejected_before_any_evaluation(self, rows_sent):
+        # a budget one short of the initialization fails the whole cell up
+        # front, so no row is ever scored past it
+        for flags, init in FLAG_SETS:
+            refusal = rf"budget {init - 1} cannot cover initialization \({init} evaluations\)"
+            with pytest.raises(ValueError, match=refusal):
+                run_cell([small_config(budget=init - 1, seed=s, **flags) for s in range(3)], SPEC)
+        assert rows_sent == []
+
+    def test_exhausted_budget_stops_the_run(self, rows_sent):
+        # a run stops at the first iteration whose sweep would reach the budget,
+        # for every budget from the initialization on
+        n = 8
+        for flags, init in FLAG_SETS[:2]:
+            for budget in range(init, init + 3 * n + 2):
+                rows_sent.clear()
+                rec = run(small_config(budget=budget, **flags), SPEC)
+                assert rec.evaluations[-1] <= budget < rec.evaluations[-1] + n + 1, (flags, budget)
+                assert len(rows_sent) == len(rec.iterations)
+
+    def test_unaffordable_sweep_is_never_started(self, rows_sent):
+        # with room for less than a whole sweep past initialization (or for one
+        # that would end exactly on the budget) the observer sees the initial
+        # swarm alone, and one more evaluation affords the first sweep
+        n = 8
+        for flags, init in FLAG_SETS:
+            for budget in (init + 1, init + n - 1, init + n):
+                rows_sent.clear()
+                seen = []
+                rec = run(small_config(budget=budget, **flags), SPEC, observer=lambda s, a: seen.append(s.iteration))
+                assert seen == [0] and rows_sent == [init] and rec.evaluations.tolist() == [init]
+            rec = run(small_config(budget=init + n + 1, **flags), SPEC)
+            assert rec.evaluations.tolist() == [init, init + n]
 
     def test_never_exceeds_budget(self):
         for budget in (56, 57, 99, 100, 101, 199):

@@ -6,7 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec, evaluate_batch
+from opsom import ortho_init
+from opsom.objective import SearchBounds, base_spec, evaluate_batch
+from opsom.optimizer import OptimizerConfig
 from opsom.ortho_init import (
     OrthogonalArray,
     array_shape,
@@ -14,8 +16,37 @@ from opsom.ortho_init import (
     construct_oa,
     format_oa,
     map_to_search_space,
-    verify_oa,
 )
+
+
+def verify_oa(oa: OrthogonalArray) -> bool:
+    """Exhaustively check strength-2 balance (and per-column level balance).
+
+    Returns False for malformed arrays instead of raising.
+    """
+    a = np.asarray(oa.entries)
+    alpha = oa.levels
+    if a.ndim != 2 or a.size == 0 or alpha < 2:
+        return False
+    if a.min() < 1 or a.max() > alpha:
+        return False
+    rows, cols = a.shape
+    if rows % alpha:
+        return False
+    per_level = rows // alpha
+    for c in range(cols):
+        if not (np.bincount(a[:, c] - 1, minlength=alpha) == per_level).all():
+            return False
+    if cols >= 2:
+        if rows % alpha**2:
+            return False
+        per_pair = rows // alpha**2
+        for c1 in range(cols):
+            for c2 in range(c1 + 1, cols):
+                codes = (a[:, c1] - 1) * alpha + (a[:, c2] - 1)
+                if not (np.bincount(codes, minlength=alpha**2) == per_pair).all():
+                    return False
+    return True
 
 
 def pair_balance_holds(entries, levels):
@@ -137,104 +168,120 @@ class TestMapping:
             map_to_search_space(oa, SearchBounds(), 4)
 
 
-def initial_swarm(n, spec, counter, seed, levels=2):
+def initial_swarm(n, spec, seed, levels=2):
     """One run's (n, d) swarm and (n,) fitness from `build_initial_swarm`."""
-    positions, fitness = build_initial_swarm(n, spec, [counter], [np.random.default_rng(seed)], levels=levels)
+    positions, fitness = build_initial_swarm(n, spec, [np.random.default_rng(seed)], levels=levels)
     return positions[0], fitness[0]
+
+
+@pytest.fixture
+def scored_rows(monkeypatch):
+    """The row count of every `evaluate_batch` call `build_initial_swarm` makes."""
+    rows = []
+    original = ortho_init.evaluate_batch
+
+    def spy(spec, points):
+        rows.append(len(points))
+        return original(spec, points)
+
+    monkeypatch.setattr(ortho_init, "evaluate_batch", spy)
+    return rows
 
 
 class TestBuildInitialSwarm:
     def test_exact_fit_keeps_all_rows(self):
         # n = 4, d = 3, two levels: the L4 array is the whole swarm
         spec = base_spec("sphere", 3)
-        positions, fitness = initial_swarm(4, spec, EvaluationCounter(budget=100), 0)
+        positions, fitness = initial_swarm(4, spec, 0)
         expected = map_to_search_space(construct_oa(2, 3), spec.bounds, 3)
         np.testing.assert_array_equal(np.sort(positions, axis=0), np.sort(expected, axis=0))
         assert len(fitness) == 4
 
-    def test_random_fill_when_array_is_small(self):
+    def test_random_fill_when_array_is_small(self, scored_rows):
         # d = 10 with two levels gives a 16-row array; 24 slots filled randomly
         spec = base_spec("rastrigin", 10)
-        c = EvaluationCounter(budget=1000)
-        positions, fitness = initial_swarm(40, spec, c, 1)
-        assert positions.shape == (40, 10) and c.used == 40
+        positions, fitness = initial_swarm(40, spec, 1)
+        assert positions.shape == (40, 10) and scored_rows == [40]
         expected = map_to_search_space(construct_oa(2, 10), spec.bounds, 10)
         np.testing.assert_array_equal(positions[:16], expected)
         assert ((positions >= -100) & (positions <= 100)).all()
 
-    def test_selection_keeps_best_of_surplus_rows(self):
+    def test_selection_keeps_best_of_surplus_rows(self, scored_rows):
         # n = 4, d = 2, three levels: 9 rows evaluated, best 4 kept
         spec = base_spec("sphere", 2, shift=np.array([10.0, -20.0]))
-        c = EvaluationCounter(budget=1000)
-        positions, fitness = initial_swarm(4, spec, c, 2, levels=3)
-        assert c.used == 9
+        positions, fitness = initial_swarm(4, spec, 2, levels=3)
+        assert scored_rows == [9]
         all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
-        all_fit = np.sort([evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in all_points])
+        all_fit = np.sort([evaluate_batch(spec, p[None, :])[0] for p in all_points])
         np.testing.assert_allclose(np.sort(fitness), all_fit[:4], rtol=0, atol=0)
 
     def test_no_discarded_point_beats_a_kept_one(self):
         spec = base_spec("rastrigin", 2, shift=np.array([5.0, 5.0]))
-        positions, fitness = initial_swarm(4, spec, EvaluationCounter(budget=1000), 3, levels=3)
+        positions, fitness = initial_swarm(4, spec, 3, levels=3)
         all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
-        all_fit = sorted(evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in all_points)
+        all_fit = sorted(evaluate_batch(spec, p[None, :])[0] for p in all_points)
         # kept set is exactly the 4 best of the 9 evaluated rows
         assert sorted(fitness) == all_fit[:4]
 
     def test_fitness_matches_reevaluation(self):
         spec = base_spec("ackley", 10, shift=np.full(10, 7.0))
-        positions, fitness = initial_swarm(40, spec, EvaluationCounter(budget=1000), 4)
-        again = [evaluate_batch(spec, p[None, :], EvaluationCounter(budget=1))[0] for p in positions]
+        positions, fitness = initial_swarm(40, spec, 4)
+        again = [evaluate_batch(spec, p[None, :])[0] for p in positions]
         np.testing.assert_array_equal(fitness, again)
 
     def test_deterministic_under_fixed_seed(self):
         spec = base_spec("griewank", 10)
-        a = initial_swarm(40, spec, EvaluationCounter(budget=1000), 5)
-        b = initial_swarm(40, spec, EvaluationCounter(budget=1000), 5)
+        a = initial_swarm(40, spec, 5)
+        b = initial_swarm(40, spec, 5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_no_array_is_one_uniform_draw(self):
+    def test_no_array_is_one_uniform_draw(self, scored_rows):
         spec = base_spec("ackley", 10, shift=np.full(10, 7.0))
-        c = EvaluationCounter(budget=1000)
         rng, again = np.random.default_rng(7), np.random.default_rng(7)
-        positions, fitness = build_initial_swarm(40, spec, [c], [rng])
+        positions, fitness = build_initial_swarm(40, spec, [rng])
         np.testing.assert_array_equal(positions[0], again.uniform(spec.bounds.lower, spec.bounds.upper, (40, 10)))
         assert rng.bit_generator.state == again.bit_generator.state
-        assert c.used == 40
+        assert scored_rows == [40]
 
     @pytest.mark.parametrize("d, levels", [
         (10, None),  # uniform init: every row drawn
         (10, 2),  # 16 array rows, 24 drawn
         (50, 2),  # 64 array rows, nothing drawn, best 40 kept
     ])
-    def test_stacked_runs_equal_one_run_calls(self, d, levels):
+    def test_stacked_runs_equal_one_run_calls(self, scored_rows, d, levels):
         spec = base_spec("rastrigin", d, shift=np.full(d, 3.0))
         seeds = (11, 12, 13)
-        counters = [EvaluationCounter(budget=10_000) for _ in seeds]
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        positions, fitness = build_initial_swarm(40, spec, counters, rngs, levels=levels)
+        positions, fitness = build_initial_swarm(40, spec, rngs, levels=levels)
         assert positions.shape == (3, 40, d) and fitness.shape == (3, 40)
         for r, seed in enumerate(seeds):
-            c, rng = EvaluationCounter(budget=10_000), np.random.default_rng(seed)
-            alone = build_initial_swarm(40, spec, [c], [rng], levels=levels)
+            rng = np.random.default_rng(seed)
+            alone = build_initial_swarm(40, spec, [rng], levels=levels)
             assert positions[r].tobytes() == alone[0][0].tobytes()
             assert fitness[r].tobytes() == alone[1][0].tobytes()
-            assert counters[r].used == c.used == (64 if d == 50 else 40)
             assert rngs[r].bit_generator.state == rng.bit_generator.state
+        # one call scores every run: max(n, array rows) rows each
+        rows = 64 if d == 50 else 40
+        assert scored_rows == [3 * rows] + [rows] * 3
         if d == 50:
             # the array covers n: the generators drew nothing
             assert all(rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
                        for rng, seed in zip(rngs, seeds))
 
     def test_budget_too_small(self):
-        spec = base_spec("sphere", 10)
-        with pytest.raises(BudgetExceeded):
-            initial_swarm(40, spec, EvaluationCounter(budget=30), 6)
+        # a run is refused before its initial swarm is built: n = 40 at d = 10
+        # scores 40 rows (the 16-row array topped up), 64 array rows at d = 50
+        for d, cost in ((10, 40), (50, 64)):
+            config = OptimizerConfig(population=40, budget=cost - 1)
+            refusal = rf"budget {cost - 1} cannot cover initialization \({cost} evaluations\)"
+            with pytest.raises(ValueError, match=refusal):
+                config.validate(base_spec("sphere", d))
 
     def test_rejects_odd_population(self):
         spec = base_spec("sphere", 2)
         with pytest.raises(ValueError):
-            initial_swarm(5, spec, EvaluationCounter(budget=100), 0)
+            initial_swarm(5, spec, 0)
 
 
 def test_format_oa_round_trip():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsom.objective import BudgetExceeded, EvaluationCounter, SearchBounds, base_spec
+from opsom.objective import SearchBounds, base_spec
 from opsom.optimizer import OptimizerConfig, _opsom_iteration, _uniform_block
 from opsom.swarm_core import (
     PsoParams,
@@ -34,7 +34,7 @@ def make_state(positions, velocities=None, fitness=None):
     return SwarmState(positions[None], velocities[None], fitness[None])
 
 
-def baseline_step(state, params, spec, counters, u):
+def baseline_step(state, params, spec, u):
     """One baseline PSO iteration of every run through the optimizer's step function.
 
     `u` is the (R, 2, n, d) block: each run's r1, then r2.  The block is cut
@@ -43,13 +43,13 @@ def baseline_step(state, params, spec, counters, u):
     config = OptimizerConfig(algorithm="pso", pso_params=params)
     block, u_slices = _uniform_block(config, *state.positions.shape)
     block[...] = np.reshape(u, block.shape)
-    _opsom_iteration(state, None, config, spec, counters, u_slices)
+    _opsom_iteration(state, None, config, spec, u_slices)
     return state
 
 
-def step(state, params, spec, counter, u):
-    """`baseline_step` on a one-run state, charging `counter`, with a (2, n, d) block."""
-    return baseline_step(state, params, spec, [counter], np.asarray(u)[None])
+def step(state, params, spec, u):
+    """`baseline_step` on a one-run state with a (2, n, d) block."""
+    return baseline_step(state, params, spec, np.asarray(u)[None])
 
 
 def split(state):
@@ -102,7 +102,7 @@ class TestSwarmState:
         np.testing.assert_array_equal(state.gbest_fitness, [1.0, 0.25])
         np.testing.assert_array_equal(state.gbest_position, [positions[0, 1], positions[1, 3]])
         run = state.view(1)
-        assert run.positions.shape == (4, 3) and run.gbest_fitness == 0.25 and run.n == 4 and run.dimension == 3
+        assert run.positions.shape == (4, 3) and run.gbest_fitness == 0.25 and run.n == 4
 
 
 class TestHandleBounds:
@@ -226,7 +226,7 @@ class TestPsoStep:
         # x == pbest == gbest and v == 0 stays put
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], fitness=[0.0])
-        step(state, PsoParams(), spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
+        step(state, PsoParams(), spec, np.random.default_rng(0).random((2, 1, 2)))
         np.testing.assert_array_equal(state.positions[0], [[0.0, 0.0]])
         np.testing.assert_array_equal(state.velocities[0], [[0.0, 0.0]])
 
@@ -234,7 +234,7 @@ class TestPsoStep:
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], velocities=[[1.0, 0.0]], fitness=[0.0])
         params = PsoParams(inertia=1.0, cognitive=0.0, social=0.0)
-        step(state, params, spec, EvaluationCounter(budget=100), np.random.default_rng(0).random((2, 1, 2)))
+        step(state, params, spec, np.random.default_rng(0).random((2, 1, 2)))
         np.testing.assert_array_equal(state.positions[0], [[1.0, 0.0]])
 
     def test_single_particle_matches_hand_formula(self):
@@ -246,7 +246,7 @@ class TestPsoStep:
         state.gbest_position = np.array([[0.0, 0.0]])
         state.gbest_fitness = np.array([0.0])
         params = PsoParams(inertia=0.5, cognitive=1.5, social=1.5)
-        step(state, params, spec, EvaluationCounter(budget=100), np.full((2, 1, 2), 0.5))
+        step(state, params, spec, np.full((2, 1, 2), 0.5))
         v = 0.5 * np.array([0.5, 0.25]) + 0.75 * (np.array([1.0, 1.0]) - [2.0, -1.0]) + 0.75 * (np.array([0.0, 0.0]) - [2.0, -1.0])
         np.testing.assert_allclose(state.velocities[0, 0], v, atol=1e-15)
         np.testing.assert_allclose(state.positions[0, 0], np.array([2.0, -1.0]) + v, atol=1e-15)
@@ -273,8 +273,8 @@ class TestPsoStep:
            inertia=st.floats(0.0, 1.0), cognitive=st.floats(0.0, 4.0), social=st.floats(0.0, 4.0),
            v_max_fraction=st.floats(0.01, 1.0))
     def test_step_bitwise_equal_to_baseline_formula(self, seed, runs, n, d, inertia, cognitive, social, v_max_fraction):
-        # every run of a cell follows the textbook step with its own gbest,
-        # uniforms and counter
+        # every run of a cell follows the textbook step with its own gbest
+        # and uniforms, and every particle of every run is scored once
         params = PsoParams(inertia, cognitive, social, v_max_fraction)
         rng = np.random.default_rng(seed)
         spec = base_spec("sphere", d)
@@ -284,9 +284,8 @@ class TestPsoStep:
         state.pbest_positions = pbest.copy()
         u = rng.random((runs, 2, n, d))
         vmax = params.v_max(spec.bounds)
-        counters = [EvaluationCounter(budget=n) for _ in range(runs)]
-        baseline_step(state, params, spec, counters, u)
-        assert [c.used for c in counters] == [n] * runs
+        baseline_step(state, params, spec, u)
+        assert state.fitness.tobytes() == np.add.reduce(state.positions**2, 2).tobytes()
         for r in range(runs):
             gbest = x[r, (x[r] ** 2).sum(1).argmin()]
             velocity = np.clip(
@@ -298,36 +297,21 @@ class TestPsoStep:
             assert state.positions[r].tobytes() == np.clip(position, -100.0, 100.0).tobytes()
             assert state.velocities[r].tobytes() == np.where(outside, 0.0, velocity).tobytes()
 
-    def test_unaffordable_sweep_raises_and_leaves_state_untouched(self):
-        # the run loop only starts affordable sweeps; a direct call that cannot
-        # pay for all n evaluations fails before any particle moves
-        spec = base_spec("sphere", 2)
-        for budget in (0, 2):
-            state = make_state([[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]], velocities=np.ones((3, 2)))
-            before = state.positions.copy()
-            c = EvaluationCounter(budget=budget)
-            with pytest.raises(BudgetExceeded):
-                step(state, PsoParams(), spec, c, np.random.default_rng(1).random((2, 3, 2)))
-            np.testing.assert_array_equal(state.positions, before)
-            np.testing.assert_array_equal(state.velocities, np.ones((1, 3, 2)))
-            assert state.iteration == 0 and c.used == 0
-
     def test_invariants_over_many_steps(self):
         spec = base_spec("rastrigin", 5, shift=np.full(5, 10.0))
         rng = np.random.default_rng(2)
         positions = rng.uniform(-100, 100, size=(8, 5))
         state = make_state(positions, fitness=[float(f) for f in (positions**2).sum(axis=1)])
-        c = EvaluationCounter(budget=10_000)
         params = PsoParams()
         vmax = params.v_max(spec.bounds)
-        last_gbest = state.gbest_fitness
+        last_gbest = state.gbest_fitness.copy()
         last_pbest = state.pbest_fitness.copy()
         for _ in range(50):
-            step(state, params, spec, c, rng.random((2, 8, 5)))
+            step(state, params, spec, rng.random((2, 8, 5)))
             assert ((state.positions >= -100) & (state.positions <= 100)).all()
             assert (np.abs(state.velocities) <= vmax).all()
             assert (state.gbest_fitness <= last_gbest).all()
             assert (state.pbest_fitness <= last_pbest).all()
-            last_gbest = state.gbest_fitness
+            last_gbest = state.gbest_fitness.copy()
             last_pbest = state.pbest_fitness.copy()
-        assert c.used == 50 * 8
+        assert state.iteration == 50
