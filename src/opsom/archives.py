@@ -77,8 +77,6 @@ class ArchiveSet:
     """
 
     def __init__(self, runs: int, population_size: int, dimension: int):
-        if population_size < 2 or population_size % 2:
-            raise ValueError(f"population size must be even and >= 2, got {population_size}")
         half = self.phi_capacity = population_size // 2
         cap = self.psi_capacity = self.chi_capacity = population_size
         self.positions = np.zeros((runs, half + 2 * cap, dimension))

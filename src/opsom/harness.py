@@ -113,13 +113,17 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
 
     Each such cell's runs advance in lockstep as one task; with jobs > 1 the
     cells are distributed over worker processes.  Results are identical to a
-    sequential execution.
+    sequential execution.  Every (dimension, algorithm) setting is validated
+    before the first cell runs, so a setting bad at any dimension runs nothing.
     """
     cells: list[list[OptimizerConfig]] = []
     specs: list[ObjectiveSpec] = []
     keys: list[tuple[str, int, str]] = []
     for dim in config.dimensions:
-        for spec in make_suite(config.suite_seed, dim):
+        suite = make_suite(config.suite_seed, dim)
+        for algo in config.algorithms:
+            config.optimizer_for(algo, config.base_seed).validate(suite[0])
+        for spec in suite:
             for algo in config.algorithms:
                 cells.append([config.optimizer_for(algo, run_seed(config.base_seed, r)) for r in range(config.runs)])
                 specs.append(spec)

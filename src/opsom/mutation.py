@@ -16,15 +16,13 @@ from .swarm_core import particle_index, run_index
 
 
 def draw_partners(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each j in 0..m-1, a uniform pair (g, h) with j, g, h all distinct.
+    """For each j in 0..m-1 (m >= 3), a uniform pair (g, h) with j, g, h all distinct.
 
     `u` is (R, 2, m) uniforms in [0, 1), one (2, m) block per run: g is the
     `int(u[r, 0] * (m - 1))`-th index other than j, h the
     `int(u[r, 1] * (m - 2))`-th index other than j and g.  Returns (R, m) g and h.
     """
     runs, _, m = u.shape
-    if m < 3:
-        raise ValueError(f"need at least 3 elites to draw distinct partners, got {m}")
     j = particle_index(runs, m)
     g = (u[:, 0] * (m - 1)).astype(np.intp)
     g += g >= j

@@ -82,16 +82,13 @@ def schwefel(z):
     d = z.shape[-1]
     u = z + _SCHWEFEL_MU
     g = u * np.sin(np.sqrt(np.abs(u)))
-    hi = u > 500.0
-    if hi.any():
-        uh = u[hi]
-        m = np.mod(uh, 500.0)
-        g[hi] = (500.0 - m) * np.sin(np.sqrt(np.abs(500.0 - m))) - (uh - 500.0) ** 2 / (10000.0 * d)
-    lo = u < -500.0
-    if lo.any():
-        ul = u[lo]
-        m = np.mod(np.abs(ul), 500.0)
-        g[lo] = (m - 500.0) * np.sin(np.sqrt(np.abs(m - 500.0))) - (ul + 500.0) ** 2 / (10000.0 * d)
+    out = np.abs(u) > 500.0
+    if out.any():
+        # one fold for both sides, exactly: fl(m - 500) = -fl(500 - m), fl(u + 500)^2 = fl(|u| - 500)^2
+        uo = u[out]
+        a = np.abs(uo)
+        m = np.mod(a, 500.0)
+        g[out] = np.sign(uo) * ((500.0 - m) * np.sin(np.sqrt(500.0 - m))) - (a - 500.0) ** 2 / (10000.0 * d)
     return np.add.reduce(_SCHWEFEL_PEAK - g, -1)
 
 

@@ -22,7 +22,7 @@ particle order.
 
 Random stream: each run keeps its own generator, and initialization draws
 from it first.  After that each run's generator fills that run's row of an
-(R, K) block with exactly one `random(K)` call per iteration, and the step
+(R, B) block with exactly one `random(B)` call per iteration, and the step
 function, which draws nothing itself, reads row r for run r.  The block is
 cut, in this order, into
   guide uniforms        3*m      (none without archives),
@@ -31,11 +31,11 @@ cut, in this order, into
   mutation deltas       2*e*d,
   eviction uniforms     n + 1    (none without archives),
 where n is the population, m the number of learners (n/2, or n with no
-mutation) and e the number of mutated elites (n - m).  K depends only on n, d
-and the flags; the baseline's block is (2, n, d): r1, then r2.  A uniform u
-picks index `int(u * size)`.  Into a full archive, particle i's psi push
-overwrites the slot picked by eviction uniform i, and the chi push the slot
-picked by the last one.
+mutation) and e the number of mutated elites (n - m).  Their sum, the width
+B, depends only on n, d and the flags; the baseline's block is (2, n, d): r1,
+then r2.  A uniform u picks index `int(u * size)`.  Into a full archive,
+particle i's psi push overwrites the slot picked by eviction uniform i, and
+the chi push the slot picked by the last one.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class OptimizerConfig:
         return self.algorithm == "opsom" and not self.no_mutation
 
     def validate(self, spec: ObjectiveSpec) -> int:
-        """Check the config against `spec`; return the evaluations initialization costs each run."""
+        """The one check of a run's settings, against `spec`; return the evaluations initialization costs each run."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.population < 6 or self.population % 2:
@@ -104,7 +104,7 @@ class OptimizerConfig:
         if self.fixed_inertia and self.no_archives:  # the no-archives velocity always takes the inertia
             raise ValueError("fixed_inertia has no effect with no_archives")
         # orthogonal init scores every array row, topping up to n when the array
-        # is smaller; the level count is checked whether or not the array is used
+        # is smaller; the level count and row cap are checked whether or not the array is used
         rows = array_shape(self.oa_levels, spec.dimension)[1]
         init_cost = max(self.population, rows) if self.uses_oa else self.population
         budget = self.resolved_budget(spec.dimension)
@@ -202,7 +202,7 @@ def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
 
 
 def _uniform_block(config: OptimizerConfig, runs: int, n: int, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """An empty (R, K) uniform block and views of its guide, velocity,
+    """An empty (R, B) uniform block and views of its guide, velocity,
     partner-and-delta and eviction slices, cut as the module docstring states."""
     m = n // 2 if config.uses_mutation else n
     e = n - m
@@ -221,9 +221,10 @@ def _opsom_iteration(
     u: list[np.ndarray],
 ) -> None:
     """One iteration of every run: learner sweep, elite mutation, bests, archive updates.
+    It writes the state's positions and velocities in place.
 
     `u` holds the guide, velocity, partner-and-delta and eviction slices of
-    the (R, K) uniform block, run r's in row r, cut by `_uniform_block`.
+    the (R, B) uniform block, run r's in row r, cut by `_uniform_block`.
     With every strategy off this is one baseline PSO step, and `archives` is
     never read.
     """
@@ -251,22 +252,13 @@ def _opsom_iteration(
     velocity = velocity_update(
         V[learners], x, guides, state.gbest_position[:, None], params.v_max(spec.bounds), a, b, c
     )
-    position, velocity = handle_bounds(x + velocity, velocity, spec.bounds)
+    X[learners], V[learners] = handle_bounds(x + velocity, velocity, spec.bounds)
     if mutating:
-        # learners and mutated elites together cover every row; elites take
-        # positions mutated from the iteration-start snapshot and keep their velocities
-        new_positions = np.empty_like(X)
-        new_velocities = V.copy()
-        new_positions[learners] = position
-        new_velocities[learners] = velocity
-        new_positions[rows, elite_idx] = mutate_elites(
-            X[rows, elite_idx], archives.phi_positions, spec.bounds, mutation_u
-        )
-        position, velocity = new_positions, new_velocities
+        # learners and elites are disjoint, so the elites mutate from their
+        # iteration-start positions; they keep their velocities
+        X[rows, elite_idx] = mutate_elites(X[rows, elite_idx], archives.phi_positions, spec.bounds, mutation_u)
 
-    state.fitness = evaluate_batch(spec, position.reshape(-1, d)).reshape(runs, n)
-    state.positions = position
-    state.velocities = velocity
+    state.fitness = evaluate_batch(spec, X.reshape(-1, d)).reshape(runs, n)
     improved, better = update_bests(state)
     state.iteration += 1
     _update_archives(archives, state, config, improved, better, evict_u)
@@ -292,7 +284,8 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
     """Run the configured algorithm on one problem and return its trace.
 
     `observer(state, archives)` is called after initialization and after every
-    iteration; it reads the live state and archives and must not modify them.
+    iteration; it reads the live state and archives, which are overwritten in
+    place, so it copies what it keeps, and it must not modify them.
     """
     return run_cell([config], spec, observer)[0]
 

@@ -48,12 +48,14 @@ def _is_prime(n: int) -> bool:
 
 
 def array_shape(levels: int, min_factors: int) -> tuple[int, int, int]:
-    """Smallest (J, rows, cols) of the family with cols >= min_factors, for a prime level count."""
+    """Smallest (J, rows, cols) of the family with cols >= min_factors; levels prime, rows <= ROW_CAP."""
     if not _is_prime(levels):
         raise ValueError(f"level count must be prime, got {levels}")
     j = 1
     while (levels**j - 1) // (levels - 1) < min_factors:
         j += 1
+    if levels**j > ROW_CAP:
+        raise ValueError(f"array would need {levels**j} rows, exceeding the cap of {ROW_CAP}")
     return j, levels**j, (levels**j - 1) // (levels - 1)
 
 
@@ -68,8 +70,6 @@ def construct_oa(levels: int, min_factors: int) -> OrthogonalArray:
     if min_factors < 1:
         raise ValueError("min_factors must be at least 1")
     j_cols, rows, cols = array_shape(levels, min_factors)
-    if rows > ROW_CAP:
-        raise ValueError(f"array would need {rows} rows, exceeding the cap of {ROW_CAP}")
 
     a = np.zeros((rows, cols), dtype=np.int64)
     row_index = np.arange(rows)
@@ -86,12 +86,9 @@ def map_to_search_space(oa: OrthogonalArray, bounds: SearchBounds, dimension: in
     """Map the first `dimension` columns of every row into the search box.
 
     Level 1 maps exactly onto the lower bound and level alpha exactly onto the
-    upper bound; intermediate levels interpolate linearly.
+    upper bound; intermediate levels interpolate linearly.  The array needs
+    at least `dimension` columns, as `construct_oa(levels, dimension)` gives.
     """
-    if oa.cols < dimension:
-        raise ValueError(f"array has {oa.cols} factors, need at least {dimension}")
-    if oa.levels < 2:
-        raise ValueError("mapping requires at least two levels")
     frac = (oa.entries[:, :dimension] - 1) / (oa.levels - 1)
     points = (1.0 - frac) * bounds.lower + frac * bounds.upper
     return np.clip(points, bounds.lower, bounds.upper)
@@ -110,10 +107,8 @@ def build_initial_swarm(
     then its generator fills up to n rows uniformly in the bounds, so each
     run scores max(n, array rows) points.  One batch scores all runs.  When
     the array has at least n rows, each run keeps its n fittest, in stable
-    fitness order.
+    fitness order.  `OptimizerConfig.validate` checks n and the levels.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"population size must be even and >= 2, got {n}")
     d = spec.dimension
     points = np.empty((0, d)) if levels is None else map_to_search_space(construct_oa(levels, d), spec.bounds, d)
     fill = (max(n - len(points), 0), d)

@@ -130,8 +130,6 @@ def sort_and_split(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
     Elite is the better half; ties are broken toward the lower particle index.
     Both returned (R, n/2) index arrays are in ascending-fitness order.
     """
-    if state.n % 2:
-        raise ValueError(f"population size must be even, got {state.n}")
     order = state.fitness.argsort(kind="stable")
     half = state.n // 2
     return order[:, :half], order[:, half:]

@@ -51,10 +51,6 @@ class TestArchiveSet:
         run = a.view(0)
         assert len(run.psi) == len(run.chi) == 0
 
-    def test_rejects_odd_population(self):
-        with pytest.raises(ValueError):
-            ArchiveSet(1, 7, 2)
-
     def test_runs_have_separate_fill_counts(self):
         a = ArchiveSet(3, 4, 2)
         with pytest.raises(TypeError, match="one fill count per run"):

@@ -3,6 +3,7 @@ parallel execution, and the CLI."""
 
 import hashlib
 import os
+import re
 from dataclasses import replace
 import statistics
 import subprocess
@@ -165,7 +166,43 @@ SMALL = dict(
 )
 
 
+# 17 levels give a 289-row array at d = 10 but need 4913 rows at d = 30
+LATE_REFUSAL = "array would need 4913 rows, exceeding the cap of 4096"
+
+
+@pytest.fixture
+def work_started(monkeypatch):
+    """The names of `run_cell`, `evaluate_batch` and the worker pool, once per call, in call order."""
+    import opsom.optimizer
+    import opsom.ortho_init
+
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(harness, "run_cell")
+    spy(harness, "ProcessPoolExecutor")
+    spy(opsom.optimizer, "evaluate_batch")
+    spy(opsom.ortho_init, "evaluate_batch")
+    return calls
+
+
 class TestExecute:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_setting_bad_at_a_later_dimension_is_refused_before_any_cell(self, work_started, jobs):
+        config = ExperimentConfig(dimensions=(10, 30), runs=3, algorithms=("opsom", "pso"),
+                                  optimizer=OptimizerConfig(budget=20_000, oa_levels=17), jobs=jobs)
+        with pytest.raises(ValueError, match=LATE_REFUSAL):
+            execute(config)
+        assert work_started == []
+
     def test_grouping_and_pairing(self):
         grouped = execute(ExperimentConfig(**SMALL))
         assert len(grouped) == 10 * 2
@@ -418,6 +455,25 @@ class TestCli:
         assert status == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_setting_bad_at_a_later_dimension_exits_1_before_any_run(self, tmp_path, capsys, work_started, jobs):
+        # every d = 10 cell used to run before the d = 30 refusal
+        out = tmp_path / "late"
+        status = main(["run", "--algo", "opsom,pso", "--dim", "10,30", "--runs", "3", "--budget", "20000",
+                       "--oa-levels", "17", "--jobs", jobs, "--out", str(out)])
+        assert status == 1
+        assert f"error: {LATE_REFUSAL}" in capsys.readouterr().err
+        assert work_started == [] and not out.exists()
+
+    def test_readme_python_examples_run_as_written(self):
+        # the blocks build on each other, so they run in order in one namespace
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+        assert len(blocks) >= 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
 
     def test_unwritable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -117,10 +117,6 @@ class TestEliteMutate:
             positions[2] = out
             x = out
 
-    def test_rejects_small_subgroup(self):
-        with pytest.raises(ValueError):
-            mutate_run(elites([0.0], [1.0]), np.zeros((2, 1)), BOUNDS, np.zeros(8))
-
     def test_random_partners_come_from_the_elite_subgroup(self):
         # with delta1 = 0, delta2 = 1 the step is exactly x_g - x_h; it must
         # always match a pair of elite peers distinct from each other and j
@@ -147,10 +143,6 @@ class TestDrawPartners:
                 j = np.arange(m)
                 assert (g != j).all() and (h != j).all() and (g != h).all()
                 assert (0 <= g).all() and (g < m).all() and (0 <= h).all() and (h < m).all()
-
-    def test_rejects_small_subgroup(self):
-        with pytest.raises(ValueError):
-            pairs(np.random.default_rng(0).random((2, 2)))
 
     def test_pairs_roughly_uniform(self):
         rng = np.random.default_rng(4)

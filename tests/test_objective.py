@@ -322,6 +322,22 @@ def schwefel_three_branch(z):
     return np.sum(_SCHWEFEL_PEAK - g, axis=-1)
 
 
+def schwefel_two_branch(z):
+    # the fold above +500 and the fold below -500 as separate branches
+    d = z.shape[-1]
+    u = z + _SCHWEFEL_MU
+    g = u * np.sin(np.sqrt(np.abs(u)))
+    hi = u > 500.0
+    uh = u[hi]
+    m = np.mod(uh, 500.0)
+    g[hi] = (500.0 - m) * np.sin(np.sqrt(np.abs(500.0 - m))) - (uh - 500.0) ** 2 / (10000.0 * d)
+    lo = u < -500.0
+    ul = u[lo]
+    m = np.mod(np.abs(ul), 500.0)
+    g[lo] = (m - 500.0) * np.sin(np.sqrt(np.abs(m - 500.0))) - (ul + 500.0) ** 2 / (10000.0 * d)
+    return np.add.reduce(_SCHWEFEL_PEAK - g, -1)
+
+
 def ackley_mean_form(z):
     rms = np.sqrt(np.mean(z * z, axis=-1))
     mean_cos = np.mean(np.cos(2.0 * np.pi * z), axis=-1)
@@ -391,6 +407,19 @@ class TestKernelOracles:
         k = min(z.size, len(SCHWEFEL_EDGES))
         z.flat[rng.choice(z.size, k, replace=False)] = SCHWEFEL_EDGES[:k]
         assert_same_bits(schwefel(z), schwefel_three_branch(z), "schwefel")
+
+    @pytest.mark.parametrize("d", SUITE_DIMS)
+    def test_schwefel_one_fold_matches_two_branch_form(self, d):
+        # 10 000 rows reaching both folds, with every edge coordinate and a row at the optimum
+        rng = np.random.default_rng(d)
+        z = rng.uniform(-1000.0, 1000.0, (10_000, d))
+        z[0] = 0.0
+        z[1:].flat[rng.choice(z.size - d, len(SCHWEFEL_EDGES), replace=False)] = SCHWEFEL_EDGES
+        u = z + _SCHWEFEL_MU
+        assert (u > 500.0).any() and (u < -500.0).any() and (u == 500.0).any()
+        values = schwefel(z)
+        assert_same_bits(values, schwefel_two_branch(z), f"schwefel d={d}")
+        assert values[0] == 0.0
 
     def test_schwefel_edge_coordinates_reach_the_fold(self):
         # the edges put u on both sides of each fold and exactly on +500; no

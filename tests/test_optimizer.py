@@ -91,6 +91,13 @@ class TestConfig:
                     OptimizerConfig(oa_levels=levels, **kw).validate(SPEC)
             OptimizerConfig(oa_levels=3, **kw).validate(SPEC)
 
+    def test_rejects_an_array_over_the_row_cap_at_the_spec_dimension(self):
+        # 17 levels: 289 rows cover d = 10, d = 30 needs 4913; checked with or without the array
+        for kw in ({}, dict(no_oa=True), dict(algorithm="pso")):
+            OptimizerConfig(oa_levels=17, **kw).validate(base_spec("sphere", 10))
+            with pytest.raises(ValueError, match="array would need 4913 rows, exceeding the cap of 4096"):
+                OptimizerConfig(oa_levels=17, **kw).validate(base_spec("sphere", 30))
+
     def test_rejects_infeasible_budget(self):
         # orthogonal init scores max(n, array rows): 16 rows at d = 10, 64 at d = 50;
         # uniform init (pso, or no_oa) scores exactly n

@@ -162,11 +162,6 @@ class TestMapping:
                 assert (points[oa.entries[:, :4] == 1] == lo).all()
                 assert (points[oa.entries[:, :4] == levels] == hi).all()
 
-    def test_insufficient_factors(self):
-        oa = construct_oa(2, 3)
-        with pytest.raises(ValueError, match="factors"):
-            map_to_search_space(oa, SearchBounds(), 4)
-
 
 def initial_swarm(n, spec, seed, levels=2):
     """One run's (n, d) swarm and (n,) fitness from `build_initial_swarm`."""
@@ -277,11 +272,6 @@ class TestBuildInitialSwarm:
             refusal = rf"budget {cost - 1} cannot cover initialization \({cost} evaluations\)"
             with pytest.raises(ValueError, match=refusal):
                 config.validate(base_spec("sphere", d))
-
-    def test_rejects_odd_population(self):
-        spec = base_spec("sphere", 2)
-        with pytest.raises(ValueError):
-            initial_swarm(5, spec, 0)
 
 
 def test_format_oa_round_trip():

@@ -215,11 +215,6 @@ class TestSortAndSplit:
         np.testing.assert_array_equal(elite, [[1, 3], [0, 1]])
         np.testing.assert_array_equal(regular, [[0, 2], [2, 3]])
 
-    def test_rejects_odd_population(self):
-        state = make_state(np.zeros((3, 2)), fitness=[1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            sort_and_split(state)
-
 
 class TestPsoStep:
     def test_fixed_point_when_all_terms_vanish(self):
