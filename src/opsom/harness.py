@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .objective import ObjectiveSpec, describe_suite, make_suite
-from .optimizer import ALGORITHMS, OptimizerConfig, RunRecord, exploration_ratio, run_cell
+from .optimizer import OptimizerConfig, RunRecord, exploration_ratio, run_cell
 from .ortho_init import construct_oa, format_oa
 from .swarm_core import PsoParams
 
@@ -62,9 +62,6 @@ class ExperimentConfig:
         for name, values in (("algorithm", self.algorithms), ("dimension", self.dimensions)):
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} list must be non-empty without repeats, got {list(values)}")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
         # the ablations switch off opsom's strategies; pso has none to switch off
         ablated = [f for f in ("no_oa", "no_archives", "no_mutation", "fixed_inertia") if getattr(self.optimizer, f)]
         if ablated and "opsom" not in self.algorithms:
@@ -73,39 +70,19 @@ class ExperimentConfig:
         if levels != OptimizerConfig.oa_levels and ("opsom" not in self.algorithms or self.optimizer.no_oa):
             raise ValueError(f"oa_levels={levels} has no effect: no run uses the orthogonal array")
 
-    def optimizer_for(self, algorithm: str, seed: int) -> OptimizerConfig:
-        return replace(self.optimizer, algorithm=algorithm, seed=seed)
 
-
-@dataclass
-class SummaryStats:
-    """Order statistics of final best-of-run errors for one experiment cell."""
-
-    best: float
-    worst: float
-    median: float
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not self.best <= self.median <= self.worst:
-            raise ValueError("statistics out of order")
-        if self.std < 0.0:
-            raise ValueError("standard deviation must be non-negative")
-
-
-def summarize(errors) -> SummaryStats:
-    """Exact order statistics plus sample standard deviation (n-1 denominator)."""
+def summarize(errors) -> dict[str, float]:
+    """Best, median, mean, worst and sample standard deviation (n-1 denominator), in `summary.txt` order."""
     errors = np.asarray(list(errors), dtype=float)
     if errors.size == 0:
         raise ValueError("cannot summarize an empty cell")
-    return SummaryStats(
-        best=float(errors.min()),
-        worst=float(errors.max()),
-        median=float(np.median(errors)),
-        mean=float(errors.mean()),
-        std=float(errors.std(ddof=1)) if errors.size > 1 else 0.0,
-    )
+    return {
+        "best": float(errors.min()),
+        "median": float(np.median(errors)),
+        "mean": float(errors.mean()),
+        "worst": float(errors.max()),
+        "std": float(errors.std(ddof=1)) if errors.size > 1 else 0.0,
+    }
 
 
 def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunRecord]]:
@@ -122,17 +99,19 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
     for dim in config.dimensions:
         suite = make_suite(config.suite_seed, dim)
         for algo in config.algorithms:
-            config.optimizer_for(algo, config.base_seed).validate(suite[0])
+            replace(config.optimizer, algorithm=algo, seed=config.base_seed).validate(suite[0])
         for spec in suite:
             for algo in config.algorithms:
-                cells.append([config.optimizer_for(algo, run_seed(config.base_seed, r)) for r in range(config.runs)])
+                cells.append([replace(config.optimizer, algorithm=algo, seed=run_seed(config.base_seed, r))
+                              for r in range(config.runs)])
                 specs.append(spec)
                 keys.append((spec.id, dim, algo))
     if config.jobs > 1:
         # costlier cells come last (higher dimensions, and the suite's hybrid
         # and composite functions), so the pool takes them first and the
-        # cheap ones even out the end
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # cheap ones even out the end; a forking pool starts every worker at
+        # the first submit, so it gets no more workers than cells
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(cells))) as pool:
             records = list(pool.map(run_cell, cells[::-1], specs[::-1], chunksize=1))[::-1]
     else:
         records = list(map(run_cell, cells, specs))
@@ -154,11 +133,8 @@ def format_convergence_csv(record: RunRecord) -> str:
 def _summary_line(key: tuple[str, int, str], records: list[RunRecord]) -> str:
     stats = summarize([rec.best_error for rec in records])
     func, dim, algo = key
-    return (
-        f"function={func} dim={dim} algo={algo} runs={len(records)} budget={records[0].budget} "
-        f"best={stats.best!r} median={stats.median!r} mean={stats.mean!r} "
-        f"worst={stats.worst!r} std={stats.std!r}"
-    )
+    head = f"function={func} dim={dim} algo={algo} runs={len(records)} budget={records[0].budget}"
+    return " ".join([head, *(f"{name}={value!r}" for name, value in stats.items())])
 
 
 def write_outputs(config: ExperimentConfig, grouped: dict[tuple[str, int, str], list[RunRecord]]) -> Path:

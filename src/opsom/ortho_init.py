@@ -15,30 +15,12 @@ rejects `--no-oa` when only pso runs, as it would change nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .objective import ObjectiveSpec, SearchBounds, evaluate_batch
 from .swarm_core import run_index
 
 ROW_CAP = 4096
-
-
-@dataclass(eq=False)
-class OrthogonalArray:
-    """A rows x cols matrix over levels {1..alpha} with strength-2 balance."""
-
-    levels: int
-    entries: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 def _is_prime(n: int) -> bool:
@@ -49,6 +31,9 @@ def _is_prime(n: int) -> bool:
 
 def array_shape(levels: int, min_factors: int) -> tuple[int, int, int]:
     """Smallest (J, rows, cols) of the family with cols >= min_factors; levels prime, rows <= ROW_CAP."""
+    # an array has levels**J >= levels rows; refusing here spares a huge primality test
+    if levels > ROW_CAP:
+        raise ValueError(f"array would need at least {levels} rows, exceeding the cap of {ROW_CAP}")
     if not _is_prime(levels):
         raise ValueError(f"level count must be prime, got {levels}")
     j = 1
@@ -59,9 +44,10 @@ def array_shape(levels: int, min_factors: int) -> tuple[int, int, int]:
     return j, levels**j, (levels**j - 1) // (levels - 1)
 
 
-def construct_oa(levels: int, min_factors: int) -> OrthogonalArray:
+def construct_oa(levels: int, min_factors: int) -> np.ndarray:
     """Construct the smallest strength-2 array with at least `min_factors` columns.
 
+    The result is a (rows, cols) int array over the levels 1..`levels`.
     Basic column k sits at index (levels**(k-1) - 1)/(levels - 1) and cycles
     through the levels in blocks; every other column is a mod-levels linear
     combination of an earlier column with the nearest basic column to its left.
@@ -79,17 +65,17 @@ def construct_oa(levels: int, min_factors: int) -> OrthogonalArray:
         for s in range(basic):
             for t in range(1, levels):
                 a[:, basic + s * (levels - 1) + t] = (a[:, s] * t + a[:, basic]) % levels
-    return OrthogonalArray(levels=levels, entries=a + 1)
+    return a + 1
 
 
-def map_to_search_space(oa: OrthogonalArray, bounds: SearchBounds, dimension: int) -> np.ndarray:
-    """Map the first `dimension` columns of every row into the search box.
+def map_to_search_space(oa: np.ndarray, levels: int, bounds: SearchBounds, dimension: int) -> np.ndarray:
+    """Map the first `dimension` columns of every row of a `levels`-level array into the search box.
 
-    Level 1 maps exactly onto the lower bound and level alpha exactly onto the
-    upper bound; intermediate levels interpolate linearly.  The array needs
+    Level 1 maps exactly onto the lower bound and level `levels` exactly onto
+    the upper bound; intermediate levels interpolate linearly.  The array needs
     at least `dimension` columns, as `construct_oa(levels, dimension)` gives.
     """
-    frac = (oa.entries[:, :dimension] - 1) / (oa.levels - 1)
+    frac = (oa[:, :dimension] - 1) / (levels - 1)
     points = (1.0 - frac) * bounds.lower + frac * bounds.upper
     return np.clip(points, bounds.lower, bounds.upper)
 
@@ -110,7 +96,8 @@ def build_initial_swarm(
     fitness order.  `OptimizerConfig.validate` checks n and the levels.
     """
     d = spec.dimension
-    points = np.empty((0, d)) if levels is None else map_to_search_space(construct_oa(levels, d), spec.bounds, d)
+    points = (np.empty((0, d)) if levels is None
+              else map_to_search_space(construct_oa(levels, d), levels, spec.bounds, d))
     fill = (max(n - len(points), 0), d)
     positions = np.stack([np.vstack([points, rng.uniform(spec.bounds.lower, spec.bounds.upper, fill)]) for rng in rngs])
     fitness = evaluate_batch(spec, positions.reshape(-1, d)).reshape(len(rngs), -1)
@@ -121,6 +108,6 @@ def build_initial_swarm(
     return positions[rows, keep], fitness[rows, keep]
 
 
-def format_oa(oa: OrthogonalArray) -> str:
+def format_oa(oa: np.ndarray) -> str:
     """Render an array as rows of space-separated levels."""
-    return "\n".join(" ".join(str(v) for v in row) for row in oa.entries) + "\n"
+    return "\n".join(" ".join(str(v) for v in row) for row in oa) + "\n"

@@ -62,7 +62,7 @@ def test_criterion_1_oa_validity():
     for levels, j in ARRAY_FAMILY:
         factors = (levels**j - 1) // (levels - 1)
         oa = construct_oa(levels, factors)
-        all_valid &= oa.rows == levels**j and verify_oa(oa)
+        all_valid &= len(oa) == levels**j and verify_oa(oa, levels)
     elapsed = time.perf_counter() - start
     check(1, "OA validity by exhaustive pair enumeration", all_valid and elapsed < 1.0,
           f"(7 arrays in {elapsed * 1000:.0f} ms)")
@@ -73,10 +73,10 @@ def test_criterion_2_mapping_exactness():
     for levels, j in ARRAY_FAMILY:
         oa = construct_oa(levels, (levels**j - 1) // (levels - 1))
         for lo, hi in [(-100.0, 100.0), (0.0, 1.0), (-5.0, 3.0), (0.1, 0.3)]:
-            points = map_to_search_space(oa, SearchBounds(lo, hi), oa.cols)
+            points = map_to_search_space(oa, levels, SearchBounds(lo, hi), oa.shape[1])
             ok &= bool(((points >= lo) & (points <= hi)).all())
-            ok &= bool((points[oa.entries == 1] == lo).all())
-            ok &= bool((points[oa.entries == levels] == hi).all())
+            ok &= bool((points[oa == 1] == lo).all())
+            ok &= bool((points[oa == levels] == hi).all())
     check(2, "mapping endpoints exact and all points in bounds", ok)
 
 

@@ -10,7 +10,6 @@ from opsom import ortho_init
 from opsom.objective import SearchBounds, base_spec, evaluate_batch
 from opsom.optimizer import OptimizerConfig
 from opsom.ortho_init import (
-    OrthogonalArray,
     array_shape,
     build_initial_swarm,
     construct_oa,
@@ -19,32 +18,31 @@ from opsom.ortho_init import (
 )
 
 
-def verify_oa(oa: OrthogonalArray) -> bool:
-    """Exhaustively check strength-2 balance (and per-column level balance).
+def verify_oa(oa: np.ndarray, levels: int) -> bool:
+    """Exhaustively check strength-2 balance (and per-column level balance) of a `levels`-level array.
 
     Returns False for malformed arrays instead of raising.
     """
-    a = np.asarray(oa.entries)
-    alpha = oa.levels
-    if a.ndim != 2 or a.size == 0 or alpha < 2:
+    a = np.asarray(oa)
+    if a.ndim != 2 or a.size == 0 or levels < 2:
         return False
-    if a.min() < 1 or a.max() > alpha:
+    if a.min() < 1 or a.max() > levels:
         return False
     rows, cols = a.shape
-    if rows % alpha:
+    if rows % levels:
         return False
-    per_level = rows // alpha
+    per_level = rows // levels
     for c in range(cols):
-        if not (np.bincount(a[:, c] - 1, minlength=alpha) == per_level).all():
+        if not (np.bincount(a[:, c] - 1, minlength=levels) == per_level).all():
             return False
     if cols >= 2:
-        if rows % alpha**2:
+        if rows % levels**2:
             return False
-        per_pair = rows // alpha**2
+        per_pair = rows // levels**2
         for c1 in range(cols):
             for c2 in range(c1 + 1, cols):
-                codes = (a[:, c1] - 1) * alpha + (a[:, c2] - 1)
-                if not (np.bincount(codes, minlength=alpha**2) == per_pair).all():
+                codes = (a[:, c1] - 1) * levels + (a[:, c2] - 1)
+                if not (np.bincount(codes, minlength=levels**2) == per_pair).all():
                     return False
     return True
 
@@ -67,34 +65,34 @@ def pair_balance_holds(entries, levels):
 class TestConstruct:
     def test_l4_rows(self):
         oa = construct_oa(2, 3)
-        assert oa.rows == 4 and oa.cols == 3
-        rows = {tuple(r) for r in oa.entries}
+        assert len(oa) == 4 and oa.shape[1] == 3
+        rows = {tuple(r) for r in oa}
         assert rows == {(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)}
-        assert pair_balance_holds(oa.entries, 2)
+        assert pair_balance_holds(oa, 2)
 
     def test_degenerate_single_factor(self):
         oa = construct_oa(2, 1)
-        assert oa.rows == 2 and oa.cols == 1
-        assert [tuple(r) for r in oa.entries] == [(1,), (2,)]
+        assert len(oa) == 2 and oa.shape[1] == 1
+        assert [tuple(r) for r in oa] == [(1,), (2,)]
 
     def test_three_level_four_factors(self):
         oa = construct_oa(3, 4)
-        assert oa.rows == 9 and oa.cols == 4
-        assert verify_oa(oa)
-        assert pair_balance_holds(oa.entries, 3)
+        assert len(oa) == 9 and oa.shape[1] == 4
+        assert verify_oa(oa, 3)
+        assert pair_balance_holds(oa, 3)
 
     def test_all_constructed_arrays_pass_exhaustive_check(self):
         for levels, j in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]:
             factors = (levels**j - 1) // (levels - 1)
             oa = construct_oa(levels, factors)
-            assert oa.rows == levels**j
-            assert verify_oa(oa), (levels, j)
-            assert pair_balance_holds(oa.entries, levels), (levels, j)
+            assert len(oa) == levels**j
+            assert verify_oa(oa, levels), (levels, j)
+            assert pair_balance_holds(oa, levels), (levels, j)
 
     def test_smallest_family_member_chosen(self):
         assert array_shape(2, 10) == (4, 16, 15)
         oa = construct_oa(2, 10)
-        assert oa.rows == 16 and oa.cols == 15
+        assert len(oa) == 16 and oa.shape[1] == 15
 
     def test_rejects_non_prime_levels(self):
         for levels in (1, 4, 6, 9):
@@ -121,46 +119,46 @@ class TestConstruct:
 class TestVerify:
     def test_duplicate_columns_fail(self):
         entries = np.array([[1, 1], [1, 1], [2, 2], [2, 2]])
-        assert not verify_oa(OrthogonalArray(levels=2, entries=entries))
+        assert not verify_oa(entries, 2)
 
     def test_single_balanced_column_passes(self):
         entries = np.array([[1], [2], [1], [2]])
-        assert verify_oa(OrthogonalArray(levels=2, entries=entries))
+        assert verify_oa(entries, 2)
 
     def test_unbalanced_column_fails(self):
         entries = np.array([[1], [1], [1], [2]])
-        assert not verify_oa(OrthogonalArray(levels=2, entries=entries))
+        assert not verify_oa(entries, 2)
 
     def test_out_of_range_entries_fail(self):
         entries = np.array([[1, 3], [2, 1], [1, 2], [2, 2]])
-        assert not verify_oa(OrthogonalArray(levels=2, entries=entries))
+        assert not verify_oa(entries, 2)
 
 
 class TestMapping:
     def test_level_one_maps_to_lower_bound(self):
         oa = construct_oa(2, 1)
-        points = map_to_search_space(oa, SearchBounds(0.0, 1.0), 1)
+        points = map_to_search_space(oa, 2, SearchBounds(0.0, 1.0), 1)
         assert points[0, 0] == 0.0
 
     def test_top_level_maps_to_upper_bound(self):
         oa = construct_oa(3, 4)
-        points = map_to_search_space(oa, SearchBounds(-100.0, 100.0), 4)
-        assert points[oa.entries[:, 0] == 3, 0].tolist() == pytest.approx([100.0] * 3, abs=0)
+        points = map_to_search_space(oa, 3, SearchBounds(-100.0, 100.0), 4)
+        assert points[oa[:, 0] == 3, 0].tolist() == pytest.approx([100.0] * 3, abs=0)
 
     def test_mid_level_three_levels(self):
         # direct arithmetic: (2 - 1) * (200 / 2) + (-100) = 0
         oa = construct_oa(3, 4)
-        points = map_to_search_space(oa, SearchBounds(-100.0, 100.0), 4)
-        assert points[oa.entries[:, 1] == 2, 1].tolist() == pytest.approx([0.0] * 3, abs=0)
+        points = map_to_search_space(oa, 3, SearchBounds(-100.0, 100.0), 4)
+        assert points[oa[:, 1] == 2, 1].tolist() == pytest.approx([0.0] * 3, abs=0)
 
     def test_endpoints_exact_for_many_bounds(self):
         for levels in (2, 3, 5):
             oa = construct_oa(levels, 4)
             for lo, hi in [(-100.0, 100.0), (0.0, 1.0), (-5.0, 3.0), (0.1, 0.3)]:
-                points = map_to_search_space(oa, SearchBounds(lo, hi), 4)
+                points = map_to_search_space(oa, levels, SearchBounds(lo, hi), 4)
                 assert ((points >= lo) & (points <= hi)).all()
-                assert (points[oa.entries[:, :4] == 1] == lo).all()
-                assert (points[oa.entries[:, :4] == levels] == hi).all()
+                assert (points[oa[:, :4] == 1] == lo).all()
+                assert (points[oa[:, :4] == levels] == hi).all()
 
 
 def initial_swarm(n, spec, seed, levels=2):
@@ -188,7 +186,7 @@ class TestBuildInitialSwarm:
         # n = 4, d = 3, two levels: the L4 array is the whole swarm
         spec = base_spec("sphere", 3)
         positions, fitness = initial_swarm(4, spec, 0)
-        expected = map_to_search_space(construct_oa(2, 3), spec.bounds, 3)
+        expected = map_to_search_space(construct_oa(2, 3), 2, spec.bounds, 3)
         np.testing.assert_array_equal(np.sort(positions, axis=0), np.sort(expected, axis=0))
         assert len(fitness) == 4
 
@@ -197,7 +195,7 @@ class TestBuildInitialSwarm:
         spec = base_spec("rastrigin", 10)
         positions, fitness = initial_swarm(40, spec, 1)
         assert positions.shape == (40, 10) and scored_rows == [40]
-        expected = map_to_search_space(construct_oa(2, 10), spec.bounds, 10)
+        expected = map_to_search_space(construct_oa(2, 10), 2, spec.bounds, 10)
         np.testing.assert_array_equal(positions[:16], expected)
         assert ((positions >= -100) & (positions <= 100)).all()
 
@@ -206,14 +204,14 @@ class TestBuildInitialSwarm:
         spec = base_spec("sphere", 2, shift=np.array([10.0, -20.0]))
         positions, fitness = initial_swarm(4, spec, 2, levels=3)
         assert scored_rows == [9]
-        all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
+        all_points = map_to_search_space(construct_oa(3, 2), 3, spec.bounds, 2)
         all_fit = np.sort([evaluate_batch(spec, p[None, :])[0] for p in all_points])
         np.testing.assert_allclose(np.sort(fitness), all_fit[:4], rtol=0, atol=0)
 
     def test_no_discarded_point_beats_a_kept_one(self):
         spec = base_spec("rastrigin", 2, shift=np.array([5.0, 5.0]))
         positions, fitness = initial_swarm(4, spec, 3, levels=3)
-        all_points = map_to_search_space(construct_oa(3, 2), spec.bounds, 2)
+        all_points = map_to_search_space(construct_oa(3, 2), 3, spec.bounds, 2)
         all_fit = sorted(evaluate_batch(spec, p[None, :])[0] for p in all_points)
         # kept set is exactly the 4 best of the 9 evaluated rows
         assert sorted(fitness) == all_fit[:4]
@@ -278,4 +276,4 @@ def test_format_oa_round_trip():
     oa = construct_oa(2, 3)
     lines = format_oa(oa).strip().splitlines()
     parsed = np.array([[int(v) for v in line.split()] for line in lines])
-    np.testing.assert_array_equal(parsed, oa.entries)
+    np.testing.assert_array_equal(parsed, oa)
