@@ -6,7 +6,7 @@ The package root exports the library entry points; everything else is
 imported from its submodule (e.g. `opsom.harness.main` for the CLI).
 """
 
-from .objective import ObjectiveSpec, SearchBounds, make_suite
+from .objective import ObjectiveSpec, make_suite
 from .optimizer import OptimizerConfig, RunRecord, run
 from .swarm_core import PsoParams
 
@@ -17,7 +17,6 @@ __all__ = [
     "OptimizerConfig",
     "PsoParams",
     "RunRecord",
-    "SearchBounds",
     "make_suite",
     "run",
 ]

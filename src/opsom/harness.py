@@ -62,12 +62,13 @@ class ExperimentConfig:
         for name, values in (("algorithm", self.algorithms), ("dimension", self.dimensions)):
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} list must be non-empty without repeats, got {list(values)}")
-        # the ablations switch off opsom's strategies; pso has none to switch off
+        # the ablations switch off opsom's strategies; pso has none to switch off.
+        # An unknown algorithm name passes these rules, so `validate` names it
         ablated = [f for f in ("no_oa", "no_archives", "no_mutation", "fixed_inertia") if getattr(self.optimizer, f)]
-        if ablated and "opsom" not in self.algorithms:
+        if ablated and set(self.algorithms) == {"pso"}:
             raise ValueError(f"{ablated[0]} ablates opsom, which is not among the algorithms {list(self.algorithms)}")
         levels = self.optimizer.oa_levels
-        if levels != OptimizerConfig.oa_levels and ("opsom" not in self.algorithms or self.optimizer.no_oa):
+        if levels != OptimizerConfig.oa_levels and (set(self.algorithms) == {"pso"} or self.optimizer.no_oa):
             raise ValueError(f"oa_levels={levels} has no effect: no run uses the orthogonal array")
 
 
@@ -150,7 +151,7 @@ def write_outputs(config: ExperimentConfig, grouped: dict[tuple[str, int, str], 
         summary_lines.append(_summary_line(key, records))
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     for dim in config.dimensions:
-        (out / f"suite_d{dim}.txt").write_text(describe_suite(make_suite(config.suite_seed, dim)))
+        (out / f"suite_d{dim}.txt").write_text(describe_suite(make_suite(config.suite_seed, dim), config.suite_seed))
     return out
 
 

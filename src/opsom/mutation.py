@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .objective import SearchBounds
+from .objective import LOWER, UPPER
 from .swarm_core import particle_index, run_index
 
 
@@ -37,7 +37,6 @@ def draw_partners(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mutate_elites(
     elite_positions: np.ndarray,
     phi_positions: np.ndarray,
-    bounds: SearchBounds,
     u: np.ndarray,
 ) -> np.ndarray:
     """Mutate every run's whole elite subgroup from one snapshot.
@@ -57,5 +56,5 @@ def mutate_elites(
         + delta[:, 0] * (phi_positions - elite_positions)
         + delta[:, 1] * (elite_positions[rows, g] - elite_positions[rows, h])
     )
-    np.maximum(mutated, bounds.lower, out=mutated)
-    return np.minimum(mutated, bounds.upper, out=mutated)
+    np.maximum(mutated, LOWER, out=mutated)
+    return np.minimum(mutated, UPPER, out=mutated)

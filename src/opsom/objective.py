@@ -1,7 +1,7 @@
 """Box-constrained benchmark functions with seeded shifts and rotations.
 
 The suite mirrors the usual four-category layout of competition benchmarks
-(unimodal, multimodal, hybrid, composite) on the default box [-100, 100]^d,
+(unimodal, multimodal, hybrid, composite) on the one box [-100, 100]^d,
 but every function is generated from a seed and carries an analytically known
 optimum, so runs are self-contained and error values are exact.  A plain
 base function is the one-block case of a hybrid, and so is each composite
@@ -22,22 +22,8 @@ _SCHWEFEL_MU = 420.9687462275036
 _SCHWEFEL_PEAK = float(_SCHWEFEL_MU * np.sin(np.sqrt(_SCHWEFEL_MU)))
 
 CATEGORIES = ("unimodal", "multimodal", "hybrid", "composite")
-
-
-@dataclass
-class SearchBounds:
-    """Uniform per-dimension box bounds for the decision variables."""
-
-    lower: float = -100.0
-    upper: float = 100.0
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"lower bound must be below upper bound, got [{self.lower}, {self.upper}]")
-
-    @property
-    def span(self) -> float:
-        return self.upper - self.lower
+# the one search box, [LOWER, UPPER] in every coordinate, of every function
+LOWER, UPPER = -100.0, 100.0
 
 
 # --- base functions, applied to already shifted/rotated coordinates ---------
@@ -77,18 +63,15 @@ def griewank(z):
 
 def schwefel(z):
     # Coordinates beyond |u| = 500 are folded back with a quadratic penalty so
-    # the global minimum stays exactly 0 at z = 0 for any box/rotation.  The
-    # fold is computed only on the coordinates that need it.
+    # the global minimum stays exactly 0 at z = 0 for any rotation.  One pass
+    # for both sides, exactly: u * sin(sqrt(|u|)) = sign(u) * (|u| * sin(sqrt(|u|))),
+    # and with m = mod(|u|, 500), fl(m - 500) = -fl(500 - m) and fl(u + 500)^2 = fl(|u| - 500)^2.
     d = z.shape[-1]
     u = z + _SCHWEFEL_MU
-    g = u * np.sin(np.sqrt(np.abs(u)))
-    out = np.abs(u) > 500.0
-    if out.any():
-        # one fold for both sides, exactly: fl(m - 500) = -fl(500 - m), fl(u + 500)^2 = fl(|u| - 500)^2
-        uo = u[out]
-        a = np.abs(uo)
-        m = np.mod(a, 500.0)
-        g[out] = np.sign(uo) * ((500.0 - m) * np.sin(np.sqrt(500.0 - m))) - (a - 500.0) ** 2 / (10000.0 * d)
+    a = np.abs(u)
+    out = a > 500.0
+    v = np.where(out, 500.0 - np.mod(a, 500.0), a)
+    g = np.sign(u) * (v * np.sin(np.sqrt(v))) - np.where(out, (a - 500.0) ** 2 / (10000.0 * d), 0.0)
     return np.add.reduce(_SCHWEFEL_PEAK - g, -1)
 
 
@@ -149,7 +132,7 @@ class ShiftedBlocks:
         self.shift = np.asarray(self.shift, dtype=float)
         self.rotation = np.asarray(self.rotation, dtype=float)
         d = self.shift.size
-        if self.shift.shape != (d,) or self.rotation.shape != (d, d):
+        if d < 1 or self.shift.shape != (d,) or self.rotation.shape != (d, d):
             raise ValueError(f"shift {self.shift.shape} and rotation {self.rotation.shape} must be (d,) and (d, d)")
         err = np.abs(self.rotation @ self.rotation.T - np.eye(d)).max()
         if err > 1e-9:
@@ -216,26 +199,26 @@ class WeightedComposite:
 
 @dataclass(eq=False)
 class ObjectiveSpec:
-    """A benchmark problem instance: function, box, and known optimum."""
+    """A benchmark problem instance: a named function on the box, whose
+    dimension and known optimum are read off the function itself."""
 
     id: str
     category: str
-    dimension: int
-    bounds: SearchBounds
-    f_opt: float
-    suite_seed: int
     fn: ShiftedBlocks | WeightedComposite = field(repr=False)
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        shift = self.fn.shift
-        if np.shape(shift) != (self.dimension,):
-            raise ValueError("shift length must match dimension")
-        if not (shift > self.bounds.lower).all() or not (shift < self.bounds.upper).all():
+        if not ((self.fn.shift > LOWER) & (self.fn.shift < UPPER)).all():
             raise ValueError("shift must lie strictly inside the bounds")
+
+    @property
+    def dimension(self) -> int:
+        return self.fn.shift.size
+
+    @property
+    def f_opt(self) -> float:
+        return self.fn.bias
 
 
 def evaluate_batch(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
@@ -259,41 +242,30 @@ def random_rotation(rng: np.random.Generator, dimension: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _draw_shift(rng: np.random.Generator, dimension: int, bounds: SearchBounds) -> np.ndarray:
+def _draw_shift(rng: np.random.Generator, dimension: int) -> np.ndarray:
     # keep optima away from the walls, like the usual 80%-of-box convention
-    margin = 0.1 * bounds.span
-    return rng.uniform(bounds.lower + margin, bounds.upper - margin, dimension)
+    margin = 0.1 * (UPPER - LOWER)
+    return rng.uniform(LOWER + margin, UPPER - margin, dimension)
 
 
 def base_spec(
     name: str,
     dimension: int,
     *,
-    bounds: SearchBounds | None = None,
     shift: np.ndarray | None = None,
     rotation: np.ndarray | None = None,
     bias: float = 0.0,
     scale: float = 1.0,
-    suite_seed: int = 0,
 ) -> ObjectiveSpec:
     """Build a standalone spec for one base function (identity transform by default)."""
     if name not in BASE_FUNCTIONS:
         raise ValueError(f"unknown base function {name!r}")
-    bounds = bounds or SearchBounds()
     if shift is None:
         shift = np.zeros(dimension)
     if rotation is None:
         rotation = np.eye(dimension)
     category = "unimodal" if name in UNIMODAL_BASES else "multimodal"
-    return ObjectiveSpec(
-        id=name,
-        category=category,
-        dimension=dimension,
-        bounds=bounds,
-        f_opt=bias,
-        suite_seed=suite_seed,
-        fn=ShiftedBlocks((name,), shift, rotation, bias, (scale,)),
-    )
+    return ObjectiveSpec(name, category, ShiftedBlocks((name,), shift, rotation, bias, (scale,)))
 
 
 # (id, category, bases) of the suite's block functions, in suite order
@@ -310,7 +282,7 @@ _COMPOSITE_MIXES = {
 _COMPONENT_OFFSETS = (0.0, 100.0, 200.0)
 
 
-def make_suite(suite_seed: int, dimension: int, bounds: SearchBounds | None = None) -> list[ObjectiveSpec]:
+def make_suite(suite_seed: int, dimension: int) -> list[ObjectiveSpec]:
     """Generate the fixed 10-function suite for one seed and dimension.
 
     Order: 2 unimodal, 4 multimodal, 2 hybrid, 2 composite.  Function i
@@ -318,34 +290,30 @@ def make_suite(suite_seed: int, dimension: int, bounds: SearchBounds | None = No
     """
     if dimension < 2:
         raise ValueError("suite requires dimension >= 2")
-    bounds = bounds or SearchBounds()
     rng = np.random.default_rng(suite_seed)
 
     def draw_blocks(bases, bias):
         # the shift is drawn before the rotation, and the suite's bits follow that order
         scales = tuple(SUITE_SCALES[name] for name in bases)
-        return ShiftedBlocks(bases, _draw_shift(rng, dimension, bounds), random_rotation(rng, dimension), bias, scales)
+        return ShiftedBlocks(bases, _draw_shift(rng, dimension), random_rotation(rng, dimension), bias, scales)
 
-    named = []  # (id, category, function) in suite order
+    suite = []
     for spec_id, category, bases in _BLOCK_FUNCTIONS:
-        named.append((spec_id, category, draw_blocks(bases, 100.0 * (len(named) + 1))))
+        suite.append(ObjectiveSpec(spec_id, category, draw_blocks(bases, 100.0 * (len(suite) + 1))))
     for comp_id, (mix, sigmas) in _COMPOSITE_MIXES.items():
         components = tuple(draw_blocks((name,), offset) for name, offset in zip(mix, _COMPONENT_OFFSETS))
-        named.append((comp_id, "composite", WeightedComposite(components, sigmas, 100.0 * (len(named) + 1))))
-    return [
-        ObjectiveSpec(id=spec_id, category=category, dimension=dimension, bounds=bounds, f_opt=fn.bias,
-                      suite_seed=suite_seed, fn=fn)
-        for spec_id, category, fn in named
-    ]
+        composite = WeightedComposite(components, sigmas, 100.0 * (len(suite) + 1))
+        suite.append(ObjectiveSpec(comp_id, "composite", composite))
+    return suite
 
 
-def describe_suite(specs: list[ObjectiveSpec]) -> str:
-    """One-line-per-function structured text description of a suite."""
+def describe_suite(specs: list[ObjectiveSpec], suite_seed: int) -> str:
+    """One-line-per-function structured text description of the suite drawn from `suite_seed`."""
     lines = []
     for s in specs:
         lines.append(
             f"id={s.id} category={s.category} d={s.dimension} "
-            f"lower={s.bounds.lower!r} upper={s.bounds.upper!r} "
-            f"f_opt={s.f_opt!r} suite_seed={s.suite_seed}"
+            f"lower={LOWER!r} upper={UPPER!r} "
+            f"f_opt={s.f_opt!r} suite_seed={suite_seed}"
         )
     return "\n".join(lines) + "\n"

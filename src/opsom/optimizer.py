@@ -250,13 +250,13 @@ def _opsom_iteration(
         guides = state.pbest_positions[learners]
         a, b, c = params.inertia, params.cognitive * r[:, 0], params.social * r[:, 1]
     velocity = velocity_update(
-        V[learners], x, guides, state.gbest_position[:, None], params.v_max(spec.bounds), a, b, c
+        V[learners], x, guides, state.gbest_position[:, None], params.v_max, a, b, c
     )
-    X[learners], V[learners] = handle_bounds(x + velocity, velocity, spec.bounds)
+    X[learners], V[learners] = handle_bounds(x + velocity, velocity)
     if mutating:
         # learners and elites are disjoint, so the elites mutate from their
         # iteration-start positions; they keep their velocities
-        X[rows, elite_idx] = mutate_elites(X[rows, elite_idx], archives.phi_positions, spec.bounds, mutation_u)
+        X[rows, elite_idx] = mutate_elites(X[rows, elite_idx], archives.phi_positions, mutation_u)
 
     state.fitness = evaluate_batch(spec, X.reshape(-1, d)).reshape(runs, n)
     improved, better = update_bests(state)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .objective import ObjectiveSpec, SearchBounds, evaluate_batch
+from .objective import LOWER, UPPER, ObjectiveSpec, evaluate_batch
 from .swarm_core import run_index
 
 ROW_CAP = 4096
@@ -68,16 +68,16 @@ def construct_oa(levels: int, min_factors: int) -> np.ndarray:
     return a + 1
 
 
-def map_to_search_space(oa: np.ndarray, levels: int, bounds: SearchBounds, dimension: int) -> np.ndarray:
-    """Map the first `dimension` columns of every row of a `levels`-level array into the search box.
+def map_to_search_space(oa: np.ndarray, levels: int, lower: float, upper: float, dimension: int) -> np.ndarray:
+    """Map the first `dimension` columns of every row of a `levels`-level array into the box [lower, upper].
 
-    Level 1 maps exactly onto the lower bound and level `levels` exactly onto
-    the upper bound; intermediate levels interpolate linearly.  The array needs
-    at least `dimension` columns, as `construct_oa(levels, dimension)` gives.
+    Level 1 maps exactly onto `lower` and level `levels` exactly onto `upper`;
+    intermediate levels interpolate linearly.  The array needs at least
+    `dimension` columns, as `construct_oa(levels, dimension)` gives.
     """
     frac = (oa[:, :dimension] - 1) / (levels - 1)
-    points = (1.0 - frac) * bounds.lower + frac * bounds.upper
-    return np.clip(points, bounds.lower, bounds.upper)
+    points = (1.0 - frac) * lower + frac * upper
+    return np.clip(points, lower, upper)
 
 
 def build_initial_swarm(
@@ -90,16 +90,16 @@ def build_initial_swarm(
     """Seed and score the (R, n, d) initial swarms of R runs; return them and their (R, n) fitness.
 
     Every run starts with the rows of the `levels` array (none without one),
-    then its generator fills up to n rows uniformly in the bounds, so each
+    then its generator fills up to n rows uniformly in the box, so each
     run scores max(n, array rows) points.  One batch scores all runs.  When
     the array has at least n rows, each run keeps its n fittest, in stable
     fitness order.  `OptimizerConfig.validate` checks n and the levels.
     """
     d = spec.dimension
     points = (np.empty((0, d)) if levels is None
-              else map_to_search_space(construct_oa(levels, d), levels, spec.bounds, d))
+              else map_to_search_space(construct_oa(levels, d), levels, LOWER, UPPER, d))
     fill = (max(n - len(points), 0), d)
-    positions = np.stack([np.vstack([points, rng.uniform(spec.bounds.lower, spec.bounds.upper, fill)]) for rng in rngs])
+    positions = np.stack([np.vstack([points, rng.uniform(LOWER, UPPER, fill)]) for rng in rngs])
     fitness = evaluate_batch(spec, positions.reshape(-1, d)).reshape(len(rngs), -1)
     if len(points) < n:
         return positions, fitness

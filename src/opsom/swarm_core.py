@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import SearchBounds
+from .objective import LOWER, UPPER
 
 
 @dataclass
@@ -35,8 +35,10 @@ class PsoParams:
         if not 0.0 < self.v_max_fraction <= 1.0:
             raise ValueError("v_max_fraction must lie in (0, 1]")
 
-    def v_max(self, bounds: SearchBounds) -> float:
-        return self.v_max_fraction * bounds.span
+    @property
+    def v_max(self) -> float:
+        """The velocity clamp: `v_max_fraction` of the search box's width."""
+        return self.v_max_fraction * (UPPER - LOWER)
 
 
 @functools.cache
@@ -94,11 +96,11 @@ class SwarmState:
         return view
 
 
-def handle_bounds(position: np.ndarray, velocity: np.ndarray, bounds: SearchBounds) -> tuple[np.ndarray, np.ndarray]:
+def handle_bounds(position: np.ndarray, velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp out-of-box coordinates to the violated bound and zero their velocity."""
-    outside = (position < bounds.lower) | (position > bounds.upper)
-    clipped = np.maximum(position, bounds.lower)
-    np.minimum(clipped, bounds.upper, out=clipped)
+    outside = (position < LOWER) | (position > UPPER)
+    clipped = np.maximum(position, LOWER)
+    np.minimum(clipped, UPPER, out=clipped)
     return clipped, np.where(outside, 0.0, velocity)
 
 

@@ -15,7 +15,7 @@ import pytest
 from opsom.archives import ArchiveSet
 from opsom.harness import ExperimentConfig, execute, main, run_seed
 from opsom.mutation import mutate_elites
-from opsom.objective import SearchBounds, base_spec, make_suite
+from opsom.objective import base_spec, make_suite
 from opsom.optimizer import OptimizerConfig, _archive_guides, _opsom_iteration, _uniform_block, run, run_cell
 from opsom.ortho_init import construct_oa, map_to_search_space
 from opsom.swarm_core import PsoParams, SwarmState, velocity_update
@@ -73,7 +73,7 @@ def test_criterion_2_mapping_exactness():
     for levels, j in ARRAY_FAMILY:
         oa = construct_oa(levels, (levels**j - 1) // (levels - 1))
         for lo, hi in [(-100.0, 100.0), (0.0, 1.0), (-5.0, 3.0), (0.1, 0.3)]:
-            points = map_to_search_space(oa, levels, SearchBounds(lo, hi), oa.shape[1])
+            points = map_to_search_space(oa, levels, lo, hi, oa.shape[1])
             ok &= bool(((points >= lo) & (points <= hi)).all())
             ok &= bool((points[oa == 1] == lo).all())
             ok &= bool((points[oa == levels] == hi).all())
@@ -199,7 +199,7 @@ def test_criterion_10_equation_level_oracles():
     rng = np.random.default_rng(99)
     spec = base_spec("sphere", 5)
     params = PsoParams()
-    vmax = params.v_max(spec.bounds)
+    vmax = params.v_max
     worst = 0.0
     # the baseline step is the optimizer's step with every strategy off
     baseline = OptimizerConfig(algorithm="pso", pso_params=params)
@@ -253,7 +253,7 @@ def test_criterion_10_equation_level_oracles():
         pick = rng.uniform(size=(2, m))
         d1, d2 = rng.uniform(size=(2, m, d))
         u = np.concatenate((pick.ravel(), d1.ravel(), d2.ravel()))
-        out = mutate_elites(elite_positions[None], phi[None], spec.bounds, u[None])[0]
+        out = mutate_elites(elite_positions[None], phi[None], u[None])[0]
         for j in range(m):
             # g is the pick[0]-th index other than j, h the pick[1]-th other than j and g
             g = [i for i in range(m) if i != j][int(pick[0, j] * (m - 1))]

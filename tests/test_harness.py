@@ -27,7 +27,7 @@ from opsom.harness import (
     write_outputs,
 )
 from opsom import harness
-from opsom.objective import ObjectiveSpec, SearchBounds, base_spec
+from opsom.objective import ObjectiveSpec, base_spec
 from opsom.optimizer import OptimizerConfig, run, run_cell
 from test_ortho_init import verify_oa
 
@@ -39,6 +39,7 @@ class PoisonedSphere:
         self.after = after
         self.calls = 0
         self.shift = np.zeros(dimension)
+        self.bias = 0.0
 
     def values(self, points):
         self.calls += 1
@@ -50,10 +51,7 @@ class PoisonedSphere:
 
 
 def poisoned_spec(dimension: int, after: int = 3) -> ObjectiveSpec:
-    return ObjectiveSpec(
-        id="poisoned", category="unimodal", dimension=dimension, bounds=SearchBounds(), f_opt=0.0, suite_seed=0,
-        fn=PoisonedSphere(after, dimension),
-    )
+    return ObjectiveSpec(id="poisoned", category="unimodal", fn=PoisonedSphere(after, dimension))
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -481,11 +479,14 @@ class TestCli:
         ("pso", "2", "1", ["--no-archives"], "no_archives ablates opsom"),
         ("pso", "2", "1", ["--no-mutation"], "no_mutation ablates opsom"),
         ("pso", "2", "1", ["--fixed-inertia"], "fixed_inertia ablates opsom"),
+        ("cma", "2", "1", ["--no-oa"], "unknown algorithm 'cma'"),
+        ("cma", "2", "1", ["--oa-levels", "3"], "unknown algorithm 'cma'"),
         ("opsom", "2", "1", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
         ("opsom,pso", "2", "2", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
     ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs", "unknown-algorithm", "nan-cognitive",
             "pso-nan-cognitive", "inf-social", "nan-v-max-fraction", "pso-no-oa", "pso-no-archives", "pso-no-mutation",
-            "pso-fixed-inertia", "no-archives-fixed-inertia", "no-archives-fixed-inertia-jobs-2"])
+            "pso-fixed-inertia", "unknown-algorithm-no-oa", "unknown-algorithm-oa-levels", "no-archives-fixed-inertia",
+            "no-archives-fixed-inertia-jobs-2"])
     def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, extra, message):
         # also a worker count below 1, which used to run sequentially without a
         # word, non-finite PSO coefficients, which used to run (or fail at the

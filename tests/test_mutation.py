@@ -8,10 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsom.mutation import draw_partners, mutate_elites
-from opsom.objective import SearchBounds
-
-
-BOUNDS = SearchBounds()
 
 
 def elites(*rows):
@@ -24,17 +20,17 @@ def pairs(u):
     return g[0], h[0]
 
 
-def mutate_run(elite_positions, phi_positions, bounds, u):
+def mutate_run(elite_positions, phi_positions, u):
     """`mutate_elites` on one run: (m, d) elites and phi rows, flat uniforms."""
     runs = (np.asarray(a)[None] for a in (elite_positions, phi_positions))
-    return mutate_elites(*runs, bounds, np.asarray(u)[None])[0]
+    return mutate_elites(*runs, np.asarray(u)[None])[0]
 
 
 def scalar_mutation(j, phi_position, elite_positions, delta1, delta2, g, h):
     """Reference for one elite: x + delta1*(phi_j - x) + delta2*(x_g - x_h), clamped into the box."""
     x = elite_positions[j]
     mutated = x + delta1 * (phi_position - x) + delta2 * (elite_positions[g] - elite_positions[h])
-    return np.clip(mutated, BOUNDS.lower, BOUNDS.upper)
+    return np.clip(mutated, -100.0, 100.0)
 
 
 def partner_uniforms(g, h):
@@ -70,7 +66,7 @@ def mutate_one(j, phi_j, positions, rng, *, delta1=None, delta2=None, partners=N
         g, h = (np.arange(m) + 1) % m, (np.arange(m) + 2) % m
         g[j], h[j] = partners
         partners = (g, h)
-    return mutate_run(positions, phi, BOUNDS, mutation_uniforms(rng, m, d, delta1, delta2, partners))[j]
+    return mutate_run(positions, phi, mutation_uniforms(rng, m, d, delta1, delta2, partners))[j]
 
 
 class TestEliteMutate:
@@ -190,7 +186,7 @@ class TestMutateElites:
         u = rng.random(2 * m * (1 + d))
         g, h = pairs(u[: 2 * m].reshape(2, m))
         d1, d2 = u[2 * m :].reshape(2, m, d)
-        batch = mutate_run(positions, phi, BOUNDS, u)
+        batch = mutate_run(positions, phi, u)
         for j in range(m):
             row = scalar_mutation(j, phi[j], positions, d1[j], d2[j], int(g[j]), int(h[j]))
             np.testing.assert_array_equal(batch[j], row)
@@ -205,7 +201,7 @@ class TestMutateElites:
         d1, d2 = rng.uniform(0, 2, size=(2, m, d))  # wide enough to push rows past both walls
         expected = np.clip(positions + d1 * (phi - positions) + d2 * (positions[g] - positions[h]), -100.0, 100.0)
         assert (np.abs(expected) == 100.0).any() and (np.abs(expected) < 100.0).any()
-        out = mutate_run(positions, phi, BOUNDS, np.concatenate((partner_u, d1.ravel(), d2.ravel())))
+        out = mutate_run(positions, phi, np.concatenate((partner_u, d1.ravel(), d2.ravel())))
         assert out.tobytes() == expected.tobytes()
 
     def test_all_outputs_inside_bounds(self):
@@ -213,7 +209,7 @@ class TestMutateElites:
         for _ in range(20):
             positions = rng.uniform(-100, 100, (8, 3))
             phi = rng.uniform(-100, 100, (8, 3))
-            out = mutate_run(positions, phi, BOUNDS, rng.random(2 * 8 * 4))
+            out = mutate_run(positions, phi, rng.random(2 * 8 * 4))
             assert ((out >= -100) & (out <= 100)).all()
 
     def test_stacked_runs_match_one_run_at_a_time(self):
@@ -223,9 +219,9 @@ class TestMutateElites:
         positions = rng.uniform(-100, 100, (runs, m, d))
         phi = rng.uniform(-100, 100, (runs, m, d))
         u = rng.random((runs, 2 * m * (1 + d)))
-        stacked = mutate_elites(positions, phi, BOUNDS, u)
+        stacked = mutate_elites(positions, phi, u)
         g, h = draw_partners(u[:, : 2 * m].reshape(runs, 2, m))
         for r in range(runs):
-            assert stacked[r].tobytes() == mutate_run(positions[r], phi[r], BOUNDS, u[r]).tobytes()
+            assert stacked[r].tobytes() == mutate_run(positions[r], phi[r], u[r]).tobytes()
             one_g, one_h = pairs(u[r, : 2 * m].reshape(2, m))
             assert g[r].tolist() == one_g.tolist() and h[r].tolist() == one_h.tolist()

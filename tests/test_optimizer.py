@@ -343,9 +343,9 @@ class TestAblations:
         calls = []
         original = mod.mutate_elites
 
-        def spy(elite_positions, phi_positions, bounds, u):
+        def spy(elite_positions, phi_positions, u):
             calls.append(elite_positions.shape)
-            return original(elite_positions, phi_positions, bounds, u)
+            return original(elite_positions, phi_positions, u)
 
         monkeypatch.setattr(mod, "mutate_elites", spy)
         rec = run(small_config(budget=500), SPEC)

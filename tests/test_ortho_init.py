@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opsom import ortho_init
-from opsom.objective import SearchBounds, base_spec, evaluate_batch
+from opsom.objective import base_spec, evaluate_batch
 from opsom.optimizer import OptimizerConfig
 from opsom.ortho_init import (
     array_shape,
@@ -137,25 +137,25 @@ class TestVerify:
 class TestMapping:
     def test_level_one_maps_to_lower_bound(self):
         oa = construct_oa(2, 1)
-        points = map_to_search_space(oa, 2, SearchBounds(0.0, 1.0), 1)
+        points = map_to_search_space(oa, 2, 0.0, 1.0, 1)
         assert points[0, 0] == 0.0
 
     def test_top_level_maps_to_upper_bound(self):
         oa = construct_oa(3, 4)
-        points = map_to_search_space(oa, 3, SearchBounds(-100.0, 100.0), 4)
+        points = map_to_search_space(oa, 3, -100.0, 100.0, 4)
         assert points[oa[:, 0] == 3, 0].tolist() == pytest.approx([100.0] * 3, abs=0)
 
     def test_mid_level_three_levels(self):
         # direct arithmetic: (2 - 1) * (200 / 2) + (-100) = 0
         oa = construct_oa(3, 4)
-        points = map_to_search_space(oa, 3, SearchBounds(-100.0, 100.0), 4)
+        points = map_to_search_space(oa, 3, -100.0, 100.0, 4)
         assert points[oa[:, 1] == 2, 1].tolist() == pytest.approx([0.0] * 3, abs=0)
 
     def test_endpoints_exact_for_many_bounds(self):
         for levels in (2, 3, 5):
             oa = construct_oa(levels, 4)
             for lo, hi in [(-100.0, 100.0), (0.0, 1.0), (-5.0, 3.0), (0.1, 0.3)]:
-                points = map_to_search_space(oa, levels, SearchBounds(lo, hi), 4)
+                points = map_to_search_space(oa, levels, lo, hi, 4)
                 assert ((points >= lo) & (points <= hi)).all()
                 assert (points[oa[:, :4] == 1] == lo).all()
                 assert (points[oa[:, :4] == levels] == hi).all()
@@ -186,7 +186,7 @@ class TestBuildInitialSwarm:
         # n = 4, d = 3, two levels: the L4 array is the whole swarm
         spec = base_spec("sphere", 3)
         positions, fitness = initial_swarm(4, spec, 0)
-        expected = map_to_search_space(construct_oa(2, 3), 2, spec.bounds, 3)
+        expected = map_to_search_space(construct_oa(2, 3), 2, -100.0, 100.0, 3)
         np.testing.assert_array_equal(np.sort(positions, axis=0), np.sort(expected, axis=0))
         assert len(fitness) == 4
 
@@ -195,7 +195,7 @@ class TestBuildInitialSwarm:
         spec = base_spec("rastrigin", 10)
         positions, fitness = initial_swarm(40, spec, 1)
         assert positions.shape == (40, 10) and scored_rows == [40]
-        expected = map_to_search_space(construct_oa(2, 10), 2, spec.bounds, 10)
+        expected = map_to_search_space(construct_oa(2, 10), 2, -100.0, 100.0, 10)
         np.testing.assert_array_equal(positions[:16], expected)
         assert ((positions >= -100) & (positions <= 100)).all()
 
@@ -204,14 +204,14 @@ class TestBuildInitialSwarm:
         spec = base_spec("sphere", 2, shift=np.array([10.0, -20.0]))
         positions, fitness = initial_swarm(4, spec, 2, levels=3)
         assert scored_rows == [9]
-        all_points = map_to_search_space(construct_oa(3, 2), 3, spec.bounds, 2)
+        all_points = map_to_search_space(construct_oa(3, 2), 3, -100.0, 100.0, 2)
         all_fit = np.sort([evaluate_batch(spec, p[None, :])[0] for p in all_points])
         np.testing.assert_allclose(np.sort(fitness), all_fit[:4], rtol=0, atol=0)
 
     def test_no_discarded_point_beats_a_kept_one(self):
         spec = base_spec("rastrigin", 2, shift=np.array([5.0, 5.0]))
         positions, fitness = initial_swarm(4, spec, 3, levels=3)
-        all_points = map_to_search_space(construct_oa(3, 2), 3, spec.bounds, 2)
+        all_points = map_to_search_space(construct_oa(3, 2), 3, -100.0, 100.0, 2)
         all_fit = sorted(evaluate_batch(spec, p[None, :])[0] for p in all_points)
         # kept set is exactly the 4 best of the 9 evaluated rows
         assert sorted(fitness) == all_fit[:4]
@@ -233,7 +233,7 @@ class TestBuildInitialSwarm:
         spec = base_spec("ackley", 10, shift=np.full(10, 7.0))
         rng, again = np.random.default_rng(7), np.random.default_rng(7)
         positions, fitness = build_initial_swarm(40, spec, [rng])
-        np.testing.assert_array_equal(positions[0], again.uniform(spec.bounds.lower, spec.bounds.upper, (40, 10)))
+        np.testing.assert_array_equal(positions[0], again.uniform(-100.0, 100.0, (40, 10)))
         assert rng.bit_generator.state == again.bit_generator.state
         assert scored_rows == [40]
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsom.objective import SearchBounds, base_spec
+from opsom.objective import base_spec
 from opsom.optimizer import OptimizerConfig, _opsom_iteration, _uniform_block
 from opsom.swarm_core import (
     PsoParams,
@@ -64,7 +64,7 @@ class TestPsoParams:
         assert p.inertia == 0.729 and p.cognitive == p.social == 1.49445
 
     def test_v_max(self):
-        assert PsoParams().v_max(SearchBounds()) == 40.0
+        assert PsoParams().v_max == 40.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,30 +107,29 @@ class TestSwarmState:
 
 class TestHandleBounds:
     def test_single_coordinate_clamp(self):
-        pos, vel = handle_bounds(np.array([150.0, 0.0]), np.array([5.0, 5.0]), SearchBounds())
+        pos, vel = handle_bounds(np.array([150.0, 0.0]), np.array([5.0, 5.0]))
         np.testing.assert_array_equal(pos, [100.0, 0.0])
         np.testing.assert_array_equal(vel, [0.0, 5.0])
 
     def test_in_bounds_unchanged(self):
-        pos, vel = handle_bounds(np.array([1.0, -2.0]), np.array([3.0, 4.0]), SearchBounds())
+        pos, vel = handle_bounds(np.array([1.0, -2.0]), np.array([3.0, 4.0]))
         np.testing.assert_array_equal(pos, [1.0, -2.0])
         np.testing.assert_array_equal(vel, [3.0, 4.0])
 
     def test_both_coordinates(self):
-        pos, vel = handle_bounds(np.array([-200.0, -200.0]), np.array([-1.0, -1.0]), SearchBounds())
+        pos, vel = handle_bounds(np.array([-200.0, -200.0]), np.array([-1.0, -1.0]))
         np.testing.assert_array_equal(pos, [-100.0, -100.0])
         np.testing.assert_array_equal(vel, [0.0, 0.0])
 
     def test_bitwise_equal_to_clip_form(self):
         rng = np.random.default_rng(4)
-        for bounds in (SearchBounds(), SearchBounds(-5.0, 32.0)):
-            position = rng.uniform(-3 * bounds.span, 3 * bounds.span, (40, 12))
-            position[0, :4] = [bounds.lower, bounds.upper, -0.0, 0.0]  # on the walls, signed zeros
-            velocity = rng.uniform(-50, 50, (40, 12))
-            pos, vel = handle_bounds(position, velocity, bounds)
-            outside = (position < bounds.lower) | (position > bounds.upper)
-            assert pos.tobytes() == np.clip(position, bounds.lower, bounds.upper).tobytes()
-            assert vel.tobytes() == np.where(outside, 0.0, velocity).tobytes()
+        position = rng.uniform(-600.0, 600.0, (40, 12))
+        position[0, :4] = [-100.0, 100.0, -0.0, 0.0]  # on the walls, signed zeros
+        velocity = rng.uniform(-50, 50, (40, 12))
+        pos, vel = handle_bounds(position, velocity)
+        outside = (position < -100.0) | (position > 100.0)
+        assert pos.tobytes() == np.clip(position, -100.0, 100.0).tobytes()
+        assert vel.tobytes() == np.where(outside, 0.0, velocity).tobytes()
 
 
 class TestUpdateBests:
@@ -251,8 +250,8 @@ class TestPsoStep:
         # the baseline rule w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x) is the
         # shared rule with b = c1*r1 and c = c2*r2: Python multiplies left to right
         rng = np.random.default_rng(6)
-        bounds, params = SearchBounds(), PsoParams()
-        vmax = params.v_max(bounds)
+        params = PsoParams()
+        vmax = params.v_max
         v, x, pbest = rng.uniform(-100, 100, (3, 20, 10))
         gbest = rng.uniform(-100, 100, 10)
         r1, r2 = rng.uniform(size=(2, 20, 10))
@@ -278,7 +277,7 @@ class TestPsoStep:
         state = SwarmState(x.copy(), v.copy(), (x**2).sum(2))
         state.pbest_positions = pbest.copy()
         u = rng.random((runs, 2, n, d))
-        vmax = params.v_max(spec.bounds)
+        vmax = params.v_max
         baseline_step(state, params, spec, u)
         assert state.fitness.tobytes() == np.add.reduce(state.positions**2, 2).tobytes()
         for r in range(runs):
@@ -298,7 +297,7 @@ class TestPsoStep:
         positions = rng.uniform(-100, 100, size=(8, 5))
         state = make_state(positions, fitness=[float(f) for f in (positions**2).sum(axis=1)])
         params = PsoParams()
-        vmax = params.v_max(spec.bounds)
+        vmax = params.v_max
         last_gbest = state.gbest_fitness.copy()
         last_pbest = state.pbest_fitness.copy()
         for _ in range(50):
