@@ -8,14 +8,12 @@ imported from its submodule (e.g. `opsom.harness.main` for the CLI).
 
 from .objective import ObjectiveSpec, make_suite
 from .optimizer import OptimizerConfig, RunRecord, run
-from .swarm_core import PsoParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ObjectiveSpec",
     "OptimizerConfig",
-    "PsoParams",
     "RunRecord",
     "make_suite",
     "run",

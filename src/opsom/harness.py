@@ -26,7 +26,6 @@ import numpy as np
 from .objective import ObjectiveSpec, describe_suite, make_suite
 from .optimizer import OptimizerConfig, RunRecord, exploration_ratio, run_cell
 from .ortho_init import construct_oa, format_oa
-from .swarm_core import PsoParams
 
 # spreads consecutive run indices across seed space (64-bit golden ratio step)
 RUN_SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -160,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_experiment_flags(p):
-        exp, opt, pso = ExperimentConfig, OptimizerConfig, PsoParams
+        exp, opt = ExperimentConfig, OptimizerConfig
         p.add_argument("--algo", default=",".join(exp.algorithms), help="comma-separated algorithms (opsom, pso)")
         p.add_argument("--dim", default=",".join(map(str, exp.dimensions)), help="comma-separated dimensions")
         p.add_argument("--runs", type=int, default=exp.runs, help="runs per (function, dimension, algorithm)")
@@ -169,10 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pop", type=int, default=opt.population, help="population size (even, >= 6)")
         p.add_argument("--budget", type=int, default=opt.budget, help="evaluation budget (default 10000*d)")
         p.add_argument("--oa-levels", type=int, default=opt.oa_levels, help="orthogonal-array level count (prime)")
-        p.add_argument("--inertia", type=float, default=pso.inertia)
-        p.add_argument("--cognitive", type=float, default=pso.cognitive)
-        p.add_argument("--social", type=float, default=pso.social)
-        p.add_argument("--v-max-fraction", type=float, default=pso.v_max_fraction)
         p.add_argument("--no-oa", action="store_true", help="ablation: uniform random initialization")
         p.add_argument("--no-archives", action="store_true", help="ablation: baseline updates for regulars")
         p.add_argument("--no-mutation", action="store_true", help="ablation: elites learn like regulars")
@@ -198,7 +193,6 @@ def _experiment_from_args(args) -> ExperimentConfig:
         population=args.pop,
         budget=args.budget,
         oa_levels=args.oa_levels,
-        pso_params=PsoParams(args.inertia, args.cognitive, args.social, args.v_max_fraction),
         no_oa=args.no_oa,
         no_archives=args.no_archives,
         no_mutation=args.no_mutation,

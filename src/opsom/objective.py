@@ -65,12 +65,12 @@ def schwefel(z):
     # Coordinates beyond |u| = 500 are folded back with a quadratic penalty so
     # the global minimum stays exactly 0 at z = 0 for any rotation.  One pass
     # for both sides, exactly: u * sin(sqrt(|u|)) = sign(u) * (|u| * sin(sqrt(|u|))),
-    # and with m = mod(|u|, 500), fl(m - 500) = -fl(500 - m) and fl(u + 500)^2 = fl(|u| - 500)^2.
+    # and with m = fmod(|u|, 500), fl(m - 500) = -fl(500 - m) and fl(u + 500)^2 = fl(|u| - 500)^2.
     d = z.shape[-1]
     u = z + _SCHWEFEL_MU
     a = np.abs(u)
     out = a > 500.0
-    v = np.where(out, 500.0 - np.mod(a, 500.0), a)
+    v = np.where(out, 500.0 - np.fmod(a, 500.0), a)
     g = np.sign(u) * (v * np.sin(np.sqrt(v))) - np.where(out, (a - 500.0) ** 2 / (10000.0 * d), 0.0)
     return np.add.reduce(_SCHWEFEL_PEAK - g, -1)
 
@@ -260,10 +260,11 @@ def base_spec(
     """Build a standalone spec for one base function (identity transform by default)."""
     if name not in BASE_FUNCTIONS:
         raise ValueError(f"unknown base function {name!r}")
-    if shift is None:
-        shift = np.zeros(dimension)
-    if rotation is None:
-        rotation = np.eye(dimension)
+    shift = np.zeros(dimension) if shift is None else np.asarray(shift, dtype=float)
+    rotation = np.eye(dimension) if rotation is None else np.asarray(rotation, dtype=float)
+    if shift.shape != (dimension,) or rotation.shape != (dimension, dimension):
+        raise ValueError(f"shift {shift.shape} and rotation {rotation.shape} must be (d,) and (d, d) "
+                         f"for d = {dimension}")
     category = "unimodal" if name in UNIMODAL_BASES else "multimodal"
     return ObjectiveSpec(name, category, ShiftedBlocks((name,), shift, rotation, bias, (scale,)))
 

@@ -41,7 +41,7 @@ the chi push the slot picked by the last one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -51,7 +51,9 @@ from .mutation import mutate_elites
 from .objective import ObjectiveSpec, evaluate_batch
 from .ortho_init import array_shape, build_initial_swarm
 from .swarm_core import (
-    PsoParams,
+    COGNITIVE,
+    INERTIA,
+    SOCIAL,
     SwarmState,
     handle_bounds,
     run_index,
@@ -73,7 +75,6 @@ class OptimizerConfig:
     population: int = 40
     budget: int | None = None  # None resolves to 10_000 * dimension
     oa_levels: int = 2
-    pso_params: PsoParams = field(default_factory=PsoParams)
     no_oa: bool = False
     no_archives: bool = False
     no_mutation: bool = False
@@ -229,7 +230,6 @@ def _opsom_iteration(
     never read.
     """
     guide_u, velocity_u, mutation_u, evict_u = u
-    params = config.pso_params
     archived, mutating = config.uses_archives, config.uses_mutation
     X, V = state.positions, state.velocities
     runs, n, d = X.shape
@@ -245,13 +245,11 @@ def _opsom_iteration(
     r = velocity_u.reshape(runs, -1, m, d)
     if archived:
         guides = _archive_guides(archives, guide_u.reshape(runs, 3, m))
-        a, b, c = params.inertia if config.fixed_inertia else r[:, 0], r[:, 1], r[:, 2]
+        a, b, c = INERTIA if config.fixed_inertia else r[:, 0], r[:, 1], r[:, 2]
     else:
         guides = state.pbest_positions[learners]
-        a, b, c = params.inertia, params.cognitive * r[:, 0], params.social * r[:, 1]
-    velocity = velocity_update(
-        V[learners], x, guides, state.gbest_position[:, None], params.v_max, a, b, c
-    )
+        a, b, c = INERTIA, COGNITIVE * r[:, 0], SOCIAL * r[:, 1]
+    velocity = velocity_update(V[learners], x, guides, state.gbest_position[:, None], a, b, c)
     X[learners], V[learners] = handle_bounds(x + velocity, velocity)
     if mutating:
         # learners and elites are disjoint, so the elites mutate from their

@@ -8,37 +8,15 @@ are replaced only on strict improvement, so plateaus never churn positions.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import LOWER, UPPER
 
-
-@dataclass
-class PsoParams:
-    """Coefficients for the baseline velocity update."""
-
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
-    v_max_fraction: float = 0.2
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.inertia, self.cognitive, self.social, self.v_max_fraction))):
-            raise ValueError(f"PSO coefficients must be finite, got {self}")
-        if not 0.0 <= self.inertia <= 1.0:
-            raise ValueError("inertia must lie in [0, 1]")
-        if self.cognitive < 0.0 or self.social < 0.0:
-            raise ValueError("acceleration coefficients must be non-negative")
-        if not 0.0 < self.v_max_fraction <= 1.0:
-            raise ValueError("v_max_fraction must lie in (0, 1]")
-
-    @property
-    def v_max(self) -> float:
-        """The velocity clamp: `v_max_fraction` of the search box's width."""
-        return self.v_max_fraction * (UPPER - LOWER)
+# Clerc and Kennedy's constriction coefficients (IEEE TEC 6(1), 2002) and a velocity clamp of a fifth of the box
+INERTIA = 0.729
+COGNITIVE = SOCIAL = 1.49445
+V_MAX = 0.2 * (UPPER - LOWER)
 
 
 @functools.cache
@@ -142,21 +120,20 @@ def velocity_update(
     position: np.ndarray,
     guide_position: np.ndarray,
     gbest_position: np.ndarray,
-    v_max: float,
     a: np.ndarray | float,
     b: np.ndarray | float,
     c: np.ndarray | float,
 ) -> np.ndarray:
-    """New velocity a*v + b*(guide - x) + c*(gbest - x), clamped to +-v_max.
+    """New velocity a*v + b*(guide - x) + c*(gbest - x), clamped to +-V_MAX.
 
     The one velocity rule of both algorithms.  With archive learning off (the
     baseline PSO, or opsom without archives) the guide is the personal best,
-    with a = w, b = c1*r1 and c = c2*r2; the archive-guided update passes
-    per-dimension uniforms (a may be a fixed inertia weight instead).  Works
+    with a = INERTIA, b = COGNITIVE*r1 and c = SOCIAL*r2; the archive-guided
+    update passes per-dimension uniforms (a may be INERTIA instead).  Works
     on a single (d,) particle or a stacked (m, d) batch, or on (R, m, d) with
     gbest as (R, 1, d).
     """
     velocity = a * velocity + b * (guide_position - position) + c * (gbest_position - position)
-    np.maximum(velocity, -v_max, out=velocity)
-    return np.minimum(velocity, v_max, out=velocity)
+    np.maximum(velocity, -V_MAX, out=velocity)
+    return np.minimum(velocity, V_MAX, out=velocity)
 

@@ -18,7 +18,7 @@ from opsom.mutation import mutate_elites
 from opsom.objective import base_spec, make_suite
 from opsom.optimizer import OptimizerConfig, _archive_guides, _opsom_iteration, _uniform_block, run, run_cell
 from opsom.ortho_init import construct_oa, map_to_search_space
-from opsom.swarm_core import PsoParams, SwarmState, velocity_update
+from opsom.swarm_core import COGNITIVE, INERTIA, SOCIAL, V_MAX, SwarmState, velocity_update
 from test_ortho_init import verify_oa
 
 
@@ -198,16 +198,14 @@ def test_criterion_9_ablation_direction(comparison_records):
 def test_criterion_10_equation_level_oracles():
     rng = np.random.default_rng(99)
     spec = base_spec("sphere", 5)
-    params = PsoParams()
-    vmax = params.v_max
     worst = 0.0
     # the baseline step is the optimizer's step with every strategy off
-    baseline = OptimizerConfig(algorithm="pso", pso_params=params)
+    baseline = OptimizerConfig(algorithm="pso")
 
     for _ in range(100):
         n, d = 4, 5
         positions = rng.uniform(-100, 100, (n, d))
-        velocities = rng.uniform(-vmax, vmax, (n, d))
+        velocities = rng.uniform(-V_MAX, V_MAX, (n, d))
         state = SwarmState(positions[None].copy(), velocities[None].copy(), (positions**2).sum(axis=1)[None])
         pbest = rng.uniform(-100, 100, (n, d))
         state.pbest_positions = pbest[None].copy()
@@ -222,10 +220,10 @@ def test_criterion_10_equation_level_oracles():
         state = state.view(0)
         for i in range(n):
             for k in range(d):
-                v = (params.inertia * velocities[i, k]
-                     + params.cognitive * r1[i, k] * (pbest[i, k] - positions[i, k])
-                     + params.social * r2[i, k] * (gbest[k] - positions[i, k]))
-                v = min(max(v, -vmax), vmax)
+                v = (INERTIA * velocities[i, k]
+                     + COGNITIVE * r1[i, k] * (pbest[i, k] - positions[i, k])
+                     + SOCIAL * r2[i, k] * (gbest[k] - positions[i, k]))
+                v = min(max(v, -V_MAX), V_MAX)
                 x = positions[i, k] + v
                 if x < -100.0:
                     x, v = -100.0, 0.0
@@ -235,15 +233,15 @@ def test_criterion_10_equation_level_oracles():
 
     for _ in range(100):
         d = 6
-        v0 = rng.uniform(-vmax, vmax, d)
+        v0 = rng.uniform(-V_MAX, V_MAX, d)
         x = rng.uniform(-100, 100, d)
         guide = rng.uniform(-100, 100, d)
         gbest = rng.uniform(-100, 100, d)
         r1, r2, r3 = rng.uniform(size=(3, d))
-        out = velocity_update(v0, x, guide, gbest, vmax, r1, r2, r3)
+        out = velocity_update(v0, x, guide, gbest, r1, r2, r3)
         for k in range(d):
             v = r1[k] * v0[k] + r2[k] * (guide[k] - x[k]) + r3[k] * (gbest[k] - x[k])
-            v = min(max(v, -vmax), vmax)
+            v = min(max(v, -V_MAX), V_MAX)
             worst = max(worst, abs(v - out[k]))
 
     for _ in range(100):

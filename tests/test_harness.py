@@ -471,10 +471,6 @@ class TestCli:
         ("opsom", "2", "0", [], "jobs must be at least 1, got 0"),
         ("opsom", "2", "-5", [], "jobs must be at least 1, got -5"),
         ("opsom,cma", "2", "1", [], "unknown algorithm 'cma'"),
-        ("opsom", "2", "1", ["--cognitive", "nan"], "PSO coefficients must be finite"),
-        ("pso", "2", "1", ["--cognitive", "nan"], "PSO coefficients must be finite"),
-        ("opsom,pso", "2", "1", ["--social", "inf"], "PSO coefficients must be finite"),
-        ("opsom", "2", "1", ["--v-max-fraction", "nan"], "PSO coefficients must be finite"),
         ("pso", "2", "1", ["--no-oa"], "no_oa ablates opsom"),
         ("pso", "2", "1", ["--no-archives"], "no_archives ablates opsom"),
         ("pso", "2", "1", ["--no-mutation"], "no_mutation ablates opsom"),
@@ -483,15 +479,13 @@ class TestCli:
         ("cma", "2", "1", ["--oa-levels", "3"], "unknown algorithm 'cma'"),
         ("opsom", "2", "1", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
         ("opsom,pso", "2", "2", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
-    ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs", "unknown-algorithm", "nan-cognitive",
-            "pso-nan-cognitive", "inf-social", "nan-v-max-fraction", "pso-no-oa", "pso-no-archives", "pso-no-mutation",
-            "pso-fixed-inertia", "unknown-algorithm-no-oa", "unknown-algorithm-oa-levels", "no-archives-fixed-inertia",
+    ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs", "unknown-algorithm", "pso-no-oa",
+            "pso-no-archives", "pso-no-mutation", "pso-fixed-inertia", "unknown-algorithm-no-oa", "unknown-algorithm-oa-levels", "no-archives-fixed-inertia",
             "no-archives-fixed-inertia-jobs-2"])
     def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, extra, message):
         # also a worker count below 1, which used to run sequentially without a
-        # word, non-finite PSO coefficients, which used to run (or fail at the
-        # first evaluation, blaming the objective), and ablation flags that
-        # change nothing, which used to run as if they were absent
+        # word, and ablation flags that change nothing, which used to run as if
+        # they were absent
         out = tmp_path / "z"
         status = main(["run", "--algo", algo, "--dim", dim, "--runs", "1", "--pop", "6", "--budget", "200",
                        "--jobs", jobs, *extra, "--out", str(out)])

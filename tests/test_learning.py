@@ -53,20 +53,20 @@ class TestSelectScheme:
 class TestRegularVelocityUpdate:
     def test_fixed_point(self):
         x = np.array([3.0, -4.0])
-        v = velocity_update(np.zeros(2), x, x, x, 40.0, *np.random.default_rng(0).random((3, 2)))
+        v = velocity_update(np.zeros(2), x, x, x, *np.random.default_rng(0).random((3, 2)))
         np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_hooked_randoms_all_one(self):
         ones = np.ones(1)
         v = velocity_update(
-            np.zeros(1), np.array([0.0]), np.array([2.0]), np.array([4.0]), 40.0,
+            np.zeros(1), np.array([0.0]), np.array([2.0]), np.array([4.0]),
             ones, ones, ones,
         )
         np.testing.assert_array_equal(v, [6.0])
 
     def test_pure_memory(self):
         v = velocity_update(
-            np.array([3.0]), np.array([1.0]), np.array([2.0]), np.array([4.0]), 40.0,
+            np.array([3.0]), np.array([1.0]), np.array([2.0]), np.array([4.0]),
             np.ones(1), np.zeros(1), np.zeros(1),
         )
         np.testing.assert_array_equal(v, [3.0])
@@ -74,7 +74,7 @@ class TestRegularVelocityUpdate:
     def test_clamped_to_v_max(self):
         ones = np.ones(1)
         v = velocity_update(
-            np.zeros(1), np.array([0.0]), np.array([90.0]), np.array([90.0]), 40.0,
+            np.zeros(1), np.array([0.0]), np.array([90.0]), np.array([90.0]),
             ones, ones, ones,
         )
         np.testing.assert_array_equal(v, [40.0])
@@ -88,7 +88,7 @@ class TestRegularVelocityUpdate:
         guide = np.array([5.0, -6.0])
         gbest = np.array([7.0, 2.0])  # expected mean [5, -6], no zero components
         out = velocity_update(
-            np.tile(v, (n, 1)), np.tile(x, (n, 1)), np.tile(guide, (n, 1)), gbest, 1e9, *rng.random((3, n, 2))
+            np.tile(v, (n, 1)), np.tile(x, (n, 1)), np.tile(guide, (n, 1)), gbest, *rng.random((3, n, 2))
         )
         expected = 0.5 * (guide - x) + 0.5 * (gbest - x)
         observed = out.mean(axis=0) - 0.5 * v
@@ -111,7 +111,7 @@ class TestRegularVelocityUpdate:
             positions[which] = guide
             chosen = _archive_guides(singleton_archives(fits, positions), rng.random((1, 3, 1)))[0, 0]
             np.testing.assert_array_equal(chosen, guide)
-            outs.append(velocity_update(v, x, chosen, gbest, 40.0, r1, r2, r3))
+            outs.append(velocity_update(v, x, chosen, gbest, r1, r2, r3))
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[1], outs[2])
 
@@ -123,7 +123,7 @@ class TestRegularVelocityUpdate:
         for inertia in (r1, 0.729):  # drawn, and pinned by --fixed-inertia
             expected = np.clip(inertia * v + r2 * (guide - x) + r3 * (gbest - x), -40.0, 40.0)
             assert (np.abs(expected) == 40.0).any() and (np.abs(expected) < 40.0).any()
-            out = velocity_update(v, x, guide, gbest, 40.0, inertia, r2, r3)
+            out = velocity_update(v, x, guide, gbest, inertia, r2, r3)
             assert out.tobytes() == expected.tobytes()
 
     def test_batch_matches_per_particle(self):
@@ -134,7 +134,7 @@ class TestRegularVelocityUpdate:
         guide = rng.uniform(-50, 50, (m, d))
         gbest = rng.uniform(-50, 50, d)
         r1, r2, r3 = rng.uniform(size=(3, m, d))
-        batch = velocity_update(v, x, guide, gbest, 40.0, r1, r2, r3)
+        batch = velocity_update(v, x, guide, gbest, r1, r2, r3)
         for i in range(m):
-            row = velocity_update(v[i], x[i], guide[i], gbest, 40.0, r1[i], r2[i], r3[i])
+            row = velocity_update(v[i], x[i], guide[i], gbest, r1[i], r2[i], r3[i])
             np.testing.assert_array_equal(batch[i], row)

@@ -174,6 +174,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"must be \(d,\) and \(d, d\)"):
             ShiftedBlocks(("sphere",), shift, rotation, 0.0, (1.0,))
 
+    @pytest.mark.parametrize("shift, rotation", [
+        (np.zeros(3), np.eye(3)), (np.zeros(3), None), (None, np.eye(3)),
+    ], ids=["both", "shift", "rotation"])
+    def test_base_spec_rejects_arrays_of_another_dimension(self, shift, rotation):
+        # given both, a (3,) shift and a (3, 3) rotation used to build a d = 3 spec for dimension 2
+        with pytest.raises(ValueError, match=r"must be \(d,\) and \(d, d\) for d = 2"):
+            base_spec("sphere", 2, shift=shift, rotation=rotation)
+
     def test_rejects_a_composite_without_a_zero_offset_component(self):
         components = tuple(ShiftedBlocks(("sphere",), np.full(2, k), np.eye(2), 100.0 * k, (1.0,)) for k in (1, 2))
         with pytest.raises(ValueError, match="zero-offset component"):

@@ -19,7 +19,7 @@ from opsom.optimizer import (
     run_cell,
 )
 from opsom.ortho_init import array_shape
-from opsom.swarm_core import PsoParams, SwarmState
+from opsom.swarm_core import SwarmState
 
 
 SPEC = base_spec("rastrigin", 10, shift=np.full(10, 12.5))
@@ -549,7 +549,7 @@ class TestRunCell:
 
     @pytest.mark.parametrize("change", [
         dict(algorithm="pso"), dict(population=10), dict(budget=2_100), dict(no_oa=True), dict(no_archives=True),
-        dict(no_mutation=True), dict(fixed_inertia=True), dict(oa_levels=3), dict(pso_params=PsoParams(inertia=0.5)),
+        dict(no_mutation=True), dict(fixed_inertia=True), dict(oa_levels=3),
     ])
     def test_rejects_configs_differing_in_more_than_the_seed(self, change):
         configs = [small_config(seed=1), small_config(seed=2, **change)]

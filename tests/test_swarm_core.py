@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from opsom.objective import base_spec
 from opsom.optimizer import OptimizerConfig, _opsom_iteration, _uniform_block
 from opsom.swarm_core import (
-    PsoParams,
+    COGNITIVE,
+    INERTIA,
+    SOCIAL,
+    V_MAX,
     SwarmState,
     handle_bounds,
     sort_and_split,
@@ -34,51 +37,28 @@ def make_state(positions, velocities=None, fitness=None):
     return SwarmState(positions[None], velocities[None], fitness[None])
 
 
-def baseline_step(state, params, spec, u):
+def baseline_step(state, spec, u):
     """One baseline PSO iteration of every run through the optimizer's step function.
 
     `u` is the (R, 2, n, d) block: each run's r1, then r2.  The block is cut
     as `run_cell` cuts it; the baseline reads no archive.
     """
-    config = OptimizerConfig(algorithm="pso", pso_params=params)
+    config = OptimizerConfig(algorithm="pso")
     block, u_slices = _uniform_block(config, *state.positions.shape)
     block[...] = np.reshape(u, block.shape)
     _opsom_iteration(state, None, config, spec, u_slices)
     return state
 
 
-def step(state, params, spec, u):
+def step(state, spec, u):
     """`baseline_step` on a one-run state with a (2, n, d) block."""
-    return baseline_step(state, params, spec, np.asarray(u)[None])
+    return baseline_step(state, spec, np.asarray(u)[None])
 
 
 def split(state):
     """The (elite, regular) index arrays of a one-run state."""
     elite, regular = sort_and_split(state)
     return elite[0], regular[0]
-
-
-class TestPsoParams:
-    def test_defaults(self):
-        p = PsoParams()
-        assert p.inertia == 0.729 and p.cognitive == p.social == 1.49445
-
-    def test_v_max(self):
-        assert PsoParams().v_max == 40.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PsoParams(inertia=1.5)
-        with pytest.raises(ValueError):
-            PsoParams(cognitive=-0.1)
-        with pytest.raises(ValueError):
-            PsoParams(v_max_fraction=0.0)
-        # NaN slips past the sign checks on cognitive and social, and an infinite
-        # coefficient turns velocities into NaN: both are rejected up front
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            for name in ("inertia", "cognitive", "social", "v_max_fraction"):
-                with pytest.raises(ValueError, match="must be finite"):
-                    PsoParams(**{name: bad})
 
 
 class TestSwarmState:
@@ -220,56 +200,49 @@ class TestPsoStep:
         # x == pbest == gbest and v == 0 stays put
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], fitness=[0.0])
-        step(state, PsoParams(), spec, np.random.default_rng(0).random((2, 1, 2)))
+        step(state, spec, np.random.default_rng(0).random((2, 1, 2)))
         np.testing.assert_array_equal(state.positions[0], [[0.0, 0.0]])
         np.testing.assert_array_equal(state.velocities[0], [[0.0, 0.0]])
 
     def test_pure_drift(self):
+        # zero uniforms silence both attraction terms: x' = x + INERTIA * v
         spec = base_spec("sphere", 2)
         state = make_state([[0.0, 0.0]], velocities=[[1.0, 0.0]], fitness=[0.0])
-        params = PsoParams(inertia=1.0, cognitive=0.0, social=0.0)
-        step(state, params, spec, np.random.default_rng(0).random((2, 1, 2)))
-        np.testing.assert_array_equal(state.positions[0], [[1.0, 0.0]])
+        step(state, spec, np.zeros((2, 1, 2)))
+        np.testing.assert_array_equal(state.positions[0], [[INERTIA, 0.0]])
 
     def test_single_particle_matches_hand_formula(self):
-        # v' = 0.5 v + 1.5*0.5*(P - x) + 1.5*0.5*(G - x), x' = x + v'
+        # v' = INERTIA v + COGNITIVE*0.5*(P - x) + SOCIAL*0.5*(G - x), x' = x + v'
         spec = base_spec("sphere", 2)
         state = make_state([[2.0, -1.0]], velocities=[[0.5, 0.25]], fitness=[5.0])
         state.pbest_positions = np.array([[[1.0, 1.0]]])
         state.pbest_fitness = np.array([[2.0]])
         state.gbest_position = np.array([[0.0, 0.0]])
         state.gbest_fitness = np.array([0.0])
-        params = PsoParams(inertia=0.5, cognitive=1.5, social=1.5)
-        step(state, params, spec, np.full((2, 1, 2), 0.5))
-        v = 0.5 * np.array([0.5, 0.25]) + 0.75 * (np.array([1.0, 1.0]) - [2.0, -1.0]) + 0.75 * (np.array([0.0, 0.0]) - [2.0, -1.0])
+        step(state, spec, np.full((2, 1, 2), 0.5))
+        x = np.array([2.0, -1.0])
+        v = INERTIA * np.array([0.5, 0.25]) + COGNITIVE * 0.5 * (np.array([1.0, 1.0]) - x) + SOCIAL * 0.5 * (0.0 - x)
         np.testing.assert_allclose(state.velocities[0, 0], v, atol=1e-15)
-        np.testing.assert_allclose(state.positions[0, 0], np.array([2.0, -1.0]) + v, atol=1e-15)
+        np.testing.assert_allclose(state.positions[0, 0], x + v, atol=1e-15)
         assert state.iteration == 1
 
     def test_velocity_bitwise_equal_to_clip_form(self):
         # the baseline rule w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x) is the
         # shared rule with b = c1*r1 and c = c2*r2: Python multiplies left to right
         rng = np.random.default_rng(6)
-        params = PsoParams()
-        vmax = params.v_max
         v, x, pbest = rng.uniform(-100, 100, (3, 20, 10))
         gbest = rng.uniform(-100, 100, 10)
         r1, r2 = rng.uniform(size=(2, 20, 10))
-        expected = np.clip(
-            params.inertia * v + params.cognitive * r1 * (pbest - x) + params.social * r2 * (gbest - x), -vmax, vmax
-        )
-        assert (np.abs(expected) == vmax).any() and (np.abs(expected) < vmax).any()
-        out = velocity_update(v, x, pbest, gbest, vmax, params.inertia, params.cognitive * r1, params.social * r2)
+        expected = np.clip(INERTIA * v + COGNITIVE * r1 * (pbest - x) + SOCIAL * r2 * (gbest - x), -V_MAX, V_MAX)
+        assert (np.abs(expected) == V_MAX).any() and (np.abs(expected) < V_MAX).any()
+        out = velocity_update(v, x, pbest, gbest, INERTIA, COGNITIVE * r1, SOCIAL * r2)
         assert out.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 4), n=st.integers(1, 50), d=st.integers(1, 60),
-           inertia=st.floats(0.0, 1.0), cognitive=st.floats(0.0, 4.0), social=st.floats(0.0, 4.0),
-           v_max_fraction=st.floats(0.01, 1.0))
-    def test_step_bitwise_equal_to_baseline_formula(self, seed, runs, n, d, inertia, cognitive, social, v_max_fraction):
+    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 4), n=st.integers(1, 50), d=st.integers(1, 60))
+    def test_step_bitwise_equal_to_baseline_formula(self, seed, runs, n, d):
         # every run of a cell follows the textbook step with its own gbest
         # and uniforms, and every particle of every run is scored once
-        params = PsoParams(inertia, cognitive, social, v_max_fraction)
         rng = np.random.default_rng(seed)
         spec = base_spec("sphere", d)
         x, pbest = rng.uniform(-100, 100, (2, runs, n, d))
@@ -277,14 +250,13 @@ class TestPsoStep:
         state = SwarmState(x.copy(), v.copy(), (x**2).sum(2))
         state.pbest_positions = pbest.copy()
         u = rng.random((runs, 2, n, d))
-        vmax = params.v_max
-        baseline_step(state, params, spec, u)
+        baseline_step(state, spec, u)
         assert state.fitness.tobytes() == np.add.reduce(state.positions**2, 2).tobytes()
         for r in range(runs):
             gbest = x[r, (x[r] ** 2).sum(1).argmin()]
             velocity = np.clip(
-                params.inertia * v[r] + params.cognitive * u[r, 0] * (pbest[r] - x[r])
-                + params.social * u[r, 1] * (gbest - x[r]), -vmax, vmax
+                INERTIA * v[r] + COGNITIVE * u[r, 0] * (pbest[r] - x[r]) + SOCIAL * u[r, 1] * (gbest - x[r]),
+                -V_MAX, V_MAX,
             )
             position = x[r] + velocity
             outside = (position < -100.0) | (position > 100.0)
@@ -296,14 +268,12 @@ class TestPsoStep:
         rng = np.random.default_rng(2)
         positions = rng.uniform(-100, 100, size=(8, 5))
         state = make_state(positions, fitness=[float(f) for f in (positions**2).sum(axis=1)])
-        params = PsoParams()
-        vmax = params.v_max
         last_gbest = state.gbest_fitness.copy()
         last_pbest = state.pbest_fitness.copy()
         for _ in range(50):
-            step(state, params, spec, rng.random((2, 8, 5)))
+            step(state, spec, rng.random((2, 8, 5)))
             assert ((state.positions >= -100) & (state.positions <= 100)).all()
-            assert (np.abs(state.velocities) <= vmax).all()
+            assert (np.abs(state.velocities) <= V_MAX).all()
             assert (state.gbest_fitness <= last_gbest).all()
             assert (state.pbest_fitness <= last_pbest).all()
             last_gbest = state.gbest_fitness.copy()
