@@ -1,5 +1,5 @@
 """The three bounded archives feeding the regular-subgroup learning schemes,
-kept for the R runs of a cell at once.
+kept for the R runs of a `run_cell` call at once.
 
 phi holds the personal bests of the half of the swarm with the best personal
 bests, rebuilt from scratch every iteration.  psi collects personal bests that

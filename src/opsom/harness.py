@@ -3,9 +3,11 @@ protocol with paired seeds, and writes machine-readable outputs.
 
 Run r of every (function, dimension) pair uses the same derived seed for
 every algorithm, so paired comparisons differ only algorithmically.  The runs
-of one (function, dimension, algorithm) cell advance in lockstep.  Output
-files contain no timestamps and use shortest round-trip float formatting, so
-repeated invocations with identical flags are byte-identical.
+of one (function, dimension, algorithm) cell advance in lockstep, and small
+cells of one (dimension, algorithm) share a task, advancing in lockstep with
+each other; a run's record does not depend on its task.  Output files contain
+no timestamps and use shortest round-trip float formatting, so repeated
+invocations with identical flags are byte-identical.
 
 Subcommands:
   run      execute an experiment (one or more algorithms)
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .objective import ObjectiveSpec, describe_suite, make_suite
+from .objective import describe_suite, make_suite
 from .optimizer import OptimizerConfig, RunRecord, exploration_ratio, run_cell
 from .ortho_init import construct_oa, format_oa
 
@@ -34,9 +36,34 @@ _MASK64 = (1 << 64) - 1
 CSV_HEADER = "iteration,evals,best_error,diversity,exploration_pct"
 
 
+# Cells share a task while its (swarms, n, d) state stays within this many
+# float64 values (94 KiB per state array): 5 cells of d=30, R=2, n=40 share
+# one, 3 of d=50, and a cell of the paper's R=25 is always alone.  Timed on
+# one CPU of a 2-core Xeon (whole suite, budget 500*d, jobs 1, medians of 8
+# alternations), this size took 1.11 s for opsom at d=30, R=2 against 1.44 s
+# at one cell per task, and no (d, R, algorithm) with d in {10, 30, 50} and R
+# in {1, 2, 25} was slower beyond its spread; twice the size slowed pso at
+# d=50, R=2 (3.86 s against 3.06 s), which is evaluation-bound, with little
+# dispatch to share.
+TASK_VALUES = 12_000
+
+
 def run_seed(base_seed: int, run_index: int) -> int:
-    """Derived per-run seed; run 0 uses the base seed itself."""
+    """Derived per-run seed of a base seed in [0, 2**64); run 0 uses the base seed itself."""
     return (base_seed ^ (run_index * RUN_SEED_STRIDE)) & _MASK64
+
+
+def task_layout(cells: int, cell_values: int, jobs: int) -> list[range]:
+    """Split `cells` cells of `cell_values` state values each into tasks; return each task's cell indices.
+
+    A task takes as many cells as fit in `TASK_VALUES` (at least one), but
+    there are at least `jobs` tasks while there are cells to fill them.  Cell
+    i goes to task i mod T, so when the costlier cells come last every task
+    gets its share of them.
+    """
+    per_task = max(1, TASK_VALUES // cell_values)
+    tasks = min(cells, max(jobs, -(-cells // per_task)))
+    return [range(t, cells, tasks) for t in range(tasks)]
 
 
 @dataclass
@@ -53,6 +80,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # run_seed keeps 64 bits, so a seed outside them would alias one inside
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
+        if self.suite_seed < 0:
+            raise ValueError(f"suite_seed must be non-negative, got {self.suite_seed}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.jobs < 1:
@@ -88,34 +120,41 @@ def summarize(errors) -> dict[str, float]:
 def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunRecord]]:
     """Execute all runs of an experiment, grouped by (function, dimension, algorithm).
 
-    Each such cell's runs advance in lockstep as one task; with jobs > 1 the
-    cells are distributed over worker processes.  Results are identical to a
-    sequential execution.  Every (dimension, algorithm) setting is validated
-    before the first cell runs, so a setting bad at any dimension runs nothing.
+    Each such cell's runs advance in lockstep, and `task_layout` packs the
+    cells of each (dimension, algorithm) into tasks, so small cells share one
+    `run_cell` call; with jobs > 1 the tasks are distributed over worker
+    processes.  Results are identical to a sequential execution and to any
+    other layout.  Every (dimension, algorithm) setting is validated before
+    the first task runs, so a setting bad at any dimension runs nothing.
     """
-    cells: list[list[OptimizerConfig]] = []
-    specs: list[ObjectiveSpec] = []
     keys: list[tuple[str, int, str]] = []
+    tasks = []  # each task's cell keys, configs and specs, R consecutive runs per cell
     for dim in config.dimensions:
         suite = make_suite(config.suite_seed, dim)
         for algo in config.algorithms:
             replace(config.optimizer, algorithm=algo, seed=config.base_seed).validate(suite[0])
-        for spec in suite:
-            for algo in config.algorithms:
-                cells.append([replace(config.optimizer, algorithm=algo, seed=run_seed(config.base_seed, r))
-                              for r in range(config.runs)])
-                specs.append(spec)
-                keys.append((spec.id, dim, algo))
+        keys += [(spec.id, dim, algo) for spec in suite for algo in config.algorithms]
+        for algo in config.algorithms:
+            runs = [replace(config.optimizer, algorithm=algo, seed=run_seed(config.base_seed, r))
+                    for r in range(config.runs)]
+            for cells in task_layout(len(suite), config.runs * config.optimizer.population * dim, config.jobs):
+                tasks.append(([(suite[i].id, dim, algo) for i in cells], runs * len(cells),
+                              [suite[i] for i in cells for _ in runs]))
+    task_keys, configs, specs = zip(*tasks)
     if config.jobs > 1:
-        # costlier cells come last (higher dimensions, and the suite's hybrid
-        # and composite functions), so the pool takes them first and the
-        # cheap ones even out the end; a forking pool starts every worker at
-        # the first submit, so it gets no more workers than cells
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(cells))) as pool:
-            records = list(pool.map(run_cell, cells[::-1], specs[::-1], chunksize=1))[::-1]
+        # costlier tasks come last (higher dimensions, and the suite's hybrid
+        # and composite functions last in each task), so the pool takes them
+        # first and the cheap ones even out the end; a forking pool starts
+        # every worker at the first submit, so it gets no more workers than tasks
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
+            results = list(pool.map(run_cell, configs[::-1], specs[::-1], chunksize=1))[::-1]
     else:
-        records = list(map(run_cell, cells, specs))
-    return dict(zip(keys, records))
+        results = list(map(run_cell, configs, specs))
+    grouped = {}
+    for cell_keys, records in zip(task_keys, results):
+        for j, key in enumerate(cell_keys):
+            grouped[key] = records[j * config.runs : (j + 1) * config.runs]
+    return {key: grouped[key] for key in keys}
 
 
 def format_convergence_csv(record: RunRecord) -> str:
@@ -172,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-archives", action="store_true", help="ablation: baseline updates for regulars")
         p.add_argument("--no-mutation", action="store_true", help="ablation: elites learn like regulars")
         p.add_argument("--fixed-inertia", action="store_true", help="ablation: fixed inertia in scheme updates")
-        p.add_argument("--jobs", type=int, default=exp.jobs, help="worker processes, each taking whole cells")
+        p.add_argument("--jobs", type=int, default=exp.jobs, help="worker processes, each taking tasks of whole cells")
         p.add_argument("--out", required=True, help="output directory")
 
     run_p = sub.add_parser("run", help="run an experiment")
@@ -186,9 +225,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_list(text: str) -> tuple[str, ...]:
+    """The entries of a comma-separated flag, stripped, without empty ones."""
+    return tuple(entry.strip() for entry in text.split(",") if entry.strip())
+
+
 def _experiment_from_args(args) -> ExperimentConfig:
-    algorithms = tuple(a.strip() for a in args.algo.split(",") if a.strip())
-    dimensions = tuple(int(d) for d in args.dim.split(","))
+    algorithms = _split_list(args.algo)
+    dimensions = []
+    for entry in _split_list(args.dim):
+        try:
+            dimensions.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--dim expects comma-separated integers, got {entry!r}") from None
     optimizer = OptimizerConfig(
         population=args.pop,
         budget=args.budget,
@@ -200,7 +249,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
     )
     return ExperimentConfig(
         suite_seed=args.suite_seed,
-        dimensions=dimensions,
+        dimensions=tuple(dimensions),
         runs=args.runs,
         base_seed=args.seed,
         algorithms=algorithms,

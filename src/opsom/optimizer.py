@@ -1,19 +1,22 @@
 """One run loop and one step function for both algorithms.  The full
 optimizer is plain PSO plus three strategies: orthogonal-array init, archive
 learning for the regular half and mutation of the elite half.  The baseline
-PSO is the same iteration with all three turned off.  `run_cell` advances the
-R runs of one cell (configs equal but for the seed) in lockstep on (R, n, d)
-state; `run` is its R = 1 case.
+PSO is the same iteration with all three turned off.  `run_cell` advances R
+runs (configs equal but for the seed) in lockstep on (R, n, d) state; the
+runs may belong to several functions of one dimension, and consecutive runs
+of one function form a block, which is a harness cell.  `run` is its R = 1
+case.
 
 Budget: initialization costs each run `init = max(n, array rows)`
 evaluations with the orthogonal array and n without it, and every iteration
-exactly n more (one sweep over the swarm; all R sweeps go to the objective
-as one batch).  A sweep starts only if it would end below the budget, so a
-run makes exactly K = max(0, (budget - init - 1) // n) iterations, counted
-before the loop, and ends within [budget - n, budget] evaluations: below the
-budget unless the budget is init itself.  After iteration k a run has made
-init + n*k evaluations.  Runs are bitwise deterministic for a fixed (config,
-spec, seed), whichever cell they run in.
+exactly n more (one sweep over the swarm; the sweeps of one block go to its
+function as one batch).  A sweep starts only if it would end below the
+budget, so a run makes exactly K = max(0, (budget - init - 1) // n)
+iterations, counted before the loop, and ends within [budget - n, budget]
+evaluations: below the budget unless the budget is init itself.  After
+iteration k a run has made init + n*k evaluations.  Runs are bitwise
+deterministic for a fixed (config, spec, seed), whichever runs and functions
+share their call.
 
 Learners: with mutation the swarm is sorted by fitness and split in half; the
 worse half learns (in ascending-fitness order) and the better half is
@@ -65,6 +68,8 @@ from .swarm_core import (
 ALGORITHMS = ("opsom", "pso")
 
 Observer = Callable[[SwarmState, ArchiveSet], None]
+# the consecutive runs (a slice of the run axis) that share one function
+Block = tuple[slice, ObjectiveSpec]
 
 
 @dataclass
@@ -160,12 +165,12 @@ class _Trace:
         self.best_fitness[:, state.iteration] = state.gbest_fitness
         self.diversities[:, state.iteration] = diversity(state)
 
-    def records(self, configs: list[OptimizerConfig], spec: ObjectiveSpec, budget: int, init_cost: int,
+    def records(self, configs: list[OptimizerConfig], specs: list[ObjectiveSpec], budget: int, init_cost: int,
                 wall_time: float) -> list[RunRecord]:
         if not np.isfinite(self.best_fitness).all():
             raise ValueError("best_fitness must be finite")
         # |best fitness - f_opt| for every run's whole trace at once, one row per run
-        errors = np.abs(self.best_fitness - spec.f_opt)
+        errors = np.abs(self.best_fitness - np.array([[spec.f_opt] for spec in specs]))
         iterations = np.arange(errors.shape[1])
         return [
             RunRecord(
@@ -182,7 +187,7 @@ class _Trace:
                 best_error=float(errors[r, -1]),
                 wall_time=wall_time / len(configs),
             )
-            for r, config in enumerate(configs)
+            for r, (config, spec) in enumerate(zip(configs, specs))
         ]
 
 
@@ -218,16 +223,17 @@ def _opsom_iteration(
     state: SwarmState,
     archives: ArchiveSet,
     config: OptimizerConfig,
-    spec: ObjectiveSpec,
+    blocks: list[Block],
     u: list[np.ndarray],
 ) -> None:
     """One iteration of every run: learner sweep, elite mutation, bests, archive updates.
     It writes the state's positions and velocities in place.
 
-    `u` holds the guide, velocity, partner-and-delta and eviction slices of
-    the (R, B) uniform block, run r's in row r, cut by `_uniform_block`.
-    With every strategy off this is one baseline PSO step, and `archives` is
-    never read.
+    `blocks` cover the run axis in order; each block's sweeps go to its
+    function as one batch.  `u` holds the guide, velocity, partner-and-delta
+    and eviction slices of the (R, B) uniform block, run r's in row r, cut by
+    `_uniform_block`.  With every strategy off this is one baseline PSO step,
+    and `archives` is never read.
     """
     guide_u, velocity_u, mutation_u, evict_u = u
     archived, mutating = config.uses_archives, config.uses_mutation
@@ -256,7 +262,8 @@ def _opsom_iteration(
         # iteration-start positions; they keep their velocities
         X[rows, elite_idx] = mutate_elites(X[rows, elite_idx], archives.phi_positions, mutation_u)
 
-    state.fitness = evaluate_batch(spec, X.reshape(-1, d)).reshape(runs, n)
+    fitness = [evaluate_batch(spec, X[block].reshape(-1, d)) for block, spec in blocks]
+    state.fitness = np.concatenate(fitness).reshape(runs, n)
     improved, better = update_bests(state)
     state.iteration += 1
     _update_archives(archives, state, config, improved, better, evict_u)
@@ -285,34 +292,46 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
     iteration; it reads the live state and archives, which are overwritten in
     place, so it copies what it keeps, and it must not modify them.
     """
-    return run_cell([config], spec, observer)[0]
+    return run_cell([config], [spec], observer)[0]
 
 
-def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Observer | None = None) -> list[RunRecord]:
-    """Run R configs that differ only in seed in lockstep; return their traces in order.
+def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
+             observer: Observer | None = None) -> list[RunRecord]:
+    """Run R configs that differ only in seed in lockstep, run r on `specs[r]`; return their traces in order.
 
+    The specs share one dimension.  Consecutive runs of one spec form a
+    block: one initialization call and one evaluation call per iteration.
     Every run makes the K iterations its budget affords (see the module
     docstring), and each keeps its own generator, so run r's record is bitwise
-    the one `run(configs[r], spec)` gives.  An observer watches a single run,
-    so it needs exactly one config; it sees that run's state and archives with
-    the run axis dropped.
+    the one `run(configs[r], specs[r])` gives; its `wall_time` is its share of
+    the call's time.  An observer watches a single run, so it needs exactly
+    one config; it sees that run's state and archives with the run axis
+    dropped.
     """
     if not configs:
         raise ValueError("run_cell needs at least one config")
+    if len(specs) != len(configs):
+        raise ValueError(f"run_cell needs one spec per config, got {len(specs)} for {len(configs)} configs")
     config = configs[0]
     if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("the configs of a cell may differ only in seed")
+        raise ValueError("the configs of one call may differ only in seed")
+    dimensions = sorted({spec.dimension for spec in specs})
+    if len(dimensions) > 1:
+        raise ValueError(f"the specs of one call must share one dimension, got {dimensions}")
     if observer is not None and len(configs) > 1:
         raise ValueError(f"an observer watches one run, got {len(configs)} configs")
-    init_cost = config.validate(spec)
+    init_cost = config.validate(specs[0])
     start = time.perf_counter()
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    runs, n, d = len(configs), config.population, spec.dimension
+    runs, n, d = len(configs), config.population, dimensions[0]
     budget = config.resolved_budget(d)
     iterations = max(0, (budget - init_cost - 1) // n)
+    starts = [r for r in range(runs) if r == 0 or specs[r] is not specs[r - 1]]
+    blocks = [(slice(a, b), specs[a]) for a, b in zip(starts, [*starts[1:], runs])]
 
     levels = config.oa_levels if config.uses_oa else None
-    positions, fitness = build_initial_swarm(n, spec, rngs, levels=levels)
+    swarms = [build_initial_swarm(n, spec, rngs[block], levels=levels) for block, spec in blocks]
+    positions, fitness = (np.concatenate(parts) for parts in zip(*swarms))
     state = SwarmState(positions, np.zeros_like(positions), fitness)
     archives = ArchiveSet(runs, n, d)  # left empty by the baseline
     # every initial best is new; n + 1 pushes never fill an archive of capacity n, so evict_u is unread
@@ -326,7 +345,7 @@ def run_cell(configs: list[OptimizerConfig], spec: ObjectiveSpec, observer: Obse
         if observer is not None:
             observer(state.view(0), archives.view(0))
         if state.iteration == iterations:
-            return trace.records(configs, spec, budget, init_cost, time.perf_counter() - start)
+            return trace.records(configs, specs, budget, init_cost, time.perf_counter() - start)
         for rng, row in zip(rngs, u):
             rng.random(out=row)
-        _opsom_iteration(state, archives, config, spec, u_slices)
+        _opsom_iteration(state, archives, config, blocks, u_slices)

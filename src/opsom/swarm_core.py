@@ -1,7 +1,7 @@
 """Swarm state, the velocity rule, boundary handling, and best bookkeeping.
 
-State is kept as (R, n, d) arrays: the R runs of one cell, advanced in
-lockstep.  All fitness comparisons are minimizing and personal/global bests
+State is kept as (R, n, d) arrays: the R runs of one `run_cell` call, of one
+cell or of several, advanced in lockstep.  All fitness comparisons are minimizing and personal/global bests
 are replaced only on strict improvement, so plateaus never churn positions.
 """
 

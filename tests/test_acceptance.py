@@ -187,7 +187,8 @@ def test_criterion_9_ablation_direction(comparison_records):
     wins = 0
     details = [f"full={full_median:.4g}"]
     for flag in ("no_oa", "no_archives", "no_mutation"):
-        errors = [record.best_error for record in run_cell(paired_configs(**{flag: True}), spec)]
+        configs = paired_configs(**{flag: True})
+        errors = [record.best_error for record in run_cell(configs, [spec] * len(configs))]
         variant_median = np.median(errors)
         wins += full_median <= variant_median
         details.append(f"{flag}={variant_median:.4g}")
@@ -216,7 +217,7 @@ def test_criterion_10_equation_level_oracles():
         block, u_slices = _uniform_block(baseline, 1, n, d)
         r1, r2 = u = rng.uniform(size=(2, n, d))
         block[0] = u.ravel()
-        _opsom_iteration(state, None, baseline, spec, u_slices)
+        _opsom_iteration(state, None, baseline, [(slice(0, 1), spec)], u_slices)
         state = state.view(0)
         for i in range(n):
             for k in range(d):

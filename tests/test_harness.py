@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opsom
 from opsom.harness import (
     CSV_HEADER,
+    TASK_VALUES,
     ExperimentConfig,
     _build_parser,
     _experiment_from_args,
@@ -24,6 +27,7 @@ from opsom.harness import (
     main,
     run_seed,
     summarize,
+    task_layout,
     write_outputs,
 )
 from opsom import harness
@@ -119,8 +123,11 @@ class TestExperimentConfig:
         (dict(dimensions=(10, 30, 10)), "non-empty without repeats"),
         (dict(jobs=0), "jobs must be at least 1"),
         (dict(jobs=-5), "jobs must be at least 1"),
+        (dict(base_seed=-1), r"base_seed must be in \[0, 2\*\*64\), got -1"),
+        (dict(base_seed=2**64), r"base_seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+        (dict(suite_seed=-1), "suite_seed must be non-negative, got -1"),
     ], ids=["empty-algorithms", "repeated-algorithm", "empty-dimensions", "repeated-dimension", "zero-jobs",
-            "negative-jobs"])
+            "negative-jobs", "negative-seed", "seed-past-64-bits", "negative-suite-seed"])
     def test_rejects_empty_or_repeated_lists(self, kw, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
@@ -245,6 +252,32 @@ class TestExecute:
                 assert a.best_error == b.best_error
 
 
+class TestTaskLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.integers(1, 40), cell_values=st.integers(1, 3 * TASK_VALUES), jobs=st.integers(1, 64))
+    def test_every_cell_in_one_task(self, cells, cell_values, jobs):
+        tasks = task_layout(cells, cell_values, jobs)
+        assert sorted(i for task in tasks for i in task) == list(range(cells))
+        assert len(tasks) >= min(jobs, cells)
+        # no task outgrows the size, unless one cell alone does
+        assert all(len(task) * cell_values <= max(TASK_VALUES, cell_values) for task in tasks)
+        if cell_values > TASK_VALUES:
+            assert all(len(task) == 1 for task in tasks)
+
+    @pytest.mark.parametrize("runs, d, jobs, sizes", [
+        (2, 30, 2, [5, 5]),
+        (2, 50, 2, [3, 3, 2, 2]),
+        (2, 10, 1, [10]),
+        (25, 10, 1, [1] * 10),
+        (25, 50, 2, [1] * 10),
+    ])
+    def test_cells_per_task_at_population_40(self, runs, d, jobs, sizes):
+        assert [len(task) for task in task_layout(10, runs * 40 * d, jobs)] == sizes
+
+    def test_cells_stride_across_tasks(self):
+        assert task_layout(10, 2 * 40 * 30, 2) == [range(0, 10, 2), range(1, 10, 2)]
+
+
 class TestCsv:
     def test_header_and_shape(self):
         rec = run(OptimizerConfig(population=6, budget=300, seed=1), base_spec("sphere", 2))
@@ -294,16 +327,19 @@ class TestOutputs:
         assert outputs[0] == outputs[1]
 
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
-        # every file of the acceptance criterion-3 invocation, with 1 and 2 worker processes
-        flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--runs", "2", "--seed", "11",
-                 "--pop", "8", "--budget", "2000"]
-        outputs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main(flags + ["--jobs", jobs, "--out", str(out)]) == 0
-            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(outputs[0]) == 10 * 2 * 2 + 2
-        assert outputs[0] == outputs[1]
+        # every file of the acceptance criterion-3 invocation at 1 and 3 runs,
+        # with 1 and 3 worker processes: each run count packs a (dimension,
+        # algorithm)'s 10 cells into one task with 1 job and into 3 with 3 jobs
+        for runs in ("1", "3"):
+            flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--runs", runs, "--seed", "11",
+                     "--pop", "8", "--budget", "2000"]
+            outputs = []
+            for jobs in ("1", "3"):
+                out = tmp_path / f"runs{runs}_jobs{jobs}"
+                assert main(flags + ["--jobs", jobs, "--out", str(out)]) == 0
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert len(outputs[0]) == 10 * 2 * int(runs) + 2
+            assert outputs[0] == outputs[1], runs
 
     def test_golden_digests(self, tmp_path):
         """Every file of the acceptance criterion-3 invocation, alone and with each
@@ -344,7 +380,7 @@ class TestNonFiniteObjective:
         # even rows, +inf on row 1
         config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=True)
         with pytest.raises(ValueError, match=r"^poisoned: 13 of 24 rows evaluated to NaN or \+-inf$"):
-            run_cell([replace(config, seed=seed) for seed in range(3)], poisoned_spec(4))
+            run_cell([replace(config, seed=seed) for seed in range(3)], [poisoned_spec(4)] * 3)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cli_reports_error_and_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
@@ -443,6 +479,11 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_list_flags_strip_entries_and_drop_empty_ones(self):
+        args = _build_parser().parse_args(["run", "--algo", " opsom,,pso ", "--dim", "2, ,10,", "--out", "x"])
+        experiment = _experiment_from_args(args)
+        assert experiment.algorithms == ("opsom", "pso") and experiment.dimensions == (2, 10)
+
     def test_flag_defaults_are_the_config_defaults(self):
         args = _build_parser().parse_args(["run", "--out", "x"])
         assert _experiment_from_args(args) == ExperimentConfig(out_dir=Path("x"))
@@ -479,9 +520,17 @@ class TestCli:
         ("cma", "2", "1", ["--oa-levels", "3"], "unknown algorithm 'cma'"),
         ("opsom", "2", "1", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
         ("opsom,pso", "2", "2", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
+        # run_seed keeps 64 bits: these ran as --seed 0 and --seed 18446744073709551613
+        ("pso", "2", "1", ["--seed", "18446744073709551616"], "base_seed must be in [0, 2**64)"),
+        ("pso", "2", "1", ["--seed", "-3"], "base_seed must be in [0, 2**64), got -3"),
+        ("pso", "2", "1", ["--suite-seed", "-1"], "suite_seed must be non-negative, got -1"),
+        ("opsom", "x", "1", [], "--dim expects comma-separated integers, got 'x'"),
+        ("opsom", "2,x", "1", [], "--dim expects comma-separated integers, got 'x'"),
+        ("opsom", ", ,", "1", [], "non-empty without repeats"),
     ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs", "unknown-algorithm", "pso-no-oa",
             "pso-no-archives", "pso-no-mutation", "pso-fixed-inertia", "unknown-algorithm-no-oa", "unknown-algorithm-oa-levels", "no-archives-fixed-inertia",
-            "no-archives-fixed-inertia-jobs-2"])
+            "no-archives-fixed-inertia-jobs-2", "seed-past-64-bits", "negative-seed", "negative-suite-seed",
+            "non-integer-dim", "non-integer-second-dim", "only-empty-dims"])
     def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, extra, message):
         # also a worker count below 1, which used to run sequentially without a
         # word, and ablation flags that change nothing, which used to run as if

@@ -166,7 +166,8 @@ class TestBudgetAccounting:
         # a budget of exactly the initialization leaves no iteration, so the
         # initial swarms of all 3 runs are the only call
         spec = base_spec("rastrigin", d)
-        records = run_cell([OptimizerConfig(algorithm=algorithm, budget=init_cost, seed=s) for s in range(3)], spec)
+        configs = [OptimizerConfig(algorithm=algorithm, budget=init_cost, seed=s) for s in range(3)]
+        records = run_cell(configs, [spec] * 3)
         assert rows_sent == [3 * init_cost]
         assert [rec.evaluations.tolist() for rec in records] == [[init_cost]] * 3
 
@@ -179,7 +180,7 @@ class TestBudgetAccounting:
         for budget, iterations in ((init, 0), (init + n - 1, 0), (init + n, 0), (init + n + 1, 1),
                                    (10 * n, (10 * n - init - 1) // n)):
             rows_sent.clear()
-            records = run_cell([small_config(budget=budget, seed=s, **flags) for s in range(3)], SPEC)
+            records = run_cell([small_config(budget=budget, seed=s, **flags) for s in range(3)], [SPEC] * 3)
             rec = records[0]
             assert sum(rows_sent) == 3 * rec.evaluations[-1] <= 3 * budget, (flags, budget)
             assert rows_sent == [3 * init] + [3 * n] * iterations, (flags, budget)
@@ -191,7 +192,7 @@ class TestBudgetAccounting:
         # the trace's count after every iteration is the rows sent so far
         for flags, init in FLAG_SETS:
             rows_sent.clear()
-            records = run_cell([small_config(budget=500, seed=s, **flags) for s in range(3)], SPEC)
+            records = run_cell([small_config(budget=500, seed=s, **flags) for s in range(3)], [SPEC] * 3)
             for rec in records:
                 np.testing.assert_array_equal(rec.evaluations, init + 8 * rec.iterations)
                 np.testing.assert_array_equal(3 * rec.evaluations, np.cumsum(rows_sent))
@@ -213,7 +214,7 @@ class TestBudgetAccounting:
         for flags, init in FLAG_SETS:
             refusal = rf"budget {init - 1} cannot cover initialization \({init} evaluations\)"
             with pytest.raises(ValueError, match=refusal):
-                run_cell([small_config(budget=init - 1, seed=s, **flags) for s in range(3)], SPEC)
+                run_cell([small_config(budget=init - 1, seed=s, **flags) for s in range(3)], [SPEC] * 3)
         assert rows_sent == []
 
     def test_exhausted_budget_stops_the_run(self, rows_sent):
@@ -327,7 +328,8 @@ class TestAblations:
         for runs, d, seed in itertools.product((1, 3), (2, 10), (0, 5, 2**63 + 17)):
             spec = make_suite(1, d)[seed % 10]
             cells = [
-                run_cell([OptimizerConfig(population=8, budget=800, seed=seed + r, **flags) for r in range(runs)], spec)
+                run_cell([OptimizerConfig(population=8, budget=800, seed=seed + r, **flags) for r in range(runs)],
+                         [spec] * runs)
                 for flags in (dict(algorithm="pso"), ablated)
             ]
             for pso, opsom in zip(*cells):
@@ -420,7 +422,7 @@ class TestUniformBlock:
         for runs in (1, 3):
             generators.clear()
             marks.clear()
-            records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], SPEC)
+            records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], [SPEC] * runs)
             assert len(generators) == runs and len(marks) == len(records[0].iterations) - 1 > 10
             for r, generator in enumerate(generators):
                 calls = generator.calls
@@ -520,20 +522,27 @@ RECORD_ARRAYS = ("iterations", "evaluations", "errors", "diversities")
 RECORD_SCALARS = ("function_id", "algorithm", "dimension", "seed", "population", "budget", "best_error")
 
 
+VARIANTS = ["pso", "opsom", "no_oa", "no_archives", "no_mutation", "fixed_inertia"]
+
+
+def variant_configs(variant, runs, base_seed):
+    """`runs` small configs of one algorithm or ablation, differing only in seed."""
+    flags = {} if variant in ("pso", "opsom") else {variant: True}
+    algorithm = "pso" if variant == "pso" else "opsom"
+    return [OptimizerConfig(algorithm=algorithm, population=8, budget=600, seed=(base_seed + 7919 * r) % 2**64,
+                            **flags) for r in range(runs)]
+
+
 class TestRunCell:
-    """`run_cell` advances a cell's runs in lockstep; each run's record is the one `run` gives."""
+    """`run_cell` advances runs in lockstep, of one function or several; each run's record is the one `run` gives."""
 
     @settings(max_examples=40, deadline=None)
     @given(runs=st.integers(1, 8), d=st.sampled_from([2, 10]), function=st.integers(0, 9),
-           variant=st.sampled_from(["pso", "opsom", "no_oa", "no_archives", "no_mutation", "fixed_inertia"]),
-           base_seed=st.integers(0, 2**64 - 1))
+           variant=st.sampled_from(VARIANTS), base_seed=st.integers(0, 2**64 - 1))
     def test_matches_one_run_at_a_time(self, runs, d, function, variant, base_seed):
         spec = make_suite(5, d)[function]
-        flags = {} if variant in ("pso", "opsom") else {variant: True}
-        algorithm = "pso" if variant == "pso" else "opsom"
-        configs = [OptimizerConfig(algorithm=algorithm, population=8, budget=600, seed=(base_seed + 7919 * r) % 2**64,
-                                   **flags) for r in range(runs)]
-        cell = run_cell(configs, spec)
+        configs = variant_configs(variant, runs, base_seed)
+        cell = run_cell(configs, [spec] * runs)
         assert len(cell) == runs
         for config, lockstep in zip(configs, cell):
             alone = run(config, spec)
@@ -543,9 +552,37 @@ class TestRunCell:
             for name in RECORD_SCALARS:
                 assert getattr(alone, name) == getattr(lockstep, name), name
 
+    @settings(max_examples=30, deadline=None)
+    @given(functions=st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True), runs=st.integers(1, 3),
+           d=st.sampled_from([2, 10]), variant=st.sampled_from(VARIANTS), base_seed=st.integers(0, 2**64 - 1))
+    def test_functions_in_lockstep_match_one_function_at_a_time(self, functions, runs, d, variant, base_seed):
+        # the R runs of each of k functions in one call, as the harness packs a
+        # task, give every record field but the wall time bit for bit
+        suite = make_suite(5, d)
+        configs = variant_configs(variant, runs, base_seed)
+        task = run_cell(configs * len(functions), [suite[f] for f in functions for _ in configs])
+        alone = [record for f in functions for record in run_cell(configs, [suite[f]] * runs)]
+        assert len(task) == len(alone) == runs * len(functions)
+        for a, b in zip(alone, task):
+            for name in (f.name for f in fields(RunRecord) if f.name != "wall_time"):
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+                else:
+                    assert x == y, name
+
+    def test_rejects_specs_of_mixed_dimensions(self):
+        with pytest.raises(ValueError, match=r"must share one dimension, got \[2, 10\]"):
+            run_cell([small_config(seed=1), small_config(seed=2)], [base_spec("sphere", 2), SPEC])
+
+    @pytest.mark.parametrize("specs", [1, 3])
+    def test_rejects_a_spec_count_other_than_the_config_count(self, specs):
+        with pytest.raises(ValueError, match=f"one spec per config, got {specs} for 2 configs"):
+            run_cell([small_config(seed=1), small_config(seed=2)], [SPEC] * specs)
+
     def test_rejects_an_empty_cell(self):
         with pytest.raises(ValueError, match="at least one config"):
-            run_cell([], SPEC)
+            run_cell([], [])
 
     @pytest.mark.parametrize("change", [
         dict(algorithm="pso"), dict(population=10), dict(budget=2_100), dict(no_oa=True), dict(no_archives=True),
@@ -554,14 +591,14 @@ class TestRunCell:
     def test_rejects_configs_differing_in_more_than_the_seed(self, change):
         configs = [small_config(seed=1), small_config(seed=2, **change)]
         with pytest.raises(ValueError, match="may differ only in seed"):
-            run_cell(configs, SPEC)
+            run_cell(configs, [SPEC] * 2)
         # the seed alone may differ, repeated seeds included
-        assert len(run_cell([small_config(seed=1), small_config(seed=2), small_config(seed=1)], SPEC)) == 3
+        assert len(run_cell([small_config(seed=1), small_config(seed=2), small_config(seed=1)], [SPEC] * 3)) == 3
 
     def test_observer_watches_a_single_run(self):
         with pytest.raises(ValueError, match="observer watches one run"):
-            run_cell([small_config(seed=1), small_config(seed=2)], SPEC, observer=lambda state, archives: None)
+            run_cell([small_config(seed=1), small_config(seed=2)], [SPEC] * 2, observer=lambda state, archives: None)
 
     def test_shared_wall_time(self):
-        records = run_cell([small_config(seed=s) for s in range(3)], SPEC)
+        records = run_cell([small_config(seed=s) for s in range(3)], [SPEC] * 3)
         assert len({r.wall_time for r in records}) == 1 and records[0].wall_time > 0.0

@@ -46,7 +46,7 @@ def baseline_step(state, spec, u):
     config = OptimizerConfig(algorithm="pso")
     block, u_slices = _uniform_block(config, *state.positions.shape)
     block[...] = np.reshape(u, block.shape)
-    _opsom_iteration(state, None, config, spec, u_slices)
+    _opsom_iteration(state, None, config, [(slice(0, len(block)), spec)], u_slices)
     return state
 
 
