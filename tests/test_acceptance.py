@@ -5,9 +5,11 @@ a few minutes of CPU and are marked `slow`; everything else is fast.  Run with
 `pytest tests/test_acceptance.py -s` to see the status lines.
 """
 
+import hashlib
 import itertools
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ SUITE_SEED = 0
 BASE_SEED = 7
 
 ARRAY_FAMILY = [(2, j) for j in range(2, 6)] + [(3, 2), (3, 3), (5, 2)]
+
+PROTOCOL_DIGESTS = Path(__file__).parent / "golden" / "protocol_d10.sha256"
 
 
 def check(criterion, description, condition, detail=""):
@@ -54,6 +58,19 @@ def comparison_records():
         jobs=min(2, os.cpu_count() or 1),
     )
     return {(function_id, algo): records for (function_id, _, algo), records in execute(experiment).items()}
+
+
+def protocol_digests(records_by_cell) -> dict[str, str]:
+    """One SHA-256 per (function, algorithm) cell over every run's `errors` and then
+    `diversities` bytes, in run order, keyed `<function>_<algorithm>`."""
+    digests = {}
+    for (function_id, algo), records in records_by_cell.items():
+        digest = hashlib.sha256()
+        for record in records:
+            digest.update(record.errors.tobytes())
+            digest.update(record.diversities.tobytes())
+        digests[f"{function_id}_{algo}"] = digest.hexdigest()
+    return digests
 
 
 def test_criterion_1_oa_validity():
@@ -194,6 +211,25 @@ def test_criterion_9_ablation_direction(comparison_records):
         details.append(f"{flag}={variant_median:.4g}")
     check(9, "full optimizer beats single ablations on >=2 of 3", wins >= 2,
           f"({wins}/3 ablations, {', '.join(details)})")
+
+
+@pytest.mark.slow
+def test_protocol_digests(comparison_records):
+    """The protocol's 20 cells match the SHA-256 lines pinned in `tests/golden/protocol_d10.sha256`.
+
+    The four golden listings run a small case (pop 8, budget 2000, 2 runs), which
+    a 1-ulp drift of a libm routine can pass; the protocol's 500 runs at
+    10 000*d do not.  The digests were taken with numpy 2.4.6 on
+    scipy-openblas 0.3.31 and glibc 2.36 on an AVX-512 x86-64 CPU.  A change
+    that alters output bits on purpose rewrites the file as
+    `<digest>  <cell>` lines from `protocol_digests(comparison_records)` and
+    says why.
+    """
+    pinned = dict(line.split()[::-1] for line in PROTOCOL_DIGESTS.read_text().splitlines())
+    actual = protocol_digests(comparison_records)
+    assert actual.keys() == pinned.keys()
+    changed = [cell for cell in pinned if actual[cell] != pinned[cell]]
+    assert not changed, f"{len(changed)} of {len(pinned)} protocol cells changed: {changed}"
 
 
 def test_criterion_10_equation_level_oracles():
