@@ -159,13 +159,11 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
 
 def format_convergence_csv(record: RunRecord) -> str:
     """Render one run's trace in the convergence CSV schema."""
-    explore = exploration_ratio(record.diversities)
-    lines = [CSV_HEADER]
-    for i in range(len(record.iterations)):
-        lines.append(
-            f"{record.iterations[i]},{record.evaluations[i]},"
-            f"{float(record.errors[i])!r},{float(record.diversities[i])!r},{float(explore[i])!r}"
-        )
+    # each derived column once per record; `tolist` gives Python floats, whose repr round-trips
+    columns = (record.iterations, record.evaluations, record.errors, record.diversities,
+               exploration_ratio(record.diversities))
+    rows = zip(*(column.tolist() for column in columns))
+    lines = [CSV_HEADER, *(f"{k},{e},{err!r},{div!r},{x!r}" for k, e, err, div, x in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,8 @@ function as one batch).  A sweep starts only if it would end below the
 budget, so a run makes exactly K = max(0, (budget - init - 1) // n)
 iterations, counted before the loop, and ends within [budget - n, budget]
 evaluations: below the budget unless the budget is init itself.  After
-iteration k a run has made init + n*k evaluations.  Runs are bitwise
+iteration k a run has made init + n*k evaluations; its record computes
+`evaluations[k] = init + n*k` rather than storing it.  Runs are bitwise
 deterministic for a fixed (config, spec, seed), whichever runs and functions
 share their call.
 
@@ -105,6 +106,8 @@ class OptimizerConfig:
         """The one check of a run's settings, against `spec`; return the evaluations initialization costs each run."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.population < 6 or self.population % 2:
             raise ValueError(f"population must be even and >= 6, got {self.population}")
         if self.fixed_inertia and self.no_archives:  # the no-archives velocity always takes the inertia
@@ -121,7 +124,7 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class RunRecord:
-    """Per-iteration convergence/diversity trace plus the final result."""
+    """One run's settings and best-error and diversity traces after iterations 0..K; the rest is derived."""
 
     function_id: str
     algorithm: str
@@ -129,12 +132,22 @@ class RunRecord:
     seed: int
     population: int
     budget: int
-    iterations: np.ndarray
-    evaluations: np.ndarray
+    init: int  # the evaluations initialization cost, as `OptimizerConfig.validate` returns
     errors: np.ndarray
     diversities: np.ndarray
-    best_error: float
     wall_time: float
+
+    @property
+    def iterations(self) -> np.ndarray:
+        return np.arange(len(self.errors))
+
+    @property
+    def evaluations(self) -> np.ndarray:
+        return self.init + self.population * self.iterations
+
+    @property
+    def best_error(self) -> float:
+        return float(self.errors[-1])
 
 
 def diversity(state: SwarmState) -> np.ndarray:
@@ -171,7 +184,6 @@ class _Trace:
             raise ValueError("best_fitness must be finite")
         # |best fitness - f_opt| for every run's whole trace at once, one row per run
         errors = np.abs(self.best_fitness - np.array([[spec.f_opt] for spec in specs]))
-        iterations = np.arange(errors.shape[1])
         return [
             RunRecord(
                 function_id=spec.id,
@@ -180,11 +192,9 @@ class _Trace:
                 seed=config.seed,
                 population=config.population,
                 budget=budget,
-                iterations=iterations.copy(),
-                evaluations=init_cost + config.population * iterations,
+                init=init_cost,
                 errors=errors[r],
                 diversities=self.diversities[r],
-                best_error=float(errors[r, -1]),
                 wall_time=wall_time / len(configs),
             )
             for r, (config, spec) in enumerate(zip(configs, specs))
@@ -320,7 +330,8 @@ def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
         raise ValueError(f"the specs of one call must share one dimension, got {dimensions}")
     if observer is not None and len(configs) > 1:
         raise ValueError(f"an observer watches one run, got {len(configs)} configs")
-    init_cost = config.validate(specs[0])
+    for c in configs:  # they differ only in seed, and each seed is checked
+        init_cost = c.validate(specs[0])
     start = time.perf_counter()
     rngs = [np.random.default_rng(c.seed) for c in configs]
     runs, n, d = len(configs), config.population, dimensions[0]

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The criteria built on the 25-paired-run protocol at d=10 (4, 5, 8 and 9) take
-a few minutes of CPU and are marked `slow`; everything else is fast.  Run with
+The criteria built on the 25-paired-run protocol at d=10 (4, 5, 8 and 9), and
+the digests of its traces, take a few minutes of CPU and are marked `slow`;
+everything else is fast.  Run with
 `pytest tests/test_acceptance.py -s` to see the status lines.
 """
 

@@ -3,7 +3,6 @@ parallel execution, and the CLI."""
 
 import hashlib
 import os
-import re
 from dataclasses import replace
 import statistics
 import subprocess
@@ -32,7 +31,7 @@ from opsom.harness import (
 )
 from opsom import harness
 from opsom.objective import ObjectiveSpec, base_spec
-from opsom.optimizer import OptimizerConfig, run, run_cell
+from opsom.optimizer import OptimizerConfig, RunRecord, run, run_cell
 from test_ortho_init import verify_oa
 
 
@@ -286,6 +285,18 @@ class TestCsv:
         assert lines[0] == CSV_HEADER == "iteration,evals,best_error,diversity,exploration_pct"
         assert len(lines) == len(rec.iterations) + 1
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+    def test_exact_text_of_a_hand_built_record(self):
+        # evals = init + n*k; every float in its shortest round-trip form; exploration is diversity over its peak
+        rec = RunRecord(function_id="sphere", algorithm="opsom", dimension=2, seed=0, population=8, budget=40,
+                        init=16, errors=np.array([3.5, 0.25, 0.1]), diversities=np.array([2.0, 4.0, 1.0]),
+                        wall_time=0.0)
+        assert format_convergence_csv(rec) == (
+            "iteration,evals,best_error,diversity,exploration_pct\n"
+            "0,16,3.5,2.0,50.0\n"
+            "1,24,0.25,4.0,100.0\n"
+            "2,32,0.1,1.0,25.0\n"
+        )
 
     def test_floats_round_trip(self):
         rec = run(OptimizerConfig(population=6, budget=300, seed=1), base_spec("sphere", 2))
@@ -551,15 +562,6 @@ class TestCli:
         assert status == 1
         assert f"error: {LATE_REFUSAL}" in capsys.readouterr().err
         assert work_started == [] and not out.exists()
-
-    def test_readme_python_examples_run_as_written(self):
-        # the blocks build on each other, so they run in order in one namespace
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
-        assert len(blocks) >= 2
-        namespace = {}
-        for block in blocks:
-            exec(compile(block, "README.md", "exec"), namespace)
 
     def test_unwritable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -2,6 +2,7 @@
 trace invariants, ablation behavior, and the diversity metrics."""
 
 import itertools
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -75,6 +76,14 @@ class TestConfig:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
             OptimizerConfig(algorithm="genetic").validate(SPEC)
+
+    def test_rejects_a_negative_seed(self):
+        # refused by name, not by the generator's bare "expected non-negative integer"
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            run(OptimizerConfig(seed=-3, budget=200, population=6), make_suite(0, 2)[0])
+        # every seed of a cell is checked, not only the first config's
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_cell([small_config(seed=1), small_config(seed=-1)], [SPEC] * 2)
 
     def test_rejects_fixed_inertia_without_archives(self):
         # without archive learning the velocity always takes the inertia weight
@@ -262,6 +271,29 @@ class TestTraceInvariants:
     def test_iteration_column(self):
         rec = run(small_config(budget=4_000), SPEC)
         np.testing.assert_array_equal(rec.iterations, np.arange(len(rec.iterations)))
+
+    def test_derived_fields_are_read_only_properties(self):
+        # the record stores init and the two traces; the rest is computed from them
+        assert [f.name for f in fields(RunRecord)] == [
+            "function_id", "algorithm", "dimension", "seed", "population", "budget", "init", "errors",
+            "diversities", "wall_time",
+        ]
+        rec = run(small_config(budget=4_000), SPEC)
+        assert rec.init == rec.evaluations[0] == 16
+        assert type(rec.best_error) is float and rec.best_error == rec.errors[-1]
+        for name in ("iterations", "evaluations", "best_error"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0)
+
+    def test_pickle_holds_two_trace_arrays(self):
+        # K = 2015 iterations: the errors and diversities take 16 bytes an
+        # iteration, and two more int64 arrays would push the pickle past 24
+        rec = run(OptimizerConfig(algorithm="pso", population=6, budget=12_100, seed=1), base_spec("sphere", 2))
+        k = len(rec.errors) - 1
+        assert k >= 2000
+        assert len(pickle.dumps(rec)) < 3 * 8 * (k + 1)
+        back = pickle.loads(pickle.dumps(rec))
+        assert back.evaluations.tobytes() == rec.evaluations.tobytes() and back.best_error == rec.best_error
 
     def test_wall_time_and_metadata(self):
         rec = run(small_config(), SPEC)
@@ -519,7 +551,7 @@ class TestExplorationRatio:
 
 
 RECORD_ARRAYS = ("iterations", "evaluations", "errors", "diversities")
-RECORD_SCALARS = ("function_id", "algorithm", "dimension", "seed", "population", "budget", "best_error")
+RECORD_SCALARS = ("function_id", "algorithm", "dimension", "seed", "population", "budget", "init", "best_error")
 
 
 VARIANTS = ["pso", "opsom", "no_oa", "no_archives", "no_mutation", "fixed_inertia"]
