@@ -93,14 +93,14 @@ class ExperimentConfig:
         for name, values in (("algorithm", self.algorithms), ("dimension", self.dimensions)):
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} list must be non-empty without repeats, got {list(values)}")
+        # `make_suite`'s own rule, checked here because `execute` validates every setting before drawing any suite
+        if min(self.dimensions) < 2:
+            raise ValueError(f"suite requires dimension >= 2, got {min(self.dimensions)}")
         # the ablations switch off opsom's strategies; pso has none to switch off.
         # An unknown algorithm name passes these rules, so `validate` names it
         ablated = [f for f in ("no_oa", "no_archives", "no_mutation", "fixed_inertia") if getattr(self.optimizer, f)]
         if ablated and set(self.algorithms) == {"pso"}:
             raise ValueError(f"{ablated[0]} ablates opsom, which is not among the algorithms {list(self.algorithms)}")
-        levels = self.optimizer.oa_levels
-        if levels != OptimizerConfig.oa_levels and (set(self.algorithms) == {"pso"} or self.optimizer.no_oa):
-            raise ValueError(f"oa_levels={levels} has no effect: no run uses the orthogonal array")
 
 
 def summarize(errors) -> dict[str, float]:
@@ -125,14 +125,15 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
     `run_cell` call; with jobs > 1 the tasks are distributed over worker
     processes.  Results are identical to a sequential execution and to any
     other layout.  Every (dimension, algorithm) setting is validated before
-    the first task runs, so a setting bad at any dimension runs nothing.
+    any suite is drawn, so a setting bad at any dimension costs nothing.
     """
+    for dim in config.dimensions:
+        for algo in config.algorithms:
+            replace(config.optimizer, algorithm=algo, seed=config.base_seed).validate(dim)
     keys: list[tuple[str, int, str]] = []
     tasks = []  # each task's cell keys, configs and specs, R consecutive runs per cell
     for dim in config.dimensions:
         suite = make_suite(config.suite_seed, dim)
-        for algo in config.algorithms:
-            replace(config.optimizer, algorithm=algo, seed=config.base_seed).validate(suite[0])
         keys += [(spec.id, dim, algo) for spec in suite for algo in config.algorithms]
         for algo in config.algorithms:
             runs = [replace(config.optimizer, algorithm=algo, seed=run_seed(config.base_seed, r))
@@ -204,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--suite-seed", type=int, default=exp.suite_seed, help="seed for suite shifts/rotations")
         p.add_argument("--pop", type=int, default=opt.population, help="population size (even, >= 6)")
         p.add_argument("--budget", type=int, default=opt.budget, help="evaluation budget (default 10000*d)")
-        p.add_argument("--oa-levels", type=int, default=opt.oa_levels, help="orthogonal-array level count (prime)")
         p.add_argument("--no-oa", action="store_true", help="ablation: uniform random initialization")
         p.add_argument("--no-archives", action="store_true", help="ablation: baseline updates for regulars")
         p.add_argument("--no-mutation", action="store_true", help="ablation: elites learn like regulars")
@@ -239,7 +239,6 @@ def _experiment_from_args(args) -> ExperimentConfig:
     optimizer = OptimizerConfig(
         population=args.pop,
         budget=args.budget,
-        oa_levels=args.oa_levels,
         no_oa=args.no_oa,
         no_archives=args.no_archives,
         no_mutation=args.no_mutation,

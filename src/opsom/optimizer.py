@@ -53,7 +53,7 @@ import numpy as np
 from .archives import ArchiveSet, refresh_phi
 from .mutation import mutate_elites
 from .objective import ObjectiveSpec, evaluate_batch
-from .ortho_init import array_shape, build_initial_swarm
+from .ortho_init import OA_LEVELS, array_shape, build_initial_swarm
 from .swarm_core import (
     COGNITIVE,
     INERTIA,
@@ -80,7 +80,6 @@ class OptimizerConfig:
     algorithm: str = "opsom"
     population: int = 40
     budget: int | None = None  # None resolves to 10_000 * dimension
-    oa_levels: int = 2
     no_oa: bool = False
     no_archives: bool = False
     no_mutation: bool = False
@@ -102,8 +101,8 @@ class OptimizerConfig:
     def uses_mutation(self) -> bool:
         return self.algorithm == "opsom" and not self.no_mutation
 
-    def validate(self, spec: ObjectiveSpec) -> int:
-        """The one check of a run's settings, against `spec`; return the evaluations initialization costs each run."""
+    def validate(self, dimension: int) -> int:
+        """The one check of a run's settings at `dimension`; return the evaluations initialization costs each run."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.seed < 0:
@@ -112,11 +111,10 @@ class OptimizerConfig:
             raise ValueError(f"population must be even and >= 6, got {self.population}")
         if self.fixed_inertia and self.no_archives:  # the no-archives velocity always takes the inertia
             raise ValueError("fixed_inertia has no effect with no_archives")
-        # orthogonal init scores every array row, topping up to n when the array
-        # is smaller; the level count and row cap are checked whether or not the array is used
-        rows = array_shape(self.oa_levels, spec.dimension)[1]
-        init_cost = max(self.population, rows) if self.uses_oa else self.population
-        budget = self.resolved_budget(spec.dimension)
+        # orthogonal init scores every array row, topping up to n when the array is smaller
+        n = self.population
+        init_cost = max(n, array_shape(OA_LEVELS, dimension)[1]) if self.uses_oa else n
+        budget = self.resolved_budget(dimension)
         if budget < init_cost:
             raise ValueError(f"budget {budget} cannot cover initialization ({init_cost} evaluations)")
         return init_cost
@@ -331,7 +329,7 @@ def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
     if observer is not None and len(configs) > 1:
         raise ValueError(f"an observer watches one run, got {len(configs)} configs")
     for c in configs:  # they differ only in seed, and each seed is checked
-        init_cost = c.validate(specs[0])
+        init_cost = c.validate(dimensions[0])
     start = time.perf_counter()
     rngs = [np.random.default_rng(c.seed) for c in configs]
     runs, n, d = len(configs), config.population, dimensions[0]
@@ -340,8 +338,7 @@ def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
     starts = [r for r in range(runs) if r == 0 or specs[r] is not specs[r - 1]]
     blocks = [(slice(a, b), specs[a]) for a, b in zip(starts, [*starts[1:], runs])]
 
-    levels = config.oa_levels if config.uses_oa else None
-    swarms = [build_initial_swarm(n, spec, rngs[block], levels=levels) for block, spec in blocks]
+    swarms = [build_initial_swarm(n, spec, rngs[block], oa=config.uses_oa) for block, spec in blocks]
     positions, fitness = (np.concatenate(parts) for parts in zip(*swarms))
     state = SwarmState(positions, np.zeros_like(positions), fitness)
     archives = ArchiveSet(runs, n, d)  # left empty by the baseline

@@ -7,10 +7,11 @@ level pair equally often (strength 2).  Rows are mapped affinely into the
 search box - level 1 lands exactly on the lower bound and level alpha exactly
 on the upper bound - to give the optimizer an evenly spread initial swarm.
 
-`build_initial_swarm` starts the swarms of all R runs of a cell, for either
-algorithm and every ablation, and scores them in one batch.  Runs without the
-array (pso, or opsom with `--no-oa`) start uniformly at random; the harness
-rejects `--no-oa` when only pso runs, as it would change nothing.
+Runs always seed from `OA_LEVELS` = 2 levels, so every array row is a corner
+of the box; `construct_oa` (and the `oa` subcommand) takes any prime.
+`build_initial_swarm` starts and scores the swarms of all R runs of a cell in
+one batch, for either algorithm and every ablation.  Runs without the array
+(pso, or opsom with `--no-oa`) start uniformly at random.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .objective import LOWER, UPPER, ObjectiveSpec, evaluate_batch
 from .swarm_core import run_index
 
 ROW_CAP = 4096
+OA_LEVELS = 2
 
 
 def _is_prime(n: int) -> bool:
@@ -85,19 +87,19 @@ def build_initial_swarm(
     spec: ObjectiveSpec,
     rngs: list[np.random.Generator],
     *,
-    levels: int | None = None,
+    oa: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seed and score the (R, n, d) initial swarms of R runs; return them and their (R, n) fitness.
 
-    Every run starts with the rows of the `levels` array (none without one),
-    then its generator fills up to n rows uniformly in the box, so each
-    run scores max(n, array rows) points.  One batch scores all runs.  When
-    the array has at least n rows, each run keeps its n fittest, in stable
-    fitness order.  `OptimizerConfig.validate` checks n and the levels.
+    With `oa` every run starts with the rows of the `OA_LEVELS` array, then
+    its generator fills up to n rows uniformly in the box, so each run scores
+    max(n, array rows) points.  One batch scores all runs.  When the array
+    has at least n rows, each run keeps its n fittest, in stable fitness
+    order.  `OptimizerConfig.validate` checks n and the row cap.
     """
     d = spec.dimension
-    points = (np.empty((0, d)) if levels is None
-              else map_to_search_space(construct_oa(levels, d), levels, LOWER, UPPER, d))
+    points = (map_to_search_space(construct_oa(OA_LEVELS, d), OA_LEVELS, LOWER, UPPER, d) if oa
+              else np.empty((0, d)))
     fill = (max(n - len(points), 0), d)
     positions = np.stack([np.vstack([points, rng.uniform(LOWER, UPPER, fill)]) for rng in rngs])
     fitness = evaluate_batch(spec, positions.reshape(-1, d)).reshape(len(rngs), -1)

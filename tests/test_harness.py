@@ -3,6 +3,7 @@ parallel execution, and the CLI."""
 
 import hashlib
 import os
+import re
 from dataclasses import replace
 import statistics
 import subprocess
@@ -125,8 +126,9 @@ class TestExperimentConfig:
         (dict(base_seed=-1), r"base_seed must be in \[0, 2\*\*64\), got -1"),
         (dict(base_seed=2**64), r"base_seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
         (dict(suite_seed=-1), "suite_seed must be non-negative, got -1"),
+        (dict(dimensions=(10, 1)), "suite requires dimension >= 2, got 1"),
     ], ids=["empty-algorithms", "repeated-algorithm", "empty-dimensions", "repeated-dimension", "zero-jobs",
-            "negative-jobs", "negative-seed", "seed-past-64-bits", "negative-suite-seed"])
+            "negative-jobs", "negative-seed", "seed-past-64-bits", "negative-suite-seed", "dimension-below-2"])
     def test_rejects_empty_or_repeated_lists(self, kw, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
@@ -139,13 +141,6 @@ class TestExperimentConfig:
             ExperimentConfig(algorithms=("pso",), optimizer=ablated)
         ExperimentConfig(algorithms=("pso", "opsom"), optimizer=ablated)
 
-    @pytest.mark.parametrize("algorithms, flags", [(("pso",), {}), (("opsom",), dict(no_oa=True))], ids=["pso", "no-oa"])
-    def test_rejects_oa_levels_where_no_run_uses_the_array(self, algorithms, flags):
-        with pytest.raises(ValueError, match="oa_levels=3 has no effect"):
-            ExperimentConfig(algorithms=algorithms, optimizer=OptimizerConfig(oa_levels=3, **flags))
-        ExperimentConfig(algorithms=algorithms, optimizer=OptimizerConfig(**flags))
-        ExperimentConfig(algorithms=("pso", "opsom"), optimizer=OptimizerConfig(oa_levels=3))
-
 
 SMALL = dict(
     suite_seed=0,
@@ -157,8 +152,12 @@ SMALL = dict(
 )
 
 
-# 17 levels give a 289-row array at d = 10 but need 4913 rows at d = 30
-LATE_REFUSAL = "array would need 4913 rows, exceeding the cap of 4096"
+# with --pop 8, orthogonal init costs 16 evaluations at d = 10 (the 16-row
+# array) and 32 at d = 30, so a budget of 20 is bad only at d = 30
+LATE_BUDGET = dict(population=8, budget=20)
+LATE_REFUSAL = "budget 20 cannot cover initialization (32 evaluations)"
+# the two-level array would need 8192 rows at d = 4096
+ROW_CAP_REFUSAL = "array would need 8192 rows, exceeding the cap of 4096"
 # 10**18 + 9 is prime: trial division would run up to 10**9 before the row cap
 HUGE_PRIME = "1000000000000000009"
 HUGE_REFUSAL = f"array would need at least {HUGE_PRIME} rows, exceeding the cap of 4096"
@@ -166,7 +165,7 @@ HUGE_REFUSAL = f"array would need at least {HUGE_PRIME} rows, exceeding the cap 
 
 @pytest.fixture
 def work_started(monkeypatch):
-    """The names of `run_cell`, `evaluate_batch` and the worker pool, once per call, in call order."""
+    """The names of `make_suite`, `run_cell`, `evaluate_batch` and the worker pool, once per call, in call order."""
     import opsom.optimizer
     import opsom.ortho_init
 
@@ -181,6 +180,7 @@ def work_started(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    spy(harness, "make_suite")
     spy(harness, "run_cell")
     spy(harness, "ProcessPoolExecutor")
     spy(opsom.optimizer, "evaluate_batch")
@@ -188,18 +188,31 @@ def work_started(monkeypatch):
     return calls
 
 
+def forbid_suites(monkeypatch):
+    """Make any `make_suite` call in the harness fail at once: a d = 4096 suite
+    draws fourteen 4096 x 4096 rotations, minutes of work and gigabytes."""
+
+    def refuse(suite_seed, dim):
+        raise AssertionError(f"a suite was drawn (d = {dim}) before the settings were refused")
+
+    monkeypatch.setattr(harness, "make_suite", refuse)
+
+
 class TestExecute:
-    @pytest.mark.parametrize("jobs, algorithms, levels, message", [
-        (1, ("opsom", "pso"), 17, LATE_REFUSAL),
-        (2, ("opsom", "pso"), 17, LATE_REFUSAL),
-        (1, ("opsom", "cma"), 2, "unknown algorithm 'cma'"),
-        (2, ("opsom", "cma"), 2, "unknown algorithm 'cma'"),
-    ], ids=["1", "2", "unknown-algorithm-1", "unknown-algorithm-2"])
-    def test_setting_bad_at_a_later_dimension_is_refused_before_any_cell(self, work_started, jobs, algorithms, levels,
-                                                                         message):
-        config = ExperimentConfig(dimensions=(10, 30), runs=3, algorithms=algorithms,
-                                  optimizer=OptimizerConfig(budget=20_000, oa_levels=levels), jobs=jobs)
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("jobs, algorithms, dimensions, optimizer, message", [
+        (1, ("opsom", "pso"), (10, 30), LATE_BUDGET, LATE_REFUSAL),
+        (2, ("opsom", "pso"), (10, 30), LATE_BUDGET, LATE_REFUSAL),
+        (1, ("opsom", "cma"), (10, 30), dict(budget=20_000), "unknown algorithm 'cma'"),
+        (2, ("opsom", "cma"), (10, 30), dict(budget=20_000), "unknown algorithm 'cma'"),
+        (1, ("opsom",), (10, 4096), {}, ROW_CAP_REFUSAL),
+    ], ids=["1", "2", "unknown-algorithm-1", "unknown-algorithm-2", "row-cap"])
+    def test_setting_bad_at_a_later_dimension_is_refused_before_any_cell(self, monkeypatch, work_started, jobs,
+                                                                         algorithms, dimensions, optimizer, message):
+        if 4096 in dimensions:
+            forbid_suites(monkeypatch)
+        config = ExperimentConfig(dimensions=dimensions, runs=3, algorithms=algorithms,
+                                  optimizer=OptimizerConfig(**optimizer), jobs=jobs)
+        with pytest.raises(ValueError, match=re.escape(message)):
             execute(config)
         assert work_started == []
 
@@ -452,43 +465,22 @@ class TestCli:
             assert proc.returncode == 0, (module, proc.stderr)
             assert proc.stdout.splitlines() == ["1 1 1", "1 2 2", "2 1 2", "2 2 1"], module
 
-    @pytest.mark.parametrize("command, levels, message", [
-        ("run", "0", "level count must be prime, got 0"),
-        ("run", "1", "level count must be prime, got 1"),
-        ("run", "4", "level count must be prime, got 4"),
-        ("run", HUGE_PRIME, HUGE_REFUSAL),
-        ("oa", HUGE_PRIME, HUGE_REFUSAL),
-    ], ids=["0", "1", "4", "huge-prime", "oa-huge-prime"])
-    def test_bad_oa_levels_exit_1_without_output(self, tmp_path, command, levels, message):
-        # 0 used to hang, 1 to end in a ZeroDivisionError traceback, and the
-        # huge prime to hang in its primality test; a subprocess with a
-        # timeout turns a hang into a failure
+    @pytest.mark.parametrize("levels, message", [
+        ("0", "level count must be prime, got 0"),
+        ("1", "level count must be prime, got 1"),
+        ("4", "level count must be prime, got 4"),
+        (HUGE_PRIME, HUGE_REFUSAL),
+    ], ids=["0", "1", "4", "oa-huge-prime"])
+    def test_bad_oa_levels_exit_1_without_output(self, levels, message):
+        # the huge prime used to hang in its primality test; a subprocess
+        # with a timeout turns a hang into a failure
         src = str(Path(opsom.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = tmp_path / "x"
-        if command == "run":
-            argv = ["run", "--algo", "opsom", "--dim", "2", "--runs", "1", "--pop", "6", "--budget", "300",
-                    "--oa-levels", levels, "--out", str(out)]
-        else:
-            argv = ["oa", "--levels", levels, "--factors", "1"]
-        proc = subprocess.run([sys.executable, "-m", "opsom", *argv], env=env, capture_output=True, text=True,
-                              timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "opsom", "oa", "--levels", levels, "--factors", "1"], env=env,
+                              capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert message in proc.stderr
-        assert not proc.stdout and not out.exists()
-
-    @pytest.mark.parametrize("algo, extra, message", [
-        ("pso", ["--oa-levels", "0"], "oa_levels=0 has no effect"),
-        ("opsom", ["--no-oa", "--oa-levels", "4"], "oa_levels=4 has no effect"),
-        ("pso", ["--oa-levels", "3"], "oa_levels=3 has no effect"),
-    ], ids=["pso-levels-0", "no-oa-levels-4", "pso-levels-3"])
-    def test_oa_levels_where_no_run_uses_the_array_exit_1_without_output(self, tmp_path, capsys, algo, extra, message):
-        # these used to run as if the flag were absent
-        out = tmp_path / "x"
-        argv = ["run", "--algo", algo, "--dim", "2", "--runs", "1", "--pop", "6", "--budget", "300", *extra]
-        assert main([*argv, "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert not proc.stdout
 
     def test_list_flags_strip_entries_and_drop_empty_ones(self):
         args = _build_parser().parse_args(["run", "--algo", " opsom,,pso ", "--dim", "2, ,10,", "--out", "x"])
@@ -528,7 +520,6 @@ class TestCli:
         ("pso", "2", "1", ["--no-mutation"], "no_mutation ablates opsom"),
         ("pso", "2", "1", ["--fixed-inertia"], "fixed_inertia ablates opsom"),
         ("cma", "2", "1", ["--no-oa"], "unknown algorithm 'cma'"),
-        ("cma", "2", "1", ["--oa-levels", "3"], "unknown algorithm 'cma'"),
         ("opsom", "2", "1", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
         ("opsom,pso", "2", "2", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
         # run_seed keeps 64 bits: these ran as --seed 0 and --seed 18446744073709551613
@@ -538,10 +529,15 @@ class TestCli:
         ("opsom", "x", "1", [], "--dim expects comma-separated integers, got 'x'"),
         ("opsom", "2,x", "1", [], "--dim expects comma-separated integers, got 'x'"),
         ("opsom", ", ,", "1", [], "non-empty without repeats"),
+        # refused by name before any setting is validated, not as a budget of 0 or -30000
+        ("opsom", "0", "1", [], "suite requires dimension >= 2, got 0"),
+        ("opsom", "-3", "1", [], "suite requires dimension >= 2, got -3"),
+        ("opsom", "10,1", "1", [], "suite requires dimension >= 2, got 1"),
     ], ids=[",-2", "opsom,opsom-2", "opsom-2,2", "zero-jobs", "negative-jobs", "unknown-algorithm", "pso-no-oa",
-            "pso-no-archives", "pso-no-mutation", "pso-fixed-inertia", "unknown-algorithm-no-oa", "unknown-algorithm-oa-levels", "no-archives-fixed-inertia",
-            "no-archives-fixed-inertia-jobs-2", "seed-past-64-bits", "negative-seed", "negative-suite-seed",
-            "non-integer-dim", "non-integer-second-dim", "only-empty-dims"])
+            "pso-no-archives", "pso-no-mutation", "pso-fixed-inertia", "unknown-algorithm-no-oa",
+            "no-archives-fixed-inertia", "no-archives-fixed-inertia-jobs-2", "seed-past-64-bits", "negative-seed",
+            "negative-suite-seed", "non-integer-dim", "non-integer-second-dim", "only-empty-dims", "dim-0",
+            "negative-dim", "later-dim-1"])
     def test_empty_or_repeated_lists_exit_1_without_output(self, tmp_path, capsys, algo, dim, jobs, extra, message):
         # also a worker count below 1, which used to run sequentially without a
         # word, and ablation flags that change nothing, which used to run as if
@@ -553,14 +549,21 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_setting_bad_at_a_later_dimension_exits_1_before_any_run(self, tmp_path, capsys, work_started, jobs):
-        # every d = 10 cell used to run before the d = 30 refusal
+    @pytest.mark.parametrize("jobs, extra, message", [
+        ("1", ["--algo", "opsom,pso", "--dim", "10,30", "--pop", "8", "--budget", "20"], LATE_REFUSAL),
+        ("2", ["--algo", "opsom,pso", "--dim", "10,30", "--pop", "8", "--budget", "20"], LATE_REFUSAL),
+        ("1", ["--algo", "opsom", "--dim", "10,4096"], ROW_CAP_REFUSAL),
+    ], ids=["1", "2", "row-cap"])
+    def test_setting_bad_at_a_later_dimension_exits_1_before_any_run(self, monkeypatch, tmp_path, capsys,
+                                                                     work_started, jobs, extra, message):
+        # every d = 10 cell used to run before a d = 30 refusal, and the d = 10
+        # suite was drawn before any; d = 4096 drew its own suite too, for two minutes
+        if "10,4096" in extra:
+            forbid_suites(monkeypatch)
         out = tmp_path / "late"
-        status = main(["run", "--algo", "opsom,pso", "--dim", "10,30", "--runs", "3", "--budget", "20000",
-                       "--oa-levels", "17", "--jobs", jobs, "--out", str(out)])
+        status = main(["run", *extra, "--runs", "3", "--jobs", jobs, "--out", str(out)])
         assert status == 1
-        assert f"error: {LATE_REFUSAL}" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert work_started == [] and not out.exists()
 
     def test_unwritable_output_dir(self, tmp_path, capsys):

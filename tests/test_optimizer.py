@@ -71,11 +71,11 @@ class TestConfig:
     def test_rejects_odd_or_tiny_population(self):
         for n in (5, 4, 2, 7):
             with pytest.raises(ValueError):
-                OptimizerConfig(population=n).validate(SPEC)
+                OptimizerConfig(population=n).validate(10)
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(algorithm="genetic").validate(SPEC)
+            OptimizerConfig(algorithm="genetic").validate(10)
 
     def test_rejects_a_negative_seed(self):
         # refused by name, not by the generator's bare "expected non-negative integer"
@@ -89,23 +89,23 @@ class TestConfig:
         # without archive learning the velocity always takes the inertia weight
         for algorithm in ("opsom", "pso"):
             with pytest.raises(ValueError, match="fixed_inertia has no effect with no_archives"):
-                OptimizerConfig(algorithm=algorithm, no_archives=True, fixed_inertia=True).validate(SPEC)
-        OptimizerConfig(no_archives=True).validate(SPEC)
-        OptimizerConfig(fixed_inertia=True).validate(SPEC)
+                OptimizerConfig(algorithm=algorithm, no_archives=True, fixed_inertia=True).validate(10)
+        OptimizerConfig(no_archives=True).validate(10)
+        OptimizerConfig(fixed_inertia=True).validate(10)
 
-    def test_rejects_a_non_prime_level_count_with_or_without_the_array(self):
-        for kw in ({}, dict(no_oa=True), dict(algorithm="pso")):
-            for levels in (0, 1, 4):
-                with pytest.raises(ValueError, match=f"level count must be prime, got {levels}"):
-                    OptimizerConfig(oa_levels=levels, **kw).validate(SPEC)
-            OptimizerConfig(oa_levels=3, **kw).validate(SPEC)
+    def test_has_eight_fields(self):
+        assert [f.name for f in fields(OptimizerConfig)] == [
+            "algorithm", "population", "budget", "no_oa", "no_archives", "no_mutation", "fixed_inertia", "seed",
+        ]
 
     def test_rejects_an_array_over_the_row_cap_at_the_spec_dimension(self):
-        # 17 levels: 289 rows cover d = 10, d = 30 needs 4913; checked with or without the array
-        for kw in ({}, dict(no_oa=True), dict(algorithm="pso")):
-            OptimizerConfig(oa_levels=17, **kw).validate(base_spec("sphere", 10))
-            with pytest.raises(ValueError, match="array would need 4913 rows, exceeding the cap of 4096"):
-                OptimizerConfig(oa_levels=17, **kw).validate(base_spec("sphere", 30))
+        # the two-level array has 4096 rows at d = 4095 and would need 8192 at
+        # d = 4096; uniform init (pso, or no_oa) builds no array, so no cap applies
+        assert OptimizerConfig().validate(4095) == 4096
+        with pytest.raises(ValueError, match="array would need 8192 rows, exceeding the cap of 4096"):
+            OptimizerConfig().validate(4096)
+        for kw in (dict(no_oa=True), dict(algorithm="pso")):
+            assert OptimizerConfig(**kw).validate(4096) == 40
 
     def test_rejects_infeasible_budget(self):
         # orthogonal init scores max(n, array rows): 16 rows at d = 10, 64 at d = 50;
@@ -119,7 +119,7 @@ class TestConfig:
             (spec50, 40, dict(algorithm="pso")),
         ):
             with pytest.raises(ValueError):
-                OptimizerConfig(population=40, budget=cost - 1, **kw).validate(spec)
+                OptimizerConfig(population=40, budget=cost - 1, **kw).validate(spec.dimension)
             # the cheapest accepted budget pays for initialization and nothing more
             rec = run(OptimizerConfig(population=40, budget=cost, **kw), spec)
             assert rec.evaluations.tolist() == [cost]
@@ -618,7 +618,7 @@ class TestRunCell:
 
     @pytest.mark.parametrize("change", [
         dict(algorithm="pso"), dict(population=10), dict(budget=2_100), dict(no_oa=True), dict(no_archives=True),
-        dict(no_mutation=True), dict(fixed_inertia=True), dict(oa_levels=3),
+        dict(no_mutation=True), dict(fixed_inertia=True),
     ])
     def test_rejects_configs_differing_in_more_than_the_seed(self, change):
         configs = [small_config(seed=1), small_config(seed=2, **change)]

@@ -161,9 +161,9 @@ class TestMapping:
                 assert (points[oa[:, :4] == levels] == hi).all()
 
 
-def initial_swarm(n, spec, seed, levels=2):
-    """One run's (n, d) swarm and (n,) fitness from `build_initial_swarm`."""
-    positions, fitness = build_initial_swarm(n, spec, [np.random.default_rng(seed)], levels=levels)
+def initial_swarm(n, spec, seed):
+    """One run's (n, d) swarm and (n,) fitness from `build_initial_swarm` with the array."""
+    positions, fitness = build_initial_swarm(n, spec, [np.random.default_rng(seed)], oa=True)
     return positions[0], fitness[0]
 
 
@@ -200,20 +200,20 @@ class TestBuildInitialSwarm:
         assert ((positions >= -100) & (positions <= 100)).all()
 
     def test_selection_keeps_best_of_surplus_rows(self, scored_rows):
-        # n = 4, d = 2, three levels: 9 rows evaluated, best 4 kept
-        spec = base_spec("sphere", 2, shift=np.array([10.0, -20.0]))
-        positions, fitness = initial_swarm(4, spec, 2, levels=3)
-        assert scored_rows == [9]
-        all_points = map_to_search_space(construct_oa(3, 2), 3, -100.0, 100.0, 2)
+        # n = 4, d = 5: the 8 rows of the L8 array evaluated, best 4 kept
+        spec = base_spec("sphere", 5, shift=np.array([10.0, -20.0, 30.0, -40.0, 50.0]))
+        positions, fitness = initial_swarm(4, spec, 2)
+        assert scored_rows == [8]
+        all_points = map_to_search_space(construct_oa(2, 5), 2, -100.0, 100.0, 5)
         all_fit = np.sort([evaluate_batch(spec, p[None, :])[0] for p in all_points])
         np.testing.assert_allclose(np.sort(fitness), all_fit[:4], rtol=0, atol=0)
 
     def test_no_discarded_point_beats_a_kept_one(self):
-        spec = base_spec("rastrigin", 2, shift=np.array([5.0, 5.0]))
-        positions, fitness = initial_swarm(4, spec, 3, levels=3)
-        all_points = map_to_search_space(construct_oa(3, 2), 3, -100.0, 100.0, 2)
+        spec = base_spec("rastrigin", 5, shift=np.full(5, 5.0))
+        positions, fitness = initial_swarm(4, spec, 3)
+        all_points = map_to_search_space(construct_oa(2, 5), 2, -100.0, 100.0, 5)
         all_fit = sorted(evaluate_batch(spec, p[None, :])[0] for p in all_points)
-        # kept set is exactly the 4 best of the 9 evaluated rows
+        # kept set is exactly the 4 best of the 8 evaluated rows
         assert sorted(fitness) == all_fit[:4]
 
     def test_fitness_matches_reevaluation(self):
@@ -232,25 +232,25 @@ class TestBuildInitialSwarm:
     def test_no_array_is_one_uniform_draw(self, scored_rows):
         spec = base_spec("ackley", 10, shift=np.full(10, 7.0))
         rng, again = np.random.default_rng(7), np.random.default_rng(7)
-        positions, fitness = build_initial_swarm(40, spec, [rng])
+        positions, fitness = build_initial_swarm(40, spec, [rng], oa=False)
         np.testing.assert_array_equal(positions[0], again.uniform(-100.0, 100.0, (40, 10)))
         assert rng.bit_generator.state == again.bit_generator.state
         assert scored_rows == [40]
 
-    @pytest.mark.parametrize("d, levels", [
-        (10, None),  # uniform init: every row drawn
-        (10, 2),  # 16 array rows, 24 drawn
-        (50, 2),  # 64 array rows, nothing drawn, best 40 kept
+    @pytest.mark.parametrize("d, oa", [
+        (10, False),  # uniform init: every row drawn
+        (10, True),  # 16 array rows, 24 drawn
+        (50, True),  # 64 array rows, nothing drawn, best 40 kept
     ])
-    def test_stacked_runs_equal_one_run_calls(self, scored_rows, d, levels):
+    def test_stacked_runs_equal_one_run_calls(self, scored_rows, d, oa):
         spec = base_spec("rastrigin", d, shift=np.full(d, 3.0))
         seeds = (11, 12, 13)
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        positions, fitness = build_initial_swarm(40, spec, rngs, levels=levels)
+        positions, fitness = build_initial_swarm(40, spec, rngs, oa=oa)
         assert positions.shape == (3, 40, d) and fitness.shape == (3, 40)
         for r, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            alone = build_initial_swarm(40, spec, [rng], levels=levels)
+            alone = build_initial_swarm(40, spec, [rng], oa=oa)
             assert positions[r].tobytes() == alone[0][0].tobytes()
             assert fitness[r].tobytes() == alone[1][0].tobytes()
             assert rngs[r].bit_generator.state == rng.bit_generator.state
@@ -269,7 +269,7 @@ class TestBuildInitialSwarm:
             config = OptimizerConfig(population=40, budget=cost - 1)
             refusal = rf"budget {cost - 1} cannot cover initialization \({cost} evaluations\)"
             with pytest.raises(ValueError, match=refusal):
-                config.validate(base_spec("sphere", d))
+                config.validate(d)
 
 
 def test_format_oa_round_trip():
