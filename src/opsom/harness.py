@@ -93,7 +93,7 @@ class ExperimentConfig:
         for name, values in (("algorithm", self.algorithms), ("dimension", self.dimensions)):
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} list must be non-empty without repeats, got {list(values)}")
-        # `make_suite`'s own rule, checked here because `execute` validates every setting before drawing any suite
+        # `make_suite`'s own rule, checked here so that every setting is refused before any suite is drawn
         if min(self.dimensions) < 2:
             raise ValueError(f"suite requires dimension >= 2, got {min(self.dimensions)}")
         # the ablations switch off opsom's strategies; pso has none to switch off.
@@ -101,6 +101,11 @@ class ExperimentConfig:
         ablated = [f for f in ("no_oa", "no_archives", "no_mutation", "fixed_inertia") if getattr(self.optimizer, f)]
         if ablated and set(self.algorithms) == {"pso"}:
             raise ValueError(f"{ablated[0]} ablates opsom, which is not among the algorithms {list(self.algorithms)}")
+        if (self.optimizer.algorithm, self.optimizer.seed) != (OptimizerConfig.algorithm, OptimizerConfig.seed):
+            raise ValueError("optimizer.algorithm and optimizer.seed would be ignored: set algorithms and base_seed")
+        for dim in self.dimensions:  # every setting, so one bad only at a later dimension costs no run
+            for algo in self.algorithms:
+                replace(self.optimizer, algorithm=algo, seed=self.base_seed).validate(dim)
 
 
 def summarize(errors) -> dict[str, float]:
@@ -121,27 +126,22 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
     """Execute all runs of an experiment, grouped by (function, dimension, algorithm).
 
     Each such cell's runs advance in lockstep, and `task_layout` packs the
-    cells of each (dimension, algorithm) into tasks, so small cells share one
-    `run_cell` call; with jobs > 1 the tasks are distributed over worker
-    processes.  Results are identical to a sequential execution and to any
-    other layout.  Every (dimension, algorithm) setting is validated before
-    any suite is drawn, so a setting bad at any dimension costs nothing.
+    cells of each (dimension, algorithm) into tasks: one `run_cell` call of
+    the R run configs on the cells' specs.  With jobs > 1 the tasks are
+    distributed over worker processes.  Each record is filed under the cell
+    it names.  Results are identical to a sequential execution and to any
+    other layout.  `ExperimentConfig` has already refused every bad setting.
     """
-    for dim in config.dimensions:
-        for algo in config.algorithms:
-            replace(config.optimizer, algorithm=algo, seed=config.base_seed).validate(dim)
-    keys: list[tuple[str, int, str]] = []
-    tasks = []  # each task's cell keys, configs and specs, R consecutive runs per cell
-    for dim in config.dimensions:
-        suite = make_suite(config.suite_seed, dim)
-        keys += [(spec.id, dim, algo) for spec in suite for algo in config.algorithms]
+    suites = {dim: make_suite(config.suite_seed, dim) for dim in config.dimensions}
+    grouped = {(spec.id, dim, algo): [] for dim in suites for spec in suites[dim] for algo in config.algorithms}
+    tasks = []  # each task's run configs and the specs of its cells
+    for dim, suite in suites.items():
         for algo in config.algorithms:
             runs = [replace(config.optimizer, algorithm=algo, seed=run_seed(config.base_seed, r))
                     for r in range(config.runs)]
             for cells in task_layout(len(suite), config.runs * config.optimizer.population * dim, config.jobs):
-                tasks.append(([(suite[i].id, dim, algo) for i in cells], runs * len(cells),
-                              [suite[i] for i in cells for _ in runs]))
-    task_keys, configs, specs = zip(*tasks)
+                tasks.append((runs, [suite[i] for i in cells]))
+    configs, specs = zip(*tasks)
     if config.jobs > 1:
         # costlier tasks come last (higher dimensions, and the suite's hybrid
         # and composite functions last in each task), so the pool takes them
@@ -151,11 +151,10 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
             results = list(pool.map(run_cell, configs[::-1], specs[::-1], chunksize=1))[::-1]
     else:
         results = list(map(run_cell, configs, specs))
-    grouped = {}
-    for cell_keys, records in zip(task_keys, results):
-        for j, key in enumerate(cell_keys):
-            grouped[key] = records[j * config.runs : (j + 1) * config.runs]
-    return {key: grouped[key] for key in keys}
+    for records in results:
+        for record in records:
+            grouped[record.function_id, record.dimension, record.algorithm].append(record)
+    return grouped
 
 
 def format_convergence_csv(record: RunRecord) -> str:
@@ -267,7 +266,14 @@ def main(argv=None) -> int:
         experiment = _experiment_from_args(args)
         if args.command == "compare" and len(experiment.algorithms) < 2:
             parser.error("compare requires at least two algorithms (e.g. --algo opsom,pso)")
-        grouped = execute(experiment)
+        made = [path for path in (experiment.out_dir, *experiment.out_dir.parents) if not path.exists()]
+        experiment.out_dir.mkdir(parents=True, exist_ok=True)  # before any run, so an unusable one costs none
+        try:
+            grouped = execute(experiment)
+        except BaseException:  # nothing is written before every run ends, so each level made is empty
+            for path in made:  # the deepest first
+                path.rmdir()
+            raise
         out = write_outputs(experiment, grouped)
         print(f"wrote {sum(len(v) for v in grouped.values())} runs to {out}")
         return 0

@@ -255,7 +255,6 @@ def base_spec(
     shift: np.ndarray | None = None,
     rotation: np.ndarray | None = None,
     bias: float = 0.0,
-    scale: float = 1.0,
 ) -> ObjectiveSpec:
     """Build a standalone spec for one base function (identity transform by default)."""
     if name not in BASE_FUNCTIONS:
@@ -266,7 +265,7 @@ def base_spec(
         raise ValueError(f"shift {shift.shape} and rotation {rotation.shape} must be (d,) and (d, d) "
                          f"for d = {dimension}")
     category = "unimodal" if name in UNIMODAL_BASES else "multimodal"
-    return ObjectiveSpec(name, category, ShiftedBlocks((name,), shift, rotation, bias, (scale,)))
+    return ObjectiveSpec(name, category, ShiftedBlocks((name,), shift, rotation, bias, (1.0,)))
 
 
 # (id, category, bases) of the suite's block functions, in suite order

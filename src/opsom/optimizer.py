@@ -1,15 +1,14 @@
 """One run loop and one step function for both algorithms.  The full
 optimizer is plain PSO plus three strategies: orthogonal-array init, archive
 learning for the regular half and mutation of the elite half.  The baseline
-PSO is the same iteration with all three turned off.  `run_cell` advances R
-runs (configs equal but for the seed) in lockstep on (R, n, d) state; the
-runs may belong to several functions of one dimension, and consecutive runs
-of one function form a block, which is a harness cell.  `run` is its R = 1
-case.
+PSO is the same iteration with all three turned off.  `run_cell` advances
+every config (equal but for the seed) on every spec of one dimension in
+lockstep on (R, n, d) state; each spec's runs, one per config, are a harness
+cell.  `run` is its one-config, one-spec case.
 
 Budget: initialization costs each run `init = max(n, array rows)`
 evaluations with the orthogonal array and n without it, and every iteration
-exactly n more (one sweep over the swarm; the sweeps of one block go to its
+exactly n more (one sweep over the swarm; the sweeps of one cell go to its
 function as one batch).  A sweep starts only if it would end below the
 budget, so a run makes exactly K = max(0, (budget - init - 1) // n)
 iterations, counted before the loop, and ends within [budget - n, budget]
@@ -69,8 +68,6 @@ from .swarm_core import (
 ALGORITHMS = ("opsom", "pso")
 
 Observer = Callable[[SwarmState, ArchiveSet], None]
-# the consecutive runs (a slice of the run axis) that share one function
-Block = tuple[slice, ObjectiveSpec]
 
 
 @dataclass
@@ -181,7 +178,7 @@ class _Trace:
         if not np.isfinite(self.best_fitness).all():
             raise ValueError("best_fitness must be finite")
         # |best fitness - f_opt| for every run's whole trace at once, one row per run
-        errors = np.abs(self.best_fitness - np.array([[spec.f_opt] for spec in specs]))
+        errors = np.abs(self.best_fitness - np.array([[spec.f_opt] for spec in specs for _ in configs]))
         return [
             RunRecord(
                 function_id=spec.id,
@@ -193,9 +190,9 @@ class _Trace:
                 init=init_cost,
                 errors=errors[r],
                 diversities=self.diversities[r],
-                wall_time=wall_time / len(configs),
+                wall_time=wall_time / len(errors),
             )
-            for r, (config, spec) in enumerate(zip(configs, specs))
+            for r, (spec, config) in enumerate((spec, config) for spec in specs for config in configs)  # spec-major
         ]
 
 
@@ -231,17 +228,17 @@ def _opsom_iteration(
     state: SwarmState,
     archives: ArchiveSet,
     config: OptimizerConfig,
-    blocks: list[Block],
+    specs: list[ObjectiveSpec],
     u: list[np.ndarray],
 ) -> None:
     """One iteration of every run: learner sweep, elite mutation, bests, archive updates.
     It writes the state's positions and velocities in place.
 
-    `blocks` cover the run axis in order; each block's sweeps go to its
-    function as one batch.  `u` holds the guide, velocity, partner-and-delta
-    and eviction slices of the (R, B) uniform block, run r's in row r, cut by
-    `_uniform_block`.  With every strategy off this is one baseline PSO step,
-    and `archives` is never read.
+    The run axis holds each spec's cell in turn, all of one size; each
+    spec's sweeps go to it as one batch.  `u` holds the guide, velocity,
+    partner-and-delta and eviction slices of the (R, B) uniform block, run r's
+    in row r, cut by `_uniform_block`.  With every strategy off this is one
+    baseline PSO step, and `archives` is never read.
     """
     guide_u, velocity_u, mutation_u, evict_u = u
     archived, mutating = config.uses_archives, config.uses_mutation
@@ -270,7 +267,7 @@ def _opsom_iteration(
         # iteration-start positions; they keep their velocities
         X[rows, elite_idx] = mutate_elites(X[rows, elite_idx], archives.phi_positions, mutation_u)
 
-    fitness = [evaluate_batch(spec, X[block].reshape(-1, d)) for block, spec in blocks]
+    fitness = [evaluate_batch(spec, rows) for spec, rows in zip(specs, X.reshape(len(specs), -1, d))]
     state.fitness = np.concatenate(fitness).reshape(runs, n)
     improved, better = update_bests(state)
     state.iteration += 1
@@ -305,40 +302,37 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
 
 def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
              observer: Observer | None = None) -> list[RunRecord]:
-    """Run R configs that differ only in seed in lockstep, run r on `specs[r]`; return their traces in order.
+    """Run every config (they differ only in seed) on every spec in lockstep; return the traces spec-major.
 
-    The specs share one dimension.  Consecutive runs of one spec form a
-    block: one initialization call and one evaluation call per iteration.
-    Every run makes the K iterations its budget affords (see the module
-    docstring), and each keeps its own generator, so run r's record is bitwise
-    the one `run(configs[r], specs[r])` gives; its `wall_time` is its share of
-    the call's time.  An observer watches a single run, so it needs exactly
-    one config; it sees that run's state and archives with the run axis
-    dropped.
+    The specs share one dimension.  Spec j's cell, its R = len(configs) runs
+    on rows j*R .. (j+1)*R - 1 of the run axis, makes one initialization call
+    and one evaluation call per iteration.  Every run makes the K iterations
+    its budget affords (see the module docstring) and keeps its own generator,
+    so config i's record on spec j is bitwise the one `run(configs[i],
+    specs[j])` gives; its `wall_time` is its share of the call's time.  An
+    observer watches a single run, so it needs one config and one spec; it
+    sees that run's state and archives with the run axis dropped.
     """
-    if not configs:
-        raise ValueError("run_cell needs at least one config")
-    if len(specs) != len(configs):
-        raise ValueError(f"run_cell needs one spec per config, got {len(specs)} for {len(configs)} configs")
+    if not configs or not specs:
+        raise ValueError("run_cell needs at least one config and one spec")
     config = configs[0]
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("the configs of one call may differ only in seed")
     dimensions = sorted({spec.dimension for spec in specs})
     if len(dimensions) > 1:
         raise ValueError(f"the specs of one call must share one dimension, got {dimensions}")
-    if observer is not None and len(configs) > 1:
-        raise ValueError(f"an observer watches one run, got {len(configs)} configs")
+    if observer is not None and len(configs) * len(specs) > 1:
+        raise ValueError(f"an observer watches one run, got {len(configs) * len(specs)} runs")
     for c in configs:  # they differ only in seed, and each seed is checked
         init_cost = c.validate(dimensions[0])
     start = time.perf_counter()
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    runs, n, d = len(configs), config.population, dimensions[0]
+    cells = [[np.random.default_rng(c.seed) for c in configs] for _ in specs]  # each run's own generator
+    rngs = [rng for cell in cells for rng in cell]
+    runs, n, d = len(rngs), config.population, dimensions[0]
     budget = config.resolved_budget(d)
     iterations = max(0, (budget - init_cost - 1) // n)
-    starts = [r for r in range(runs) if r == 0 or specs[r] is not specs[r - 1]]
-    blocks = [(slice(a, b), specs[a]) for a, b in zip(starts, [*starts[1:], runs])]
 
-    swarms = [build_initial_swarm(n, spec, rngs[block], oa=config.uses_oa) for block, spec in blocks]
+    swarms = [build_initial_swarm(n, spec, cell, oa=config.uses_oa) for spec, cell in zip(specs, cells)]
     positions, fitness = (np.concatenate(parts) for parts in zip(*swarms))
     state = SwarmState(positions, np.zeros_like(positions), fitness)
     archives = ArchiveSet(runs, n, d)  # left empty by the baseline
@@ -356,4 +350,4 @@ def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
             return trace.records(configs, specs, budget, init_cost, time.perf_counter() - start)
         for rng, row in zip(rngs, u):
             rng.random(out=row)
-        _opsom_iteration(state, archives, config, blocks, u_slices)
+        _opsom_iteration(state, archives, config, specs, u_slices)

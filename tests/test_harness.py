@@ -127,8 +127,12 @@ class TestExperimentConfig:
         (dict(base_seed=2**64), r"base_seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
         (dict(suite_seed=-1), "suite_seed must be non-negative, got -1"),
         (dict(dimensions=(10, 1)), "suite requires dimension >= 2, got 1"),
+        # each run's algorithm and seed come from algorithms and base_seed; these ran pso at seed 0
+        (dict(algorithms=("pso",), optimizer=OptimizerConfig(algorithm="opsom", seed=9)), "algorithms and base_seed"),
+        (dict(optimizer=OptimizerConfig(algorithm="pso")), "optimizer.algorithm and optimizer.seed would be ignored"),
     ], ids=["empty-algorithms", "repeated-algorithm", "empty-dimensions", "repeated-dimension", "zero-jobs",
-            "negative-jobs", "negative-seed", "seed-past-64-bits", "negative-suite-seed", "dimension-below-2"])
+            "negative-jobs", "negative-seed", "seed-past-64-bits", "negative-suite-seed", "dimension-below-2",
+            "optimizer-seed", "optimizer-algorithm"])
     def test_rejects_empty_or_repeated_lists(self, kw, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
@@ -210,10 +214,10 @@ class TestExecute:
                                                                          algorithms, dimensions, optimizer, message):
         if 4096 in dimensions:
             forbid_suites(monkeypatch)
-        config = ExperimentConfig(dimensions=dimensions, runs=3, algorithms=algorithms,
-                                  optimizer=OptimizerConfig(**optimizer), jobs=jobs)
+        # the config itself refuses the setting, so `execute` is never reached
         with pytest.raises(ValueError, match=re.escape(message)):
-            execute(config)
+            ExperimentConfig(dimensions=dimensions, runs=3, algorithms=algorithms,
+                             optimizer=OptimizerConfig(**optimizer), jobs=jobs)
         assert work_started == []
 
     @pytest.mark.parametrize("jobs, workers", [(64, 20), (2, 2)])
@@ -404,7 +408,7 @@ class TestNonFiniteObjective:
         # even rows, +inf on row 1
         config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=True)
         with pytest.raises(ValueError, match=r"^poisoned: 13 of 24 rows evaluated to NaN or \+-inf$"):
-            run_cell([replace(config, seed=seed) for seed in range(3)], [poisoned_spec(4)] * 3)
+            run_cell([replace(config, seed=seed) for seed in range(3)], [poisoned_spec(4)])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cli_reports_error_and_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
@@ -413,11 +417,12 @@ class TestNonFiniteObjective:
         monkeypatch.setattr(harness, "make_suite", lambda suite_seed, dim: [poisoned_spec(dim)])
         status = main([
             "run", "--algo", "opsom,pso", "--dim", "4", "--runs", "3", "--pop", "8", "--no-oa",
-            "--budget", "400", "--jobs", jobs, "--out", str(tmp_path / "z"),
+            "--budget", "400", "--jobs", jobs, "--out", str(tmp_path / "z" / "sub"),
         ])
         assert status == 1
         assert "error: poisoned: 13 of 24 rows evaluated to NaN or +-inf" in capsys.readouterr().err
-        assert not (tmp_path / "z").exists()
+        # the output directory is made before the runs; both levels made go again
+        assert not (tmp_path / "z").exists() and tmp_path.exists()
 
 
 class TestCli:
@@ -566,7 +571,8 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert work_started == [] and not out.exists()
 
-    def test_unwritable_output_dir(self, tmp_path, capsys):
+    def test_unwritable_output_dir(self, tmp_path, capsys, work_started):
+        # the directory is made before any run; every run used to end before the refusal
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         status = main([
@@ -574,4 +580,5 @@ class TestCli:
             "--pop", "6", "--budget", "200", "--out", str(blocker / "sub"),
         ])
         assert status == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: [Errno 20] Not a directory" in capsys.readouterr().err
+        assert work_started == []

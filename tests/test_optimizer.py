@@ -83,7 +83,7 @@ class TestConfig:
             run(OptimizerConfig(seed=-3, budget=200, population=6), make_suite(0, 2)[0])
         # every seed of a cell is checked, not only the first config's
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            run_cell([small_config(seed=1), small_config(seed=-1)], [SPEC] * 2)
+            run_cell([small_config(seed=1), small_config(seed=-1)], [SPEC])
 
     def test_rejects_fixed_inertia_without_archives(self):
         # without archive learning the velocity always takes the inertia weight
@@ -176,7 +176,7 @@ class TestBudgetAccounting:
         # initial swarms of all 3 runs are the only call
         spec = base_spec("rastrigin", d)
         configs = [OptimizerConfig(algorithm=algorithm, budget=init_cost, seed=s) for s in range(3)]
-        records = run_cell(configs, [spec] * 3)
+        records = run_cell(configs, [spec])
         assert rows_sent == [3 * init_cost]
         assert [rec.evaluations.tolist() for rec in records] == [[init_cost]] * 3
 
@@ -189,7 +189,7 @@ class TestBudgetAccounting:
         for budget, iterations in ((init, 0), (init + n - 1, 0), (init + n, 0), (init + n + 1, 1),
                                    (10 * n, (10 * n - init - 1) // n)):
             rows_sent.clear()
-            records = run_cell([small_config(budget=budget, seed=s, **flags) for s in range(3)], [SPEC] * 3)
+            records = run_cell([small_config(budget=budget, seed=s, **flags) for s in range(3)], [SPEC])
             rec = records[0]
             assert sum(rows_sent) == 3 * rec.evaluations[-1] <= 3 * budget, (flags, budget)
             assert rows_sent == [3 * init] + [3 * n] * iterations, (flags, budget)
@@ -201,7 +201,7 @@ class TestBudgetAccounting:
         # the trace's count after every iteration is the rows sent so far
         for flags, init in FLAG_SETS:
             rows_sent.clear()
-            records = run_cell([small_config(budget=500, seed=s, **flags) for s in range(3)], [SPEC] * 3)
+            records = run_cell([small_config(budget=500, seed=s, **flags) for s in range(3)], [SPEC])
             for rec in records:
                 np.testing.assert_array_equal(rec.evaluations, init + 8 * rec.iterations)
                 np.testing.assert_array_equal(3 * rec.evaluations, np.cumsum(rows_sent))
@@ -223,7 +223,7 @@ class TestBudgetAccounting:
         for flags, init in FLAG_SETS:
             refusal = rf"budget {init - 1} cannot cover initialization \({init} evaluations\)"
             with pytest.raises(ValueError, match=refusal):
-                run_cell([small_config(budget=init - 1, seed=s, **flags) for s in range(3)], [SPEC] * 3)
+                run_cell([small_config(budget=init - 1, seed=s, **flags) for s in range(3)], [SPEC])
         assert rows_sent == []
 
     def test_exhausted_budget_stops_the_run(self, rows_sent):
@@ -361,7 +361,7 @@ class TestAblations:
             spec = make_suite(1, d)[seed % 10]
             cells = [
                 run_cell([OptimizerConfig(population=8, budget=800, seed=seed + r, **flags) for r in range(runs)],
-                         [spec] * runs)
+                         [spec])
                 for flags in (dict(algorithm="pso"), ablated)
             ]
             for pso, opsom in zip(*cells):
@@ -410,6 +410,13 @@ class TestAblations:
                   observer=lambda s, a: sizes.append((len(a.phi_fitness), len(a.psi), len(a.chi))))
         assert all(p == 4 and q == 0 and c == 0 for p, q, c in sizes)
 
+    def test_baseline_writes_no_archive(self):
+        # psi and chi stay empty; phi's n/2 rows are allocated and never written
+        seen = []
+        run(small_config(budget=1_000, algorithm="pso"), SPEC, observer=lambda s, a: seen.append(
+            (a.fill.tolist(), a.phi_fitness.tolist(), np.count_nonzero(a.phi_positions))))
+        assert len(seen) > 10 and all(view == ([4, 0, 0], [0.0] * 4, 0) for view in seen)
+
     def test_ablation_flags_change_the_trajectory(self):
         base = run(small_config(budget=2_000), SPEC)
         for flag in ("no_oa", "no_archives", "no_mutation", "fixed_inertia"):
@@ -454,7 +461,7 @@ class TestUniformBlock:
         for runs in (1, 3):
             generators.clear()
             marks.clear()
-            records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], [SPEC] * runs)
+            records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], [SPEC])
             assert len(generators) == runs and len(marks) == len(records[0].iterations) - 1 > 10
             for r, generator in enumerate(generators):
                 calls = generator.calls
@@ -574,7 +581,7 @@ class TestRunCell:
     def test_matches_one_run_at_a_time(self, runs, d, function, variant, base_seed):
         spec = make_suite(5, d)[function]
         configs = variant_configs(variant, runs, base_seed)
-        cell = run_cell(configs, [spec] * runs)
+        cell = run_cell(configs, [spec])
         assert len(cell) == runs
         for config, lockstep in zip(configs, cell):
             alone = run(config, spec)
@@ -592,8 +599,8 @@ class TestRunCell:
         # task, give every record field but the wall time bit for bit
         suite = make_suite(5, d)
         configs = variant_configs(variant, runs, base_seed)
-        task = run_cell(configs * len(functions), [suite[f] for f in functions for _ in configs])
-        alone = [record for f in functions for record in run_cell(configs, [suite[f]] * runs)]
+        task = run_cell(configs, [suite[f] for f in functions])
+        alone = [record for f in functions for record in run_cell(configs, [suite[f]])]
         assert len(task) == len(alone) == runs * len(functions)
         for a, b in zip(alone, task):
             for name in (f.name for f in fields(RunRecord) if f.name != "wall_time"):
@@ -607,14 +614,10 @@ class TestRunCell:
         with pytest.raises(ValueError, match=r"must share one dimension, got \[2, 10\]"):
             run_cell([small_config(seed=1), small_config(seed=2)], [base_spec("sphere", 2), SPEC])
 
-    @pytest.mark.parametrize("specs", [1, 3])
-    def test_rejects_a_spec_count_other_than_the_config_count(self, specs):
-        with pytest.raises(ValueError, match=f"one spec per config, got {specs} for 2 configs"):
-            run_cell([small_config(seed=1), small_config(seed=2)], [SPEC] * specs)
-
     def test_rejects_an_empty_cell(self):
-        with pytest.raises(ValueError, match="at least one config"):
-            run_cell([], [])
+        for configs, specs in (([], []), ([], [SPEC]), ([small_config(seed=1)], [])):
+            with pytest.raises(ValueError, match="at least one config and one spec"):
+                run_cell(configs, specs)
 
     @pytest.mark.parametrize("change", [
         dict(algorithm="pso"), dict(population=10), dict(budget=2_100), dict(no_oa=True), dict(no_archives=True),
@@ -623,14 +626,16 @@ class TestRunCell:
     def test_rejects_configs_differing_in_more_than_the_seed(self, change):
         configs = [small_config(seed=1), small_config(seed=2, **change)]
         with pytest.raises(ValueError, match="may differ only in seed"):
-            run_cell(configs, [SPEC] * 2)
+            run_cell(configs, [SPEC])
         # the seed alone may differ, repeated seeds included
-        assert len(run_cell([small_config(seed=1), small_config(seed=2), small_config(seed=1)], [SPEC] * 3)) == 3
+        assert len(run_cell([small_config(seed=1), small_config(seed=2), small_config(seed=1)], [SPEC])) == 3
 
     def test_observer_watches_a_single_run(self):
-        with pytest.raises(ValueError, match="observer watches one run"):
-            run_cell([small_config(seed=1), small_config(seed=2)], [SPEC] * 2, observer=lambda state, archives: None)
+        # it counts runs: two configs on one spec, or one config on two specs
+        for configs, specs in (([small_config(seed=1), small_config(seed=2)], [SPEC]), ([small_config()], [SPEC] * 2)):
+            with pytest.raises(ValueError, match="observer watches one run, got 2 runs"):
+                run_cell(configs, specs, observer=lambda state, archives: None)
 
     def test_shared_wall_time(self):
-        records = run_cell([small_config(seed=s) for s in range(3)], [SPEC] * 3)
+        records = run_cell([small_config(seed=s) for s in range(3)], [SPEC])
         assert len({r.wall_time for r in records}) == 1 and records[0].wall_time > 0.0
