@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .swarm_core import SwarmState, run_index
+from .swarm_core import SwarmState, flat_rows
 
 
 class BoundedArchive:
@@ -89,8 +89,8 @@ class ArchiveSet:
         psi, chi = slice(half, half + cap), slice(half + cap, half + 2 * cap)
         self.psi = BoundedArchive(self.positions[:, psi], self.fitness[:, psi], self.fill[:, 1])
         self.chi = BoundedArchive(self.positions[:, chi], self.fitness[:, chi], self.fill[:, 2])
-        # the table rows where phi's, psi's and chi's slots start
-        self.offsets = np.array([[0], [psi.start], [chi.start]])
+        # the rows of the flat (R*rows, d) table where each run's phi, psi and chi slots start, (R, 3, 1)
+        self.offsets = flat_rows(runs, half + 2 * cap)[:, :, None] + np.array([[0], [psi.start], [chi.start]])
 
     def view(self, run: int) -> ArchiveSet:
         """Run `run` alone, with the run axis dropped."""
@@ -108,8 +108,8 @@ def refresh_phi(archives: ArchiveSet, state: SwarmState) -> ArchiveSet:
     Entries are stored in ascending fitness order (ties toward the lower
     particle index), so phi[r, j] pairs with run r's j-th ranked elite particle.
     """
-    order = state.pbest_fitness.argsort(kind="stable")[:, : archives.phi_capacity]
-    rows = run_index(len(order))
-    archives.phi_positions[...] = state.pbest_positions[rows, order]
-    archives.phi_fitness[...] = state.pbest_fitness[rows, order]
+    runs, n, d = state.pbest_positions.shape
+    order = state.pbest_fitness.argsort(kind="stable")[:, : archives.phi_capacity] + flat_rows(runs, n)
+    archives.phi_positions[...] = state.pbest_positions.reshape(-1, d).take(order, 0)
+    archives.phi_fitness[...] = state.pbest_fitness.take(order)
     return archives

@@ -66,7 +66,7 @@ def task_layout(cells: int, cell_values: int, jobs: int) -> list[range]:
     return [range(t, cells, tasks) for t in range(tasks)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A full experiment: suite x dimensions x algorithms x repeated runs."""
 

@@ -24,10 +24,13 @@ mutated.  With no mutation, the baseline's case, all m = n particles learn in
 particle order.
 
 Random stream: each run keeps its own generator, and initialization draws
-from it first.  After that each run's generator fills that run's row of an
-(R, B) block with exactly one `random(B)` call per iteration, and the step
-function, which draws nothing itself, reads row r for run r.  The block is
-cut, in this order, into
+from it first.  After that the loop runs in blocks of T iterations (the last
+block may be shorter), T = max(1, BLOCK_VALUES // (R*B)), so a block of
+more than one iteration holds at most BLOCK_VALUES uniforms.  Per block, each run's generator fills that
+run's (T_b, B) slab of an (R, T, B) block with exactly one `random(out=...)`
+call, which draws the bits of T_b successive `random(B)` calls: slab row t
+is the B uniforms of the block's t-th iteration.  The step function draws
+nothing itself.  Each iteration's B uniforms are cut, in this order, into
   guide uniforms        3*m      (none without archives),
   velocity uniforms     3*m*d    (2*m*d without archives: r1, then r2),
   partner uniforms      2*e,
@@ -35,10 +38,12 @@ cut, in this order, into
   eviction uniforms     n + 1    (none without archives),
 where n is the population, m the number of learners (n/2, or n with no
 mutation) and e the number of mutated elites (n - m).  Their sum, the width
-B, depends only on n, d and the flags; the baseline's block is (2, n, d): r1,
-then r2.  A uniform u picks index `int(u * size)`.  Into a full archive,
-particle i's psi push overwrites the slot picked by eviction uniform i, and
-the chi push the slot picked by the last one.
+B, depends only on n, d and the flags; the baseline's is (2, n, d): r1, then
+r2.  What depends on the uniforms alone, the mutation partners and the
+baseline's c1*r1 and c2*r2, is derived once per block.  A uniform u picks
+index `int(u * size)`.  Into a full archive, particle i's psi push
+overwrites the slot picked by eviction uniform i, and the chi push the slot
+picked by the last one.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .archives import ArchiveSet, refresh_phi
-from .mutation import mutate_elites
+from .mutation import draw_partners, mutate_elites
 from .objective import ObjectiveSpec, evaluate_batch
 from .ortho_init import OA_LEVELS, array_shape, build_initial_swarm
 from .swarm_core import (
@@ -58,8 +63,8 @@ from .swarm_core import (
     INERTIA,
     SOCIAL,
     SwarmState,
+    flat_rows,
     handle_bounds,
-    run_index,
     sort_and_split,
     update_bests,
     velocity_update,
@@ -69,8 +74,15 @@ ALGORITHMS = ("opsom", "pso")
 
 Observer = Callable[[SwarmState, ArchiveSet], None]
 
+# A block of iterations holds at most this many uniforms, all runs together,
+# unless one iteration's alone are more.  The bound keeps what blocking adds
+# to a call's memory small: the block, and the trace's ring of fewer values
+# (B >= n*d).  At d=50 one opsom run peaked at 0.6 MiB with it and at 4.7 MiB
+# with blocks of 64 iterations (tracemalloc).
+BLOCK_VALUES = 2**15
 
-@dataclass
+
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Settings for one optimization run."""
 
@@ -145,12 +157,11 @@ class RunRecord:
         return float(self.errors[-1])
 
 
-def diversity(state: SwarmState) -> np.ndarray:
-    """Each run's mean Euclidean distance of the particles from the swarm centroid, (R,)."""
-    X = state.positions
-    n = X.shape[1]
-    D = X - np.add.reduce(X, 1, keepdims=True) / n
-    return np.add.reduce(np.sqrt(np.add.reduce(D * D, 2)), 1) / n
+def diversity(positions: np.ndarray) -> np.ndarray:
+    """Mean Euclidean distance of the particles from the swarm centroid: (..., n, d) positions give (...)."""
+    n = positions.shape[-2]
+    D = positions - np.add.reduce(positions, -2, keepdims=True) / n
+    return np.add.reduce(np.sqrt(np.add.reduce(np.multiply(D, D, out=D), -1)), -1) / n
 
 
 def exploration_ratio(diversities: np.ndarray) -> np.ndarray:
@@ -163,15 +174,25 @@ def exploration_ratio(diversities: np.ndarray) -> np.ndarray:
 
 
 class _Trace:
-    """Each run's best fitness and swarm diversity after iterations 0..K, in (R, K + 1) arrays."""
+    """Each run's best fitness and swarm diversity after iterations 0..K, in (R, K + 1) arrays.
 
-    def __init__(self, runs: int, iterations: int):
-        self.best_fitness = np.empty((runs, iterations + 1))
-        self.diversities = np.empty((runs, iterations + 1))
+    Snapshots copy the (R, n, d) positions into a ring of up to `block`
+    entries; `diversity` runs on the whole ring once it is full, and once more
+    on what the last snapshot leaves in it.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], iterations: int, block: int):
+        self.best_fitness = np.empty((shape[0], iterations + 1))
+        self.diversities = np.empty((shape[0], iterations + 1))
+        self.ring = np.empty((min(block, iterations + 1), *shape))
 
     def snap(self, state: SwarmState) -> None:
-        self.best_fitness[:, state.iteration] = state.gbest_fitness
-        self.diversities[:, state.iteration] = diversity(state)
+        k = state.iteration
+        slot = k % len(self.ring)
+        self.best_fitness[:, k] = state.gbest_fitness
+        self.ring[slot] = state.positions
+        if slot == len(self.ring) - 1 or k == self.best_fitness.shape[1] - 1:
+            self.diversities[:, k - slot : k + 1] = diversity(self.ring[: slot + 1]).T
 
     def records(self, configs: list[OptimizerConfig], specs: list[ObjectiveSpec], budget: int, init_cost: int,
                 wall_time: float) -> list[RunRecord]:
@@ -206,22 +227,44 @@ def _archive_guides(archives: ArchiveSet, u: np.ndarray) -> np.ndarray:
     """
     if np.count_nonzero(archives.fill) < archives.fill.size:
         raise ValueError("every archive needs an entry before it can supply guides")
-    idx = (u * archives.fill[:, :, None]).astype(np.intp) + archives.offsets  # rows of the table
-    rows = run_index(len(u))
-    which = archives.fitness[rows[:, :, None], idx].argmin(1)  # first minimum == phi > psi > chi priority
-    return archives.positions[rows, idx[rows, which, np.arange(u.shape[2])]]
+    runs, _, m = u.shape
+    idx = (u * archives.fill[:, :, None]).astype(np.intp) + archives.offsets  # rows of the flat table
+    which = archives.fitness.take(idx).argmin(1)  # first minimum == phi > psi > chi priority
+    chosen = idx.reshape(-1).take(which * m + flat_rows(runs, 3 * m, m))
+    return archives.positions.reshape(-1, archives.positions.shape[-1]).take(chosen, 0)
 
 
-def _uniform_block(config: OptimizerConfig, runs: int, n: int, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """An empty (R, B) uniform block and views of its guide, velocity,
-    partner-and-delta and eviction slices, cut as the module docstring states."""
+def _block_layout(config: OptimizerConfig, n: int, d: int) -> tuple[int, ...]:
+    """The widths of an iteration's guide, velocity, partner, delta and eviction
+    uniforms, as the module docstring states; they sum to B."""
     m = n // 2 if config.uses_mutation else n
     e = n - m
-    layout = (3 * m, 3 * m * d, 2 * e * (1 + d), n + 1)
     if not config.uses_archives:
-        layout = (0, 2 * m * d, 2 * e * (1 + d), 0)
-    u = np.empty((runs, sum(layout)))
-    return u, np.split(u, np.cumsum(layout)[:-1], 1)
+        return 0, 2 * m * d, 2 * e, 2 * e * d, 0
+    return 3 * m, 3 * m * d, 2 * e, 2 * e * d, n + 1
+
+
+def _block_draws(config: OptimizerConfig, u: np.ndarray, n: int, d: int) -> list[np.ndarray]:
+    """Cut an (R, T, B) block of uniforms and derive what depends on them alone, once for the block.
+
+    Returns, each with leading (R, T) axes: the (3, m) guide uniforms; the
+    (3, m, d) velocity uniforms, or without archives the (2, m, d) products
+    c1*r1 and c2*r2, which overwrite their uniforms in `u`; the (e,)
+    partners g and h as rows of the flat (R*e, d) elite stack; the
+    (2, e, d) mutation deltas; the (n + 1,) eviction uniforms.  Iteration t
+    of the block reads index t of the second axis.
+    """
+    runs, block, _ = u.shape
+    m = n // 2 if config.uses_mutation else n
+    e = n - m
+    guide, velocity, partners, delta, evict = np.split(u, np.cumsum(_block_layout(config, n, d))[:-1], 2)
+    velocity = velocity.reshape(runs, block, -1, m, d)
+    if not config.uses_archives:  # in place, so a block takes no more memory
+        velocity *= np.array([COGNITIVE, SOCIAL])[:, None, None]
+    g, h = draw_partners(partners.reshape(runs, block, 2, e))
+    offsets = flat_rows(runs, e)[:, None]
+    return [guide.reshape(runs, block, -1, m), velocity, g + offsets, h + offsets,
+            delta.reshape(runs, block, 2, e, d), evict]
 
 
 def _opsom_iteration(
@@ -229,49 +272,52 @@ def _opsom_iteration(
     archives: ArchiveSet,
     config: OptimizerConfig,
     specs: list[ObjectiveSpec],
-    u: list[np.ndarray],
+    draws: list[np.ndarray],
+    t: int,
 ) -> None:
     """One iteration of every run: learner sweep, elite mutation, bests, archive updates.
     It writes the state's positions and velocities in place.
 
     The run axis holds each spec's cell in turn, all of one size; each
-    spec's sweeps go to it as one batch.  `u` holds the guide, velocity,
-    partner-and-delta and eviction slices of the (R, B) uniform block, run r's
-    in row r, cut by `_uniform_block`.  With every strategy off this is one
-    baseline PSO step, and `archives` is never read.
+    spec's sweeps go to it as one batch.  `draws` is what `_block_draws`
+    derives from a block of uniforms, of which this is iteration `t`.  With
+    every strategy off this is one baseline PSO step, and `archives` is never
+    read.
     """
-    guide_u, velocity_u, mutation_u, evict_u = u
+    guide_u, velocity_u, partner_g, partner_h, delta, evict_u = draws
     archived, mutating = config.uses_archives, config.uses_mutation
     X, V = state.positions, state.velocities
     runs, n, d = X.shape
-    rows = run_index(runs)
     if mutating:
-        elite_idx, regular_idx = sort_and_split(state)
-        learners, m = (rows, regular_idx), n // 2
+        # rows of the flat (R*n, d) views: `take` gathers them, assignment scatters to them
+        elites, learners = sort_and_split(state)
+        elites, learners = elites + flat_rows(runs, n), learners + flat_rows(runs, n)
+        X, V = X.reshape(-1, d), V.reshape(-1, d)
+        x, v = X.take(learners, 0), V.take(learners, 0)
     else:
         # everyone learns, in particle order; `a[...]` is a view of the whole array
-        learners, m = ..., n
+        learners, x, v = ..., X, V
 
-    x = X[learners]
-    r = velocity_u.reshape(runs, -1, m, d)
+    r = velocity_u[:, t]
     if archived:
-        guides = _archive_guides(archives, guide_u.reshape(runs, 3, m))
+        guides = _archive_guides(archives, guide_u[:, t])
         a, b, c = INERTIA if config.fixed_inertia else r[:, 0], r[:, 1], r[:, 2]
     else:
-        guides = state.pbest_positions[learners]
-        a, b, c = INERTIA, COGNITIVE * r[:, 0], SOCIAL * r[:, 1]
-    velocity = velocity_update(V[learners], x, guides, state.gbest_position[:, None], a, b, c)
+        guides = state.pbest_positions.reshape(-1, d).take(learners, 0) if mutating else state.pbest_positions
+        a, b, c = INERTIA, r[:, 0], r[:, 1]
+    velocity = velocity_update(v, x, guides, state.gbest_position[:, None], a, b, c)
     X[learners], V[learners] = handle_bounds(x + velocity, velocity)
     if mutating:
         # learners and elites are disjoint, so the elites mutate from their
         # iteration-start positions; they keep their velocities
-        X[rows, elite_idx] = mutate_elites(X[rows, elite_idx], archives.phi_positions, mutation_u)
+        X[elites] = mutate_elites(X.take(elites, 0), archives.phi_positions, partner_g[:, t], partner_h[:, t],
+                                  delta[:, t])
 
-    fitness = [evaluate_batch(spec, rows) for spec, rows in zip(specs, X.reshape(len(specs), -1, d))]
+    fitness = [evaluate_batch(spec, rows) for spec, rows in zip(specs, state.positions.reshape(len(specs), -1, d))]
     state.fitness = np.concatenate(fitness).reshape(runs, n)
     improved, better = update_bests(state)
     state.iteration += 1
-    _update_archives(archives, state, config, improved, better, evict_u)
+    _update_archives(archives, state, config, improved, better, evict_u[:, t])
 
 
 def _update_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig, improved: np.ndarray,
@@ -339,15 +385,21 @@ def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
     # every initial best is new; n + 1 pushes never fill an archive of capacity n, so evict_u is unread
     _update_archives(archives, state, config, np.ones((runs, n), bool), np.ones(runs, bool), np.zeros((runs, n + 1)))
 
-    # the slices are views, cut once; every iteration refills the block
-    u, u_slices = _uniform_block(config, runs, n, d)
-    trace = _Trace(runs, iterations)
+    width = sum(_block_layout(config, n, d))
+    block = max(1, BLOCK_VALUES // (runs * width))  # T, iterations per block
+    u = np.empty((runs, min(block, iterations), width))
+    trace = _Trace(positions.shape, iterations, block)
     while True:
         trace.snap(state)
         if observer is not None:
             observer(state.view(0), archives.view(0))
-        if state.iteration == iterations:
+        k = state.iteration
+        if k == iterations:
             return trace.records(configs, specs, budget, init_cost, time.perf_counter() - start)
-        for rng, row in zip(rngs, u):
-            rng.random(out=row)
-        _opsom_iteration(state, archives, config, specs, u_slices)
+        t = k % block
+        if t == 0:  # the next min(T, K - k) iterations' uniforms, one call per run
+            slab = u[:, : iterations - k]
+            for rng, rows in zip(rngs, slab):
+                rng.random(out=rows)
+            draws = _block_draws(config, slab, n, d)
+        _opsom_iteration(state, archives, config, specs, draws, t)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .objective import LOWER, UPPER, ObjectiveSpec, evaluate_batch
-from .swarm_core import run_index
+from .swarm_core import flat_rows
 
 ROW_CAP = 4096
 OA_LEVELS = 2
@@ -105,9 +105,8 @@ def build_initial_swarm(
     fitness = evaluate_batch(spec, positions.reshape(-1, d)).reshape(len(rngs), -1)
     if len(points) < n:
         return positions, fitness
-    keep = fitness.argsort(1, kind="stable")[:, :n]
-    rows = run_index(len(rngs))
-    return positions[rows, keep], fitness[rows, keep]
+    keep = fitness.argsort(1, kind="stable")[:, :n] + flat_rows(len(rngs), fitness.shape[1])
+    return positions.reshape(-1, d).take(keep, 0), fitness.take(keep)
 
 
 def format_oa(oa: np.ndarray) -> str:

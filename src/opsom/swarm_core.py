@@ -20,19 +20,15 @@ V_MAX = 0.2 * (UPPER - LOWER)
 
 
 @functools.cache
-def run_index(runs: int) -> np.ndarray:
-    """Read-only (runs, 1) column of run indices: `a[run_index(R), idx]` gathers
-    `a[r, idx[r]]` for every run r."""
-    index = np.arange(runs)[:, None]
-    index.flags.writeable = False
-    return index
+def flat_rows(runs: int, stride: int, width: int = 1) -> np.ndarray:
+    """Read-only (runs, width) array of r*stride + j for j < width.
 
-
-@functools.cache
-def particle_index(runs: int, n: int) -> np.ndarray:
-    """Read-only (runs, n) rows of 0..n-1; numpy compares same-shape arrays
-    faster than it broadcasts a single row."""
-    index = np.tile(np.arange(n), (runs, 1))
+    Seen through its flat (R*k, ...) view, an (R, k, ...) array holds run r's
+    rows from r*k on, so adding the (R, 1) column `flat_rows(R, k)` to per-run
+    indices gives flat rows: `take` gathers them and assignment scatters to
+    them, at a third of the cost of `a[run, idx]` indexing.
+    """
+    index = np.arange(runs)[:, None] * stride + np.arange(width)
     index.flags.writeable = False
     return index
 
@@ -45,8 +41,9 @@ class SwarmState:
     """
 
     def __init__(self, positions: np.ndarray, velocities: np.ndarray, fitness: np.ndarray):
-        positions = np.asarray(positions, dtype=float)
-        velocities = np.asarray(velocities, dtype=float)
+        # contiguous, so that the step scatters through flat views of them
+        positions = np.ascontiguousarray(positions, dtype=float)
+        velocities = np.ascontiguousarray(velocities, dtype=float)
         fitness = np.asarray(fitness, dtype=float)
         if positions.ndim != 3 or velocities.shape != positions.shape:
             raise ValueError("positions and velocities must both have shape (R, n, d)")
@@ -75,11 +72,11 @@ class SwarmState:
 
 
 def handle_bounds(position: np.ndarray, velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp out-of-box coordinates to the violated bound and zero their velocity."""
-    outside = (position < LOWER) | (position > UPPER)
+    """Clamp out-of-box coordinates to the violated bound and zero their velocity in place."""
     clipped = np.maximum(position, LOWER)
     np.minimum(clipped, UPPER, out=clipped)
-    return clipped, np.where(outside, 0.0, velocity)
+    np.copyto(velocity, 0.0, where=clipped != position)
+    return clipped, velocity
 
 
 def update_bests(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
@@ -93,12 +90,12 @@ def update_bests(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
         return improved, np.zeros(len(improved), bool)
     np.copyto(state.pbest_positions, state.positions, where=improved[:, :, None])
     np.copyto(state.pbest_fitness, state.fitness, where=improved)
-    best = state.pbest_fitness.argmin(1)[:, None]
-    rows = run_index(len(best))
-    best_fitness = state.pbest_fitness[rows, best][:, 0]
+    runs, n, d = state.pbest_positions.shape
+    best = state.pbest_fitness.argmin(1) + flat_rows(runs, n)[:, 0]
+    best_fitness = state.pbest_fitness.take(best)
     better = best_fitness < state.gbest_fitness
     if np.count_nonzero(better):
-        best_position = state.pbest_positions[rows, best][:, 0]
+        best_position = state.pbest_positions.reshape(-1, d).take(best, 0)
         state.gbest_position = np.where(better[:, None], best_position, state.gbest_position)
         state.gbest_fitness = np.where(better, best_fitness, state.gbest_fitness)
     return improved, better

@@ -17,9 +17,9 @@ import pytest
 
 from opsom.archives import ArchiveSet
 from opsom.harness import ExperimentConfig, execute, main, run_seed
-from opsom.mutation import mutate_elites
+from opsom.mutation import draw_partners, mutate_elites
 from opsom.objective import base_spec, make_suite
-from opsom.optimizer import OptimizerConfig, _archive_guides, _opsom_iteration, _uniform_block, run, run_cell
+from opsom.optimizer import OptimizerConfig, _archive_guides, _block_draws, _opsom_iteration, run, run_cell
 from opsom.ortho_init import construct_oa, map_to_search_space
 from opsom.swarm_core import COGNITIVE, INERTIA, SOCIAL, V_MAX, SwarmState, velocity_update
 from test_ortho_init import verify_oa
@@ -251,10 +251,8 @@ def test_criterion_10_equation_level_oracles():
         gbest = rng.uniform(-100, 100, d)
         state.gbest_position = gbest[None].copy()
         state.gbest_fitness = np.array([(gbest**2).sum()])
-        block, u_slices = _uniform_block(baseline, 1, n, d)
         r1, r2 = u = rng.uniform(size=(2, n, d))
-        block[0] = u.ravel()
-        _opsom_iteration(state, None, baseline, [spec], u_slices)
+        _opsom_iteration(state, None, baseline, [spec], _block_draws(baseline, u.reshape(1, 1, -1).copy(), n, d), 0)
         state = state.view(0)
         for i in range(n):
             for k in range(d):
@@ -288,8 +286,8 @@ def test_criterion_10_equation_level_oracles():
         phi = rng.uniform(-100, 100, (m, d))
         pick = rng.uniform(size=(2, m))
         d1, d2 = rng.uniform(size=(2, m, d))
-        u = np.concatenate((pick.ravel(), d1.ravel(), d2.ravel()))
-        out = mutate_elites(elite_positions[None], phi[None], u[None])[0]
+        g, h = draw_partners(pick[None])
+        out = mutate_elites(elite_positions[None], phi[None], g, h, np.stack((d1, d2))[None])[0]
         for j in range(m):
             # g is the pick[0]-th index other than j, h the pick[1]-th other than j and g
             g = [i for i in range(m) if i != j][int(pick[0, j] * (m - 1))]

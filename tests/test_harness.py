@@ -4,7 +4,7 @@ parallel execution, and the CLI."""
 import hashlib
 import os
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 import statistics
 import subprocess
 import sys
@@ -144,6 +144,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{flag} ablates opsom"):
             ExperimentConfig(algorithms=("pso",), optimizer=ablated)
         ExperimentConfig(algorithms=("pso", "opsom"), optimizer=ablated)
+
+    def test_settings_cannot_change_after_the_checks(self):
+        # every check runs at construction, so neither config may change afterwards:
+        # a budget of 20 set later would run every d = 10 cell before d = 30 refused it
+        config = ExperimentConfig(dimensions=(10, 30), runs=1, optimizer=OptimizerConfig(population=8, budget=200))
+        with pytest.raises(FrozenInstanceError):
+            config.optimizer.budget = 20
+        with pytest.raises(FrozenInstanceError):
+            config.runs = 0
+        assert (config.optimizer.budget, config.runs) == (200, 1)
 
 
 SMALL = dict(

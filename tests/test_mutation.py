@@ -21,9 +21,13 @@ def pairs(u):
 
 
 def mutate_run(elite_positions, phi_positions, u):
-    """`mutate_elites` on one run: (m, d) elites and phi rows, flat uniforms."""
-    runs = (np.asarray(a)[None] for a in (elite_positions, phi_positions))
-    return mutate_elites(*runs, np.asarray(u)[None])[0]
+    """`mutate_elites` on one run: (m, d) elites and phi rows, and flat
+    uniforms cut as the optimizer cuts them: 2*m partner uniforms for
+    `draw_partners`, then delta1 and delta2."""
+    elite_positions, phi_positions, u = (np.asarray(a, dtype=float) for a in (elite_positions, phi_positions, u))
+    m, d = elite_positions.shape
+    g, h = draw_partners(u[None, : 2 * m].reshape(1, 2, m))
+    return mutate_elites(elite_positions[None], phi_positions[None], g, h, u[2 * m :].reshape(1, 2, m, d))[0]
 
 
 def scalar_mutation(j, phi_position, elite_positions, delta1, delta2, g, h):
@@ -219,8 +223,9 @@ class TestMutateElites:
         positions = rng.uniform(-100, 100, (runs, m, d))
         phi = rng.uniform(-100, 100, (runs, m, d))
         u = rng.random((runs, 2 * m * (1 + d)))
-        stacked = mutate_elites(positions, phi, u)
         g, h = draw_partners(u[:, : 2 * m].reshape(runs, 2, m))
+        rows = np.arange(runs)[:, None] * m  # the partners as rows of the flat (runs*m, d) elite stack
+        stacked = mutate_elites(positions, phi, g + rows, h + rows, u[:, 2 * m :].reshape(runs, 2, m, d))
         for r in range(runs):
             assert stacked[r].tobytes() == mutate_run(positions[r], phi[r], u[r]).tobytes()
             one_g, one_h = pairs(u[r, : 2 * m].reshape(2, m))

@@ -49,7 +49,7 @@ def component_values(fn, points):
 
 def errors_of(spec, best_fitnesses):
     """The `RunRecord.errors` of a trace whose best fitness took these values."""
-    trace = _Trace(1, len(best_fitnesses) - 1)
+    trace = _Trace((1, 1, spec.dimension), len(best_fitnesses) - 1, 1)
     for k, f in enumerate(best_fitnesses):
         state = SwarmState(np.zeros((1, 1, spec.dimension)), np.zeros((1, 1, spec.dimension)), [[f]])
         state.iteration = k

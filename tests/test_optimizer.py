@@ -3,7 +3,7 @@ trace invariants, ablation behavior, and the diversity metrics."""
 
 import itertools
 import pickle
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -92,6 +92,12 @@ class TestConfig:
                 OptimizerConfig(algorithm=algorithm, no_archives=True, fixed_inertia=True).validate(10)
         OptimizerConfig(no_archives=True).validate(10)
         OptimizerConfig(fixed_inertia=True).validate(10)
+
+    def test_is_frozen(self):
+        config = OptimizerConfig(population=8, budget=200)
+        with pytest.raises(FrozenInstanceError):
+            config.budget = 20
+        assert config.budget == 200 and replace(config, budget=20).budget == 20
 
     def test_has_eight_fields(self):
         assert [f.name for f in fields(OptimizerConfig)] == [
@@ -377,9 +383,9 @@ class TestAblations:
         calls = []
         original = mod.mutate_elites
 
-        def spy(elite_positions, phi_positions, u):
+        def spy(elite_positions, *draws):
             calls.append(elite_positions.shape)
-            return original(elite_positions, phi_positions, u)
+            return original(elite_positions, *draws)
 
         monkeypatch.setattr(mod, "mutate_elites", spy)
         rec = run(small_config(budget=500), SPEC)
@@ -425,7 +431,7 @@ class TestAblations:
 
 
 class TestUniformBlock:
-    """`run` draws one uniform block per iteration; indices are `int(u * size)`."""
+    """`run` draws one uniform block per block of iterations; indices are `int(u * size)`."""
 
     @pytest.mark.parametrize("flags, k", [
         # n = 8, d = 10: m learners, e mutated elites
@@ -438,6 +444,7 @@ class TestUniformBlock:
         ({"algorithm": "pso"}, 2 * 8 * 10),
     ])
     def test_one_random_call_per_iteration(self, monkeypatch, flags, k):
+        # B = k uniforms per iteration, drawn for a whole block of T iterations by one call per run
         import opsom.optimizer as mod
 
         generators = []
@@ -448,8 +455,7 @@ class TestUniformBlock:
             return generators[-1]
 
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
-        # each step call marks how many calls every run's generator has had:
-        # between two steps lie exactly the next iteration's draws
+        # each step call marks how many calls every run's generator has had
         marks = []
         step = mod._opsom_iteration
 
@@ -458,18 +464,27 @@ class TestUniformBlock:
             return step(*args)
 
         monkeypatch.setattr(mod, "_opsom_iteration", marking_step)
+        default = mod.BLOCK_VALUES
         for runs in (1, 3):
-            generators.clear()
-            marks.clear()
-            records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], [SPEC])
-            assert len(generators) == runs and len(marks) == len(records[0].iterations) - 1 > 10
-            for r, generator in enumerate(generators):
-                calls = generator.calls
-                # the call before each step filled run r's row of that iteration's block
-                ends = [mark[r] for mark in marks]
-                blocks = [calls[a - 1 : b - 1] for a, b in zip(ends, ends[1:] + [len(calls) + 1])]
-                assert all(len(drawn) == 1 and drawn[0][0] == "random" for drawn in blocks)
-                assert all(drawn[0][2]["out"].shape == (k,) for drawn in blocks)
+            # one iteration per block, 7 per block, and the default's blocks
+            for block_values in (1, 8 * runs * k - 1, default):
+                monkeypatch.setattr(mod, "BLOCK_VALUES", block_values)
+                block = max(1, block_values // (runs * k))
+                generators.clear()
+                marks.clear()
+                records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], [SPEC])
+                iterations = len(records[0].iterations) - 1
+                assert len(generators) == runs and len(marks) == iterations > 10
+                for r, generator in enumerate(generators):
+                    # the call just before the first step filled run r's slab of the first block,
+                    # and every call after the initialization's fills the slab of one block
+                    init = marks[0][r] - 1
+                    assert [mark[r] for mark in marks] == [init + 1 + i // block for i in range(iterations)]
+                    drawn = generator.calls[init:]
+                    assert all(name == "random" and not args and list(kw) == ["out"] for name, args, kw in drawn)
+                    slabs = [kw["out"].shape for _, _, kw in drawn]
+                    assert slabs == [(min(block, iterations - i), k) for i in range(0, iterations, block)]
+                    assert sum(rows for rows, _ in slabs) == iterations
 
     def test_largest_uniform_maps_below_every_size(self):
         u = np.nextafter(1.0, 0.0)
@@ -486,8 +501,9 @@ class TestUniformBlock:
 
 
 class TestRngIdentities:
-    """The generator identity that lets the baseline PSO step draw r1 and r2 in
-    one call without moving a single output bit."""
+    """The generator identities that let the baseline PSO step draw r1 and r2 in
+    one call, and a run draw a whole block of iterations in one call, without
+    moving a single output bit."""
 
     @staticmethod
     def pair(seed, pre):
@@ -509,6 +525,21 @@ class TestRngIdentities:
         assert merged.tobytes() == one_by_one.tobytes()
         assert a.bit_generator.state == b.bit_generator.state
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), pre=st.integers(0, 3), t=st.integers(1, 8), b=st.integers(1, 300),
+           data=st.data())
+    def test_one_slab_fill_equals_successive_calls(self, seed, pre, t, b, data):
+        # a block's (T, B) slab, or its first k rows as in a run's last block,
+        # filled by one `random(out=...)` call holds the bits of k `random(B)` calls
+        k = data.draw(st.integers(1, t))
+        for rows in (t, k):
+            a, b_rng = self.pair(seed, pre)
+            slab = np.empty((t, b))
+            a.random(out=slab[:rows])
+            one_by_one = np.stack([b_rng.random(b) for _ in range(rows)])
+            assert slab[:rows].tobytes() == one_by_one.tobytes()
+            assert a.bit_generator.state == b_rng.bit_generator.state
+
 
 def one_run(positions):
     """A one-run state at these (n, d) positions."""
@@ -518,17 +549,17 @@ def one_run(positions):
 
 class TestDiversity:
     def test_identical_particles(self):
-        assert diversity(one_run(np.ones((5, 3)))).tolist() == [0.0]
+        assert diversity(one_run(np.ones((5, 3))).positions).tolist() == [0.0]
 
     def test_symmetric_pair(self):
-        assert diversity(one_run([[0.0, 0.0], [2.0, 0.0]])).tolist() == [1.0]
+        assert diversity(one_run([[0.0, 0.0], [2.0, 0.0]]).positions).tolist() == [1.0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
         positions = rng.uniform(-100, 100, (12, 4))
         centroid = positions.mean(axis=0)
         expected = np.mean([np.sqrt(((p - centroid) ** 2).sum()) for p in positions])
-        assert diversity(one_run(positions))[0] == pytest.approx(expected, rel=1e-12)
+        assert diversity(one_run(positions).positions)[0] == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 25), n=st.integers(1, 100), d=st.integers(1, 60),
@@ -538,7 +569,16 @@ class TestDiversity:
         positions = scale * np.random.default_rng(seed).uniform(-1, 1, (runs, n, d))
         state = SwarmState(positions, np.zeros((runs, n, d)), np.zeros((runs, n)))
         expected = [float(np.linalg.norm(p - p.mean(0), axis=1).mean()) for p in positions]
-        assert np.array_equal(diversity(state), expected)
+        assert np.array_equal(diversity(state.positions), expected)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), block=st.integers(1, 6), runs=st.integers(1, 4), n=st.integers(1, 60),
+           d=st.integers(1, 40), scale=st.sampled_from([1e-3, 1.0, 100.0, 1e6]))
+    def test_block_of_snapshots_equals_one_at_a_time(self, seed, block, runs, n, d, scale):
+        # the trace's (T, R, n, d) ring gives each snapshot the bits of its own call
+        stack = scale * np.random.default_rng(seed).uniform(-1, 1, (block, runs, n, d))
+        assert diversity(stack).tobytes() == np.stack([diversity(positions) for positions in stack]).tobytes()
 
 
 class TestExplorationRatio:
@@ -609,6 +649,28 @@ class TestRunCell:
                     assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
                 else:
                     assert x == y, name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch, variant):
+        # one iteration per block, blocks of 7 with a shorter last one, and one
+        # block for the whole run give every record field but the wall time bit for bit
+        import opsom.optimizer as mod
+
+        for runs, d in itertools.product((1, 3), (2, 10)):
+            configs = variant_configs(variant, runs, 2**40 + d)
+            layout = sum(mod._block_layout(configs[0], 8, d))
+            cells = []
+            for block_values in (1, 8 * runs * layout - 1, 2**40):
+                monkeypatch.setattr(mod, "BLOCK_VALUES", block_values)
+                cells.append(run_cell(configs, [make_suite(5, d)[3]]))
+            assert len(cells[0][0].errors) - 1 > 7 * 8  # several blocks of 7
+            for records in zip(*cells):
+                for name in (f.name for f in fields(RunRecord) if f.name != "wall_time"):
+                    values = [getattr(rec, name) for rec in records]
+                    if isinstance(values[0], np.ndarray):
+                        assert len({(v.dtype, v.shape, v.tobytes()) for v in values}) == 1, (variant, runs, d, name)
+                    else:
+                        assert len(set(values)) == 1, (variant, runs, d, name)
 
     def test_rejects_specs_of_mixed_dimensions(self):
         with pytest.raises(ValueError, match=r"must share one dimension, got \[2, 10\]"):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsom.objective import base_spec
-from opsom.optimizer import OptimizerConfig, _opsom_iteration, _uniform_block
+from opsom.optimizer import OptimizerConfig, _block_draws, _opsom_iteration
 from opsom.swarm_core import (
     COGNITIVE,
     INERTIA,
@@ -40,13 +40,12 @@ def make_state(positions, velocities=None, fitness=None):
 def baseline_step(state, spec, u):
     """One baseline PSO iteration of every run through the optimizer's step function.
 
-    `u` is the (R, 2, n, d) block: each run's r1, then r2.  The block is cut
-    as `run_cell` cuts it; the baseline reads no archive.
+    `u` is the (R, 2, n, d) block: each run's r1, then r2.  It is cut as
+    `run_cell` cuts a block of one iteration; the baseline reads no archive.
     """
     config = OptimizerConfig(algorithm="pso")
-    block, u_slices = _uniform_block(config, *state.positions.shape)
-    block[...] = np.reshape(u, block.shape)
-    _opsom_iteration(state, None, config, [spec], u_slices)
+    runs, n, d = state.positions.shape
+    _opsom_iteration(state, None, config, [spec], _block_draws(config, np.reshape(u, (runs, 1, -1)).copy(), n, d), 0)
     return state
 
 
