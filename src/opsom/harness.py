@@ -1,17 +1,16 @@
 """Command-line experiment harness: configures runs, executes the repeated-run
 protocol with paired seeds, and writes machine-readable outputs.
 
-Run r of every (function, dimension) pair uses the same derived seed for
-every algorithm, so paired comparisons differ only algorithmically.  The runs
-of one (function, dimension, algorithm) cell advance in lockstep, and small
-cells of one (dimension, algorithm) share a task, advancing in lockstep with
-each other; a run's record does not depend on its task.  Output files contain
-no timestamps and use shortest round-trip float formatting, so repeated
-invocations with identical flags are byte-identical.
+A cell runs one config R times, run r seeded `optimizer.run_seed(seed, r)`
+for every algorithm, so paired comparisons differ only algorithmically.  The
+runs of one (function, dimension, algorithm) cell advance in lockstep, and
+small cells of one (dimension, algorithm) share a task, advancing in lockstep
+with each other; a run's record does not depend on its task.  Output files
+contain no timestamps and use shortest round-trip float formatting, so
+repeated invocations with identical flags are byte-identical.
 
 Subcommands:
   run      execute an experiment (one or more algorithms)
-  compare  same as run but requires at least two algorithms
   oa       print a constructed orthogonal array
 """
 
@@ -26,12 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .objective import describe_suite, make_suite
-from .optimizer import OptimizerConfig, RunRecord, exploration_ratio, run_cell
+from .optimizer import ABLATIONS, OptimizerConfig, RunRecord, exploration_ratio, run_cell
 from .ortho_init import construct_oa, format_oa
-
-# spreads consecutive run indices across seed space (64-bit golden ratio step)
-RUN_SEED_STRIDE = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 CSV_HEADER = "iteration,evals,best_error,diversity,exploration_pct"
 
@@ -46,11 +41,6 @@ CSV_HEADER = "iteration,evals,best_error,diversity,exploration_pct"
 # d=50, R=2 (3.86 s against 3.06 s), which is evaluation-bound, with little
 # dispatch to share.
 TASK_VALUES = 12_000
-
-
-def run_seed(base_seed: int, run_index: int) -> int:
-    """Derived per-run seed of a base seed in [0, 2**64); run 0 uses the base seed itself."""
-    return (base_seed ^ (run_index * RUN_SEED_STRIDE)) & _MASK64
 
 
 def task_layout(cells: int, cell_values: int, jobs: int) -> list[range]:
@@ -73,16 +63,12 @@ class ExperimentConfig:
     suite_seed: int = 0
     dimensions: tuple[int, ...] = (10, 30, 50)
     runs: int = 25
-    base_seed: int = 0
     algorithms: tuple[str, ...] = ("opsom",)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     out_dir: Path | None = None
     jobs: int = 1
 
     def __post_init__(self):
-        # run_seed keeps 64 bits, so a seed outside them would alias one inside
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         if self.suite_seed < 0:
             raise ValueError(f"suite_seed must be non-negative, got {self.suite_seed}")
         if self.runs < 1:
@@ -98,14 +84,18 @@ class ExperimentConfig:
             raise ValueError(f"suite requires dimension >= 2, got {min(self.dimensions)}")
         # the ablations switch off opsom's strategies; pso has none to switch off.
         # An unknown algorithm name passes these rules, so `validate` names it
-        ablated = [f for f in ("no_oa", "no_archives", "no_mutation", "fixed_inertia") if getattr(self.optimizer, f)]
+        ablated = [flag for flag in ABLATIONS if getattr(self.optimizer, flag)]
         if ablated and set(self.algorithms) == {"pso"}:
             raise ValueError(f"{ablated[0]} ablates opsom, which is not among the algorithms {list(self.algorithms)}")
-        if (self.optimizer.algorithm, self.optimizer.seed) != (OptimizerConfig.algorithm, OptimizerConfig.seed):
-            raise ValueError("optimizer.algorithm and optimizer.seed would be ignored: set algorithms and base_seed")
+        if self.optimizer.algorithm != OptimizerConfig.algorithm:
+            raise ValueError("optimizer.algorithm would be ignored: set algorithms")
         for dim in self.dimensions:  # every setting, so one bad only at a later dimension costs no run
             for algo in self.algorithms:
-                replace(self.optimizer, algorithm=algo, seed=self.base_seed).validate(dim)
+                self.cell_config(algo).validate(dim)
+
+    def cell_config(self, algorithm: str) -> OptimizerConfig:
+        """The config every cell of `algorithm` runs; pso has no strategy to ablate, so its flags stay off."""
+        return replace(self.optimizer, algorithm=algorithm, **{flag: False for flag in ABLATIONS if algorithm == "pso"})
 
 
 def summarize(errors) -> dict[str, float]:
@@ -127,30 +117,29 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
 
     Each such cell's runs advance in lockstep, and `task_layout` packs the
     cells of each (dimension, algorithm) into tasks: one `run_cell` call of
-    the R run configs on the cells' specs.  With jobs > 1 the tasks are
-    distributed over worker processes.  Each record is filed under the cell
-    it names.  Results are identical to a sequential execution and to any
-    other layout.  `ExperimentConfig` has already refused every bad setting.
+    the algorithm's `cell_config`, R times, on the cells' specs.  With
+    jobs > 1 the tasks are distributed over worker processes.  Each record
+    is filed under the cell it names.  Results are identical to a sequential
+    execution and to any other layout.  `ExperimentConfig` has already
+    refused every bad setting.
     """
     suites = {dim: make_suite(config.suite_seed, dim) for dim in config.dimensions}
     grouped = {(spec.id, dim, algo): [] for dim in suites for spec in suites[dim] for algo in config.algorithms}
-    tasks = []  # each task's run configs and the specs of its cells
+    tasks = []  # each task's config, the specs of its cells and the runs per cell
     for dim, suite in suites.items():
         for algo in config.algorithms:
-            runs = [replace(config.optimizer, algorithm=algo, seed=run_seed(config.base_seed, r))
-                    for r in range(config.runs)]
             for cells in task_layout(len(suite), config.runs * config.optimizer.population * dim, config.jobs):
-                tasks.append((runs, [suite[i] for i in cells]))
-    configs, specs = zip(*tasks)
+                tasks.append((config.cell_config(algo), [suite[i] for i in cells], config.runs))
+    configs, specs, runs = zip(*tasks)
     if config.jobs > 1:
         # costlier tasks come last (higher dimensions, and the suite's hybrid
         # and composite functions last in each task), so the pool takes them
         # first and the cheap ones even out the end; a forking pool starts
         # every worker at the first submit, so it gets no more workers than tasks
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
-            results = list(pool.map(run_cell, configs[::-1], specs[::-1], chunksize=1))[::-1]
+            results = list(pool.map(run_cell, configs[::-1], specs[::-1], runs[::-1], chunksize=1))[::-1]
     else:
-        results = list(map(run_cell, configs, specs))
+        results = list(map(run_cell, configs, specs, runs))
     for records in results:
         for record in records:
             grouped[record.function_id, record.dimension, record.algorithm].append(record)
@@ -195,26 +184,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opsom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_experiment_flags(p):
-        exp, opt = ExperimentConfig, OptimizerConfig
-        p.add_argument("--algo", default=",".join(exp.algorithms), help="comma-separated algorithms (opsom, pso)")
-        p.add_argument("--dim", default=",".join(map(str, exp.dimensions)), help="comma-separated dimensions")
-        p.add_argument("--runs", type=int, default=exp.runs, help="runs per (function, dimension, algorithm)")
-        p.add_argument("--seed", type=int, default=exp.base_seed, help="base seed for per-run seed derivation")
-        p.add_argument("--suite-seed", type=int, default=exp.suite_seed, help="seed for suite shifts/rotations")
-        p.add_argument("--pop", type=int, default=opt.population, help="population size (even, >= 6)")
-        p.add_argument("--budget", type=int, default=opt.budget, help="evaluation budget (default 10000*d)")
-        p.add_argument("--no-oa", action="store_true", help="ablation: uniform random initialization")
-        p.add_argument("--no-archives", action="store_true", help="ablation: baseline updates for regulars")
-        p.add_argument("--no-mutation", action="store_true", help="ablation: elites learn like regulars")
-        p.add_argument("--fixed-inertia", action="store_true", help="ablation: fixed inertia in scheme updates")
-        p.add_argument("--jobs", type=int, default=exp.jobs, help="worker processes, each taking tasks of whole cells")
-        p.add_argument("--out", required=True, help="output directory")
-
+    exp, opt = ExperimentConfig, OptimizerConfig
     run_p = sub.add_parser("run", help="run an experiment")
-    add_experiment_flags(run_p)
-    cmp_p = sub.add_parser("compare", help="run an experiment with at least two algorithms")
-    add_experiment_flags(cmp_p)
+    run_p.add_argument("--algo", default=",".join(exp.algorithms), help="comma-separated algorithms (opsom, pso)")
+    run_p.add_argument("--dim", default=",".join(map(str, exp.dimensions)), help="comma-separated dimensions")
+    run_p.add_argument("--runs", type=int, default=exp.runs, help="runs per (function, dimension, algorithm)")
+    run_p.add_argument("--seed", type=int, default=opt.seed, help="base seed for per-run seed derivation")
+    run_p.add_argument("--suite-seed", type=int, default=exp.suite_seed, help="seed for suite shifts/rotations")
+    run_p.add_argument("--pop", type=int, default=opt.population, help="population size (even, >= 6)")
+    run_p.add_argument("--budget", type=int, default=opt.budget, help="evaluation budget (default 10000*d)")
+    run_p.add_argument("--no-oa", action="store_true", help="ablation: uniform random initialization")
+    run_p.add_argument("--no-archives", action="store_true", help="ablation: baseline updates for regulars")
+    run_p.add_argument("--no-mutation", action="store_true", help="ablation: elites learn like regulars")
+    run_p.add_argument("--fixed-inertia", action="store_true", help="ablation: fixed inertia in scheme updates")
+    run_p.add_argument("--jobs", type=int, default=exp.jobs, help="worker processes, each taking tasks of whole cells")
+    run_p.add_argument("--out", required=True, help="output directory")
 
     oa_p = sub.add_parser("oa", help="print a constructed orthogonal array")
     oa_p.add_argument("--levels", type=int, required=True, help="level count (prime)")
@@ -242,12 +226,12 @@ def _experiment_from_args(args) -> ExperimentConfig:
         no_archives=args.no_archives,
         no_mutation=args.no_mutation,
         fixed_inertia=args.fixed_inertia,
+        seed=args.seed,
     )
     return ExperimentConfig(
         suite_seed=args.suite_seed,
         dimensions=tuple(dimensions),
         runs=args.runs,
-        base_seed=args.seed,
         algorithms=algorithms,
         optimizer=optimizer,
         out_dir=Path(args.out),
@@ -264,8 +248,6 @@ def main(argv=None) -> int:
             print(format_oa(construct_oa(args.levels, args.factors)), end="")
             return 0
         experiment = _experiment_from_args(args)
-        if args.command == "compare" and len(experiment.algorithms) < 2:
-            parser.error("compare requires at least two algorithms (e.g. --algo opsom,pso)")
         made = [path for path in (experiment.out_dir, *experiment.out_dir.parents) if not path.exists()]
         experiment.out_dir.mkdir(parents=True, exist_ok=True)  # before any run, so an unusable one costs none
         try:

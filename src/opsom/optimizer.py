@@ -2,9 +2,9 @@
 optimizer is plain PSO plus three strategies: orthogonal-array init, archive
 learning for the regular half and mutation of the elite half.  The baseline
 PSO is the same iteration with all three turned off.  `run_cell` advances
-every config (equal but for the seed) on every spec of one dimension in
-lockstep on (R, n, d) state; each spec's runs, one per config, are a harness
-cell.  `run` is its one-config, one-spec case.
+R runs of one config on every spec of one dimension in lockstep on (R, n, d)
+state, run r seeded `run_seed(config.seed, r)`; each spec's R runs are a
+harness cell.  `run` is its one-run, one-spec case.
 
 Budget: initialization costs each run `init = max(n, array rows)`
 evaluations with the orthogonal array and n without it, and every iteration
@@ -15,8 +15,8 @@ iterations, counted before the loop, and ends within [budget - n, budget]
 evaluations: below the budget unless the budget is init itself.  After
 iteration k a run has made init + n*k evaluations; its record computes
 `evaluations[k] = init + n*k` rather than storing it.  Runs are bitwise
-deterministic for a fixed (config, spec, seed), whichever runs and functions
-share their call.
+deterministic for a fixed (config, spec, run seed), whichever runs and
+functions share their call.
 
 Learners: with mutation the swarm is sorted by fitness and split in half; the
 worse half learns (in ascending-fitness order) and the better half is
@@ -49,7 +49,8 @@ picked by the last one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -71,6 +72,11 @@ from .swarm_core import (
 )
 
 ALGORITHMS = ("opsom", "pso")
+# the flags that switch off one of opsom's strategies; pso has none to switch off
+ABLATIONS = ("no_oa", "no_archives", "no_mutation", "fixed_inertia")
+
+# spreads consecutive run indices across seed space (64-bit golden ratio step)
+RUN_SEED_STRIDE = 0x9E3779B97F4A7C15
 
 Observer = Callable[[SwarmState, ArchiveSet], None]
 
@@ -80,6 +86,11 @@ Observer = Callable[[SwarmState, ArchiveSet], None]
 # (B >= n*d).  At d=50 one opsom run peaked at 0.6 MiB with it and at 4.7 MiB
 # with blocks of 64 iterations (tracemalloc).
 BLOCK_VALUES = 2**15
+
+
+def run_seed(base_seed: int, run_index: int) -> int:
+    """Derived per-run seed of a base seed in [0, 2**64); run 0 uses the base seed itself."""
+    return (base_seed ^ (run_index * RUN_SEED_STRIDE)) % 2**64
 
 
 @dataclass(frozen=True)
@@ -114,12 +125,16 @@ class OptimizerConfig:
         """The one check of a run's settings at `dimension`; return the evaluations initialization costs each run."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # run_seed keeps 64 bits, so a seed outside them would alias one inside
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.population < 6 or self.population % 2:
             raise ValueError(f"population must be even and >= 6, got {self.population}")
         if self.fixed_inertia and self.no_archives:  # the no-archives velocity always takes the inertia
             raise ValueError("fixed_inertia has no effect with no_archives")
+        ablated = [flag for flag in ABLATIONS if getattr(self, flag)]
+        if ablated and self.algorithm == "pso":
+            raise ValueError(f"{ablated[0]} ablates opsom and has no effect on pso")
         # orthogonal init scores every array row, topping up to n when the array is smaller
         n = self.population
         init_cost = max(n, array_shape(OA_LEVELS, dimension)[1]) if self.uses_oa else n
@@ -194,18 +209,19 @@ class _Trace:
         if slot == len(self.ring) - 1 or k == self.best_fitness.shape[1] - 1:
             self.diversities[:, k - slot : k + 1] = diversity(self.ring[: slot + 1]).T
 
-    def records(self, configs: list[OptimizerConfig], specs: list[ObjectiveSpec], budget: int, init_cost: int,
-                wall_time: float) -> list[RunRecord]:
+    def records(self, config: OptimizerConfig, seeds: list[int], specs: list[ObjectiveSpec], budget: int,
+                init_cost: int, wall_time: float) -> list[RunRecord]:
         if not np.isfinite(self.best_fitness).all():
             raise ValueError("best_fitness must be finite")
+        runs = list(product(specs, seeds))  # spec-major, one per row of the run axis
         # |best fitness - f_opt| for every run's whole trace at once, one row per run
-        errors = np.abs(self.best_fitness - np.array([[spec.f_opt] for spec in specs for _ in configs]))
+        errors = np.abs(self.best_fitness - np.array([[spec.f_opt] for spec, _ in runs]))
         return [
             RunRecord(
                 function_id=spec.id,
                 algorithm=config.algorithm,
                 dimension=spec.dimension,
-                seed=config.seed,
+                seed=seed,
                 population=config.population,
                 budget=budget,
                 init=init_cost,
@@ -213,7 +229,7 @@ class _Trace:
                 diversities=self.diversities[r],
                 wall_time=wall_time / len(errors),
             )
-            for r, (spec, config) in enumerate((spec, config) for spec in specs for config in configs)  # spec-major
+            for r, (spec, seed) in enumerate(runs)
         ]
 
 
@@ -343,51 +359,51 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
     iteration; it reads the live state and archives, which are overwritten in
     place, so it copies what it keeps, and it must not modify them.
     """
-    return run_cell([config], [spec], observer)[0]
+    return run_cell(config, [spec], 1, observer)[0]
 
 
-def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
+def run_cell(config: OptimizerConfig, specs: list[ObjectiveSpec], runs: int = 1,
              observer: Observer | None = None) -> list[RunRecord]:
-    """Run every config (they differ only in seed) on every spec in lockstep; return the traces spec-major.
+    """Run `config` R = `runs` times on every spec in lockstep; return the traces spec-major.
 
-    The specs share one dimension.  Spec j's cell, its R = len(configs) runs
-    on rows j*R .. (j+1)*R - 1 of the run axis, makes one initialization call
-    and one evaluation call per iteration.  Every run makes the K iterations
-    its budget affords (see the module docstring) and keeps its own generator,
-    so config i's record on spec j is bitwise the one `run(configs[i],
-    specs[j])` gives; its `wall_time` is its share of the call's time.  An
-    observer watches a single run, so it needs one config and one spec; it
-    sees that run's state and archives with the run axis dropped.
+    Run r is seeded `run_seed(config.seed, r)` on every spec, so two configs
+    of one seed make paired runs.  The specs share one dimension.  Spec j's
+    cell, its R runs on rows j*R .. (j+1)*R - 1 of the run axis, makes one
+    initialization call and one evaluation call per iteration.  Every run
+    makes the K iterations its budget affords (see the module docstring) and
+    keeps its own generator, so run r's record on spec j is bitwise the one
+    `run` gives at seed `run_seed(config.seed, r)`; its `wall_time` is its
+    share of the call's time.  An observer watches a single run, so it needs
+    one run and one spec; it sees that run's state and archives with the run
+    axis dropped.
     """
-    if not configs or not specs:
-        raise ValueError("run_cell needs at least one config and one spec")
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("the configs of one call may differ only in seed")
+    if runs < 1 or not specs:
+        raise ValueError("run_cell needs at least one run and one spec")
     dimensions = sorted({spec.dimension for spec in specs})
     if len(dimensions) > 1:
         raise ValueError(f"the specs of one call must share one dimension, got {dimensions}")
-    if observer is not None and len(configs) * len(specs) > 1:
-        raise ValueError(f"an observer watches one run, got {len(configs) * len(specs)} runs")
-    for c in configs:  # they differ only in seed, and each seed is checked
-        init_cost = c.validate(dimensions[0])
+    if observer is not None and runs * len(specs) > 1:
+        raise ValueError(f"an observer watches one run, got {runs * len(specs)} runs")
+    init_cost = config.validate(dimensions[0])
     start = time.perf_counter()
-    cells = [[np.random.default_rng(c.seed) for c in configs] for _ in specs]  # each run's own generator
+    seeds = [run_seed(config.seed, r) for r in range(runs)]
+    cells = [[np.random.default_rng(seed) for seed in seeds] for _ in specs]  # each run's own generator
     rngs = [rng for cell in cells for rng in cell]
-    runs, n, d = len(rngs), config.population, dimensions[0]
+    stacked, n, d = len(rngs), config.population, dimensions[0]  # the run axis holds every cell's runs
     budget = config.resolved_budget(d)
     iterations = max(0, (budget - init_cost - 1) // n)
 
     swarms = [build_initial_swarm(n, spec, cell, oa=config.uses_oa) for spec, cell in zip(specs, cells)]
     positions, fitness = (np.concatenate(parts) for parts in zip(*swarms))
     state = SwarmState(positions, np.zeros_like(positions), fitness)
-    archives = ArchiveSet(runs, n, d)  # left empty by the baseline
+    archives = ArchiveSet(stacked, n, d)  # left empty by the baseline
     # every initial best is new; n + 1 pushes never fill an archive of capacity n, so evict_u is unread
-    _update_archives(archives, state, config, np.ones((runs, n), bool), np.ones(runs, bool), np.zeros((runs, n + 1)))
+    _update_archives(archives, state, config, np.ones((stacked, n), bool), np.ones(stacked, bool),
+                     np.zeros((stacked, n + 1)))
 
     width = sum(_block_layout(config, n, d))
-    block = max(1, BLOCK_VALUES // (runs * width))  # T, iterations per block
-    u = np.empty((runs, min(block, iterations), width))
+    block = max(1, BLOCK_VALUES // (stacked * width))  # T, iterations per block
+    u = np.empty((stacked, min(block, iterations), width))
     trace = _Trace(positions.shape, iterations, block)
     while True:
         trace.snap(state)
@@ -395,7 +411,7 @@ def run_cell(configs: list[OptimizerConfig], specs: list[ObjectiveSpec],
             observer(state.view(0), archives.view(0))
         k = state.iteration
         if k == iterations:
-            return trace.records(configs, specs, budget, init_cost, time.perf_counter() - start)
+            return trace.records(config, seeds, specs, budget, init_cost, time.perf_counter() - start)
         t = k % block
         if t == 0:  # the next min(T, K - k) iterations' uniforms, one call per run
             slab = u[:, : iterations - k]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from opsom.archives import ArchiveSet
-from opsom.harness import ExperimentConfig, execute, main, run_seed
+from opsom.harness import ExperimentConfig, execute, main
 from opsom.mutation import draw_partners, mutate_elites
 from opsom.objective import base_spec, make_suite
 from opsom.optimizer import OptimizerConfig, _archive_guides, _block_draws, _opsom_iteration, run, run_cell
@@ -43,10 +43,9 @@ def check(criterion, description, condition, detail=""):
     assert condition, f"criterion {criterion} ({description}) failed {detail}"
 
 
-def paired_configs(**kw):
-    """The RUNS paired-seed configs of one (function, algorithm) cell."""
-    return [OptimizerConfig(population=POPULATION, budget=BUDGET, seed=run_seed(BASE_SEED, r), **kw)
-            for r in range(RUNS)]
+def protocol_config(**kw):
+    """The config of one (function, algorithm) cell; run_cell runs it RUNS times with paired seeds."""
+    return OptimizerConfig(population=POPULATION, budget=BUDGET, seed=BASE_SEED, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +53,8 @@ def comparison_records():
     """25 paired runs of both algorithms over the d=10 suite (criteria 4, 5, 8),
     keyed by (function, algorithm) and run through the CLI's `execute`."""
     experiment = ExperimentConfig(
-        suite_seed=SUITE_SEED, dimensions=(DIMENSION,), runs=RUNS, base_seed=BASE_SEED,
-        algorithms=("opsom", "pso"), optimizer=OptimizerConfig(population=POPULATION, budget=BUDGET),
+        suite_seed=SUITE_SEED, dimensions=(DIMENSION,), runs=RUNS, algorithms=("opsom", "pso"),
+        optimizer=protocol_config(),
         jobs=min(2, os.cpu_count() or 1),
     )
     return {(function_id, algo): records for (function_id, _, algo), records in execute(experiment).items()}
@@ -205,8 +204,7 @@ def test_criterion_9_ablation_direction(comparison_records):
     wins = 0
     details = [f"full={full_median:.4g}"]
     for flag in ("no_oa", "no_archives", "no_mutation"):
-        configs = paired_configs(**{flag: True})
-        errors = [record.best_error for record in run_cell(configs, [spec])]
+        errors = [record.best_error for record in run_cell(protocol_config(**{flag: True}), [spec], RUNS)]
         variant_median = np.median(errors)
         wins += full_median <= variant_median
         details.append(f"{flag}={variant_median:.4g}")

@@ -4,7 +4,7 @@ parallel execution, and the CLI."""
 import hashlib
 import os
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 import statistics
 import subprocess
 import sys
@@ -25,14 +25,13 @@ from opsom.harness import (
     execute,
     format_convergence_csv,
     main,
-    run_seed,
     summarize,
     task_layout,
     write_outputs,
 )
 from opsom import harness
 from opsom.objective import ObjectiveSpec, base_spec
-from opsom.optimizer import OptimizerConfig, RunRecord, run, run_cell
+from opsom.optimizer import OptimizerConfig, RunRecord, run, run_cell, run_seed
 from test_ortho_init import verify_oa
 
 
@@ -123,16 +122,15 @@ class TestExperimentConfig:
         (dict(dimensions=(10, 30, 10)), "non-empty without repeats"),
         (dict(jobs=0), "jobs must be at least 1"),
         (dict(jobs=-5), "jobs must be at least 1"),
-        (dict(base_seed=-1), r"base_seed must be in \[0, 2\*\*64\), got -1"),
-        (dict(base_seed=2**64), r"base_seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+        (dict(optimizer=OptimizerConfig(seed=-1)), r"seed must be in \[0, 2\*\*64\), got -1"),
+        (dict(optimizer=OptimizerConfig(seed=2**64)), r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
         (dict(suite_seed=-1), "suite_seed must be non-negative, got -1"),
         (dict(dimensions=(10, 1)), "suite requires dimension >= 2, got 1"),
-        # each run's algorithm and seed come from algorithms and base_seed; these ran pso at seed 0
-        (dict(algorithms=("pso",), optimizer=OptimizerConfig(algorithm="opsom", seed=9)), "algorithms and base_seed"),
-        (dict(optimizer=OptimizerConfig(algorithm="pso")), "optimizer.algorithm and optimizer.seed would be ignored"),
+        # each cell's algorithm comes from algorithms; this ran opsom
+        (dict(optimizer=OptimizerConfig(algorithm="pso")), "optimizer.algorithm would be ignored: set algorithms"),
     ], ids=["empty-algorithms", "repeated-algorithm", "empty-dimensions", "repeated-dimension", "zero-jobs",
             "negative-jobs", "negative-seed", "seed-past-64-bits", "negative-suite-seed", "dimension-below-2",
-            "optimizer-seed", "optimizer-algorithm"])
+            "optimizer-algorithm"])
     def test_rejects_empty_or_repeated_lists(self, kw, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kw)
@@ -141,9 +139,12 @@ class TestExperimentConfig:
     def test_rejects_ablations_without_opsom(self, flag):
         # pso has none of the strategies the flags switch off
         ablated = OptimizerConfig(**{flag: True})
-        with pytest.raises(ValueError, match=f"{flag} ablates opsom"):
+        with pytest.raises(ValueError, match=f"{flag} ablates opsom, which is not among the algorithms"):
             ExperimentConfig(algorithms=("pso",), optimizer=ablated)
-        ExperimentConfig(algorithms=("pso", "opsom"), optimizer=ablated)
+        # beside opsom the flag ablates opsom's cells, and pso's run without it
+        config = ExperimentConfig(algorithms=("pso", "opsom"), optimizer=ablated)
+        assert config.cell_config("pso") == OptimizerConfig(algorithm="pso")
+        assert config.cell_config("opsom") == ablated
 
     def test_settings_cannot_change_after_the_checks(self):
         # every check runs at construction, so neither config may change afterwards:
@@ -160,9 +161,8 @@ SMALL = dict(
     suite_seed=0,
     dimensions=(2,),
     runs=2,
-    base_seed=5,
     algorithms=("opsom", "pso"),
-    optimizer=OptimizerConfig(population=6, budget=300),
+    optimizer=OptimizerConfig(population=6, budget=300, seed=5),
 )
 
 
@@ -406,7 +406,8 @@ class TestNonFiniteObjective:
     @pytest.mark.parametrize("algorithm", ["opsom", "pso"])
     def test_run_raises_at_the_first_bad_batch(self, algorithm):
         seen = []
-        config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=True)
+        # both initialize uniformly; pso has no array to switch off
+        config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=algorithm == "opsom")
         with pytest.raises(ValueError, match=r"^poisoned: 5 of 8 rows evaluated to NaN or \+-inf$"):
             run(config, poisoned_spec(4), observer=lambda state, archives: seen.append(state.iteration))
         # initialization and the first iteration were finite; the second iteration's batch raised
@@ -416,9 +417,9 @@ class TestNonFiniteObjective:
     def test_cell_raises_at_the_first_bad_batch(self, algorithm):
         # a cell of 3 runs evaluates 3 * 8 stacked rows at once: NaN on the 12
         # even rows, +inf on row 1
-        config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=True)
+        config = OptimizerConfig(algorithm=algorithm, population=8, budget=400, no_oa=algorithm == "opsom")
         with pytest.raises(ValueError, match=r"^poisoned: 13 of 24 rows evaluated to NaN or \+-inf$"):
-            run_cell([replace(config, seed=seed) for seed in range(3)], [poisoned_spec(4)])
+            run_cell(config, [poisoned_spec(4)], 3)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cli_reports_error_and_exits_1(self, tmp_path, capsys, monkeypatch, jobs):
@@ -506,10 +507,6 @@ class TestCli:
         args = _build_parser().parse_args(["run", "--out", "x"])
         assert _experiment_from_args(args) == ExperimentConfig(out_dir=Path("x"))
 
-    def test_compare_requires_two_algorithms(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["compare", "--algo", "opsom", "--dim", "2", "--out", str(tmp_path / "x")])
-
     def test_bad_flags_exit_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--nonsense"])
@@ -538,8 +535,8 @@ class TestCli:
         ("opsom", "2", "1", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
         ("opsom,pso", "2", "2", ["--no-archives", "--fixed-inertia"], "fixed_inertia has no effect with no_archives"),
         # run_seed keeps 64 bits: these ran as --seed 0 and --seed 18446744073709551613
-        ("pso", "2", "1", ["--seed", "18446744073709551616"], "base_seed must be in [0, 2**64)"),
-        ("pso", "2", "1", ["--seed", "-3"], "base_seed must be in [0, 2**64), got -3"),
+        ("pso", "2", "1", ["--seed", "18446744073709551616"], "seed must be in [0, 2**64)"),
+        ("pso", "2", "1", ["--seed", "-3"], "seed must be in [0, 2**64), got -3"),
         ("pso", "2", "1", ["--suite-seed", "-1"], "suite_seed must be non-negative, got -1"),
         ("opsom", "x", "1", [], "--dim expects comma-separated integers, got 'x'"),
         ("opsom", "2,x", "1", [], "--dim expects comma-separated integers, got 'x'"),

@@ -54,7 +54,7 @@ def errors_of(spec, best_fitnesses):
         state = SwarmState(np.zeros((1, 1, spec.dimension)), np.zeros((1, 1, spec.dimension)), [[f]])
         state.iteration = k
         trace.snap(state)
-    return trace.records([OptimizerConfig()], [spec], 1, 1, 0.0)[0].errors
+    return trace.records(OptimizerConfig(), [0], [spec], 1, 1, 0.0)[0].errors
 
 
 class TestEvaluateExamples:

@@ -18,6 +18,7 @@ from opsom.optimizer import (
     exploration_ratio,
     run,
     run_cell,
+    run_seed,
 )
 from opsom.ortho_init import array_shape
 from opsom.swarm_core import SwarmState
@@ -79,11 +80,23 @@ class TestConfig:
 
     def test_rejects_a_negative_seed(self):
         # refused by name, not by the generator's bare "expected non-negative integer"
-        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got -3"):
             run(OptimizerConfig(seed=-3, budget=200, population=6), make_suite(0, 2)[0])
-        # every seed of a cell is checked, not only the first config's
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            run_cell([small_config(seed=1), small_config(seed=-1)], [SPEC])
+        # run_seed keeps 64 bits, so a larger seed would alias one inside them, run 0 included
+        for seed in (2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+                OptimizerConfig(seed=seed).validate(2)
+            with pytest.raises(ValueError, match="seed must be in"):
+                run_cell(small_config(seed=seed), [SPEC], 3)
+        OptimizerConfig(seed=2**64 - 1).validate(2)
+
+    @pytest.mark.parametrize("flag", ["no_oa", "no_archives", "no_mutation", "fixed_inertia"])
+    def test_rejects_an_ablation_of_pso(self, flag):
+        # pso has none of the strategies the flags switch off; these ran plain pso
+        config = OptimizerConfig(algorithm="pso", population=6, budget=60, **{flag: True})
+        with pytest.raises(ValueError, match=f"{flag} ablates opsom and has no effect on pso"):
+            run(config, make_suite(0, 2)[0])
+        OptimizerConfig(**{flag: True}).validate(2)
 
     def test_rejects_fixed_inertia_without_archives(self):
         # without archive learning the velocity always takes the inertia weight
@@ -181,8 +194,7 @@ class TestBudgetAccounting:
         # a budget of exactly the initialization leaves no iteration, so the
         # initial swarms of all 3 runs are the only call
         spec = base_spec("rastrigin", d)
-        configs = [OptimizerConfig(algorithm=algorithm, budget=init_cost, seed=s) for s in range(3)]
-        records = run_cell(configs, [spec])
+        records = run_cell(OptimizerConfig(algorithm=algorithm, budget=init_cost), [spec], 3)
         assert rows_sent == [3 * init_cost]
         assert [rec.evaluations.tolist() for rec in records] == [[init_cost]] * 3
 
@@ -195,7 +207,7 @@ class TestBudgetAccounting:
         for budget, iterations in ((init, 0), (init + n - 1, 0), (init + n, 0), (init + n + 1, 1),
                                    (10 * n, (10 * n - init - 1) // n)):
             rows_sent.clear()
-            records = run_cell([small_config(budget=budget, seed=s, **flags) for s in range(3)], [SPEC])
+            records = run_cell(small_config(budget=budget, **flags), [SPEC], 3)
             rec = records[0]
             assert sum(rows_sent) == 3 * rec.evaluations[-1] <= 3 * budget, (flags, budget)
             assert rows_sent == [3 * init] + [3 * n] * iterations, (flags, budget)
@@ -207,7 +219,7 @@ class TestBudgetAccounting:
         # the trace's count after every iteration is the rows sent so far
         for flags, init in FLAG_SETS:
             rows_sent.clear()
-            records = run_cell([small_config(budget=500, seed=s, **flags) for s in range(3)], [SPEC])
+            records = run_cell(small_config(budget=500, **flags), [SPEC], 3)
             for rec in records:
                 np.testing.assert_array_equal(rec.evaluations, init + 8 * rec.iterations)
                 np.testing.assert_array_equal(3 * rec.evaluations, np.cumsum(rows_sent))
@@ -229,7 +241,7 @@ class TestBudgetAccounting:
         for flags, init in FLAG_SETS:
             refusal = rf"budget {init - 1} cannot cover initialization \({init} evaluations\)"
             with pytest.raises(ValueError, match=refusal):
-                run_cell([small_config(budget=init - 1, seed=s, **flags) for s in range(3)], [SPEC])
+                run_cell(small_config(budget=init - 1, **flags), [SPEC], 3)
         assert rows_sent == []
 
     def test_exhausted_budget_stops_the_run(self, rows_sent):
@@ -365,11 +377,8 @@ class TestAblations:
         ablated = dict(algorithm="opsom", no_oa=True, no_archives=True, no_mutation=True)
         for runs, d, seed in itertools.product((1, 3), (2, 10), (0, 5, 2**63 + 17)):
             spec = make_suite(1, d)[seed % 10]
-            cells = [
-                run_cell([OptimizerConfig(population=8, budget=800, seed=seed + r, **flags) for r in range(runs)],
-                         [spec])
-                for flags in (dict(algorithm="pso"), ablated)
-            ]
+            cells = [run_cell(OptimizerConfig(population=8, budget=800, seed=seed, **flags), [spec], runs)
+                     for flags in (dict(algorithm="pso"), ablated)]
             for pso, opsom in zip(*cells):
                 assert (pso.algorithm, opsom.algorithm) == ("pso", "opsom")
                 for name in compared:
@@ -472,7 +481,7 @@ class TestUniformBlock:
                 block = max(1, block_values // (runs * k))
                 generators.clear()
                 marks.clear()
-                records = run_cell([small_config(budget=1_000, seed=seed, **flags) for seed in range(runs)], [SPEC])
+                records = run_cell(small_config(budget=1_000, **flags), [SPEC], runs)
                 iterations = len(records[0].iterations) - 1
                 assert len(generators) == runs and len(marks) == iterations > 10
                 for r, generator in enumerate(generators):
@@ -604,12 +613,11 @@ RECORD_SCALARS = ("function_id", "algorithm", "dimension", "seed", "population",
 VARIANTS = ["pso", "opsom", "no_oa", "no_archives", "no_mutation", "fixed_inertia"]
 
 
-def variant_configs(variant, runs, base_seed):
-    """`runs` small configs of one algorithm or ablation, differing only in seed."""
+def variant_config(variant, seed):
+    """A small config of one algorithm or ablation."""
     flags = {} if variant in ("pso", "opsom") else {variant: True}
     algorithm = "pso" if variant == "pso" else "opsom"
-    return [OptimizerConfig(algorithm=algorithm, population=8, budget=600, seed=(base_seed + 7919 * r) % 2**64,
-                            **flags) for r in range(runs)]
+    return OptimizerConfig(algorithm=algorithm, population=8, budget=600, seed=seed, **flags)
 
 
 class TestRunCell:
@@ -620,11 +628,13 @@ class TestRunCell:
            variant=st.sampled_from(VARIANTS), base_seed=st.integers(0, 2**64 - 1))
     def test_matches_one_run_at_a_time(self, runs, d, function, variant, base_seed):
         spec = make_suite(5, d)[function]
-        configs = variant_configs(variant, runs, base_seed)
-        cell = run_cell(configs, [spec])
-        assert len(cell) == runs
-        for config, lockstep in zip(configs, cell):
-            alone = run(config, spec)
+        config = variant_config(variant, base_seed)
+        cell = run_cell(config, [spec], runs)
+        # run r is seeded run_seed(seed, r), and run 0 with the seed itself
+        assert [record.seed for record in cell] == [run_seed(base_seed, r) for r in range(runs)]
+        assert cell[0].seed == base_seed
+        for lockstep in cell:
+            alone = run(replace(config, seed=lockstep.seed), spec)
             for name in RECORD_ARRAYS:
                 a, b = getattr(alone, name), getattr(lockstep, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -638,9 +648,9 @@ class TestRunCell:
         # the R runs of each of k functions in one call, as the harness packs a
         # task, give every record field but the wall time bit for bit
         suite = make_suite(5, d)
-        configs = variant_configs(variant, runs, base_seed)
-        task = run_cell(configs, [suite[f] for f in functions])
-        alone = [record for f in functions for record in run_cell(configs, [suite[f]])]
+        config = variant_config(variant, base_seed)
+        task = run_cell(config, [suite[f] for f in functions], runs)
+        alone = [record for f in functions for record in run_cell(config, [suite[f]], runs)]
         assert len(task) == len(alone) == runs * len(functions)
         for a, b in zip(alone, task):
             for name in (f.name for f in fields(RunRecord) if f.name != "wall_time"):
@@ -657,12 +667,12 @@ class TestRunCell:
         import opsom.optimizer as mod
 
         for runs, d in itertools.product((1, 3), (2, 10)):
-            configs = variant_configs(variant, runs, 2**40 + d)
-            layout = sum(mod._block_layout(configs[0], 8, d))
+            config = variant_config(variant, 2**40 + d)
+            layout = sum(mod._block_layout(config, 8, d))
             cells = []
             for block_values in (1, 8 * runs * layout - 1, 2**40):
                 monkeypatch.setattr(mod, "BLOCK_VALUES", block_values)
-                cells.append(run_cell(configs, [make_suite(5, d)[3]]))
+                cells.append(run_cell(config, [make_suite(5, d)[3]], runs))
             assert len(cells[0][0].errors) - 1 > 7 * 8  # several blocks of 7
             for records in zip(*cells):
                 for name in (f.name for f in fields(RunRecord) if f.name != "wall_time"):
@@ -674,30 +684,19 @@ class TestRunCell:
 
     def test_rejects_specs_of_mixed_dimensions(self):
         with pytest.raises(ValueError, match=r"must share one dimension, got \[2, 10\]"):
-            run_cell([small_config(seed=1), small_config(seed=2)], [base_spec("sphere", 2), SPEC])
+            run_cell(small_config(), [base_spec("sphere", 2), SPEC], 2)
 
     def test_rejects_an_empty_cell(self):
-        for configs, specs in (([], []), ([], [SPEC]), ([small_config(seed=1)], [])):
-            with pytest.raises(ValueError, match="at least one config and one spec"):
-                run_cell(configs, specs)
-
-    @pytest.mark.parametrize("change", [
-        dict(algorithm="pso"), dict(population=10), dict(budget=2_100), dict(no_oa=True), dict(no_archives=True),
-        dict(no_mutation=True), dict(fixed_inertia=True),
-    ])
-    def test_rejects_configs_differing_in_more_than_the_seed(self, change):
-        configs = [small_config(seed=1), small_config(seed=2, **change)]
-        with pytest.raises(ValueError, match="may differ only in seed"):
-            run_cell(configs, [SPEC])
-        # the seed alone may differ, repeated seeds included
-        assert len(run_cell([small_config(seed=1), small_config(seed=2), small_config(seed=1)], [SPEC])) == 3
+        for runs, specs in ((0, []), (0, [SPEC]), (1, []), (-1, [SPEC])):
+            with pytest.raises(ValueError, match="at least one run and one spec"):
+                run_cell(small_config(), specs, runs)
 
     def test_observer_watches_a_single_run(self):
-        # it counts runs: two configs on one spec, or one config on two specs
-        for configs, specs in (([small_config(seed=1), small_config(seed=2)], [SPEC]), ([small_config()], [SPEC] * 2)):
+        # it counts runs: two runs on one spec, or one run on two specs
+        for runs, specs in ((2, [SPEC]), (1, [SPEC] * 2)):
             with pytest.raises(ValueError, match="observer watches one run, got 2 runs"):
-                run_cell(configs, specs, observer=lambda state, archives: None)
+                run_cell(small_config(), specs, runs, observer=lambda state, archives: None)
 
     def test_shared_wall_time(self):
-        records = run_cell([small_config(seed=s) for s in range(3)], [SPEC])
+        records = run_cell(small_config(), [SPEC], 3)
         assert len({r.wall_time for r in records}) == 1 and records[0].wall_time > 0.0
