@@ -4,10 +4,11 @@ protocol with paired seeds, and writes machine-readable outputs.
 A cell runs one config R times, run r seeded `optimizer.run_seed(seed, r)`
 for every algorithm, so paired comparisons differ only algorithmically.  The
 runs of one (function, dimension, algorithm) cell advance in lockstep, and
-small cells of one (dimension, algorithm) share a task, advancing in lockstep
-with each other; a run's record does not depend on its task.  Output files
-contain no timestamps and use shortest round-trip float formatting, so
-repeated invocations with identical flags are byte-identical.
+cells of one (dimension, algorithm) share a task, advancing in lockstep with
+each other, while their stacked state fits the loop's own block budget,
+`optimizer.BLOCK_VALUES`; a run's record does not depend on its task.
+Output files contain no timestamps and use shortest round-trip float
+formatting, so repeated invocations with identical flags are byte-identical.
 
 Subcommands:
   run      execute an experiment (one or more algorithms)
@@ -25,33 +26,21 @@ from pathlib import Path
 import numpy as np
 
 from .objective import describe_suite, make_suite
-from .optimizer import ABLATIONS, OptimizerConfig, RunRecord, exploration_ratio, run_cell
+from .optimizer import ABLATIONS, BLOCK_VALUES, OptimizerConfig, RunRecord, exploration_ratio, run_cell
 from .ortho_init import construct_oa, format_oa
 
 CSV_HEADER = "iteration,evals,best_error,diversity,exploration_pct"
 
 
-# Cells share a task while its (swarms, n, d) state stays within this many
-# float64 values (94 KiB per state array): 5 cells of d=30, R=2, n=40 share
-# one, 3 of d=50, and a cell of the paper's R=25 is always alone.  Timed on
-# one CPU of a 2-core Xeon (whole suite, budget 500*d, jobs 1, medians of 8
-# alternations), this size took 1.11 s for opsom at d=30, R=2 against 1.44 s
-# at one cell per task, and no (d, R, algorithm) with d in {10, 30, 50} and R
-# in {1, 2, 25} was slower beyond its spread; twice the size slowed pso at
-# d=50, R=2 (3.86 s against 3.06 s), which is evaluation-bound, with little
-# dispatch to share.
-TASK_VALUES = 12_000
-
-
 def task_layout(cells: int, cell_values: int, jobs: int) -> list[range]:
     """Split `cells` cells of `cell_values` state values each into tasks; return each task's cell indices.
 
-    A task takes as many cells as fit in `TASK_VALUES` (at least one), but
-    there are at least `jobs` tasks while there are cells to fill them.  Cell
-    i goes to task i mod T, so when the costlier cells come last every task
-    gets its share of them.
+    A task takes as many cells as its stacked (runs * cells, n, d) state fits
+    in `optimizer.BLOCK_VALUES` (at least one), but there are at least `jobs`
+    tasks while there are cells to fill them.  Cell i goes to task i mod T,
+    so when the costlier cells come last every task gets its share of them.
     """
-    per_task = max(1, TASK_VALUES // cell_values)
+    per_task = max(1, BLOCK_VALUES // cell_values)
     tasks = min(cells, max(jobs, -(-cells // per_task)))
     return [range(t, cells, tasks) for t in range(tasks)]
 
@@ -116,7 +105,8 @@ def execute(config: ExperimentConfig) -> dict[tuple[str, int, str], list[RunReco
     """Execute all runs of an experiment, grouped by (function, dimension, algorithm).
 
     Each such cell's runs advance in lockstep, and `task_layout` packs the
-    cells of each (dimension, algorithm) into tasks: one `run_cell` call of
+    cells of each (dimension, algorithm) into tasks of at most
+    `optimizer.BLOCK_VALUES` state values, or one cell: one `run_cell` call of
     the algorithm's `cell_config`, R times, on the cells' specs.  With
     jobs > 1 the tasks are distributed over worker processes.  Each record
     is filed under the cell it names.  Results are identical to a sequential

@@ -80,11 +80,14 @@ RUN_SEED_STRIDE = 0x9E3779B97F4A7C15
 
 Observer = Callable[[SwarmState, ArchiveSet], None]
 
-# A block of iterations holds at most this many uniforms, all runs together,
-# unless one iteration's alone are more.  The bound keeps what blocking adds
-# to a call's memory small: the block, and the trace's ring of fewer values
-# (B >= n*d).  At d=50 one opsom run peaked at 0.6 MiB with it and at 4.7 MiB
-# with blocks of 64 iterations (tracemalloc).
+# The size budget of every lockstep call, in float64 values (256 KiB).  A
+# block of iterations holds at most this many uniforms, all runs together,
+# unless one iteration's alone are more; and the harness stacks cells into one
+# call while their (runs, n, d) state fits in it, unless one cell's alone does
+# not.  The bound keeps what blocking adds to a call's memory small: the
+# block, and the trace's ring of fewer values (B >= n*d).  At d=50 one opsom
+# run peaked at 0.6 MiB with it and at 4.7 MiB with blocks of 64 iterations
+# (tracemalloc).
 BLOCK_VALUES = 2**15
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import opsom
 from opsom.harness import (
     CSV_HEADER,
-    TASK_VALUES,
     ExperimentConfig,
     _build_parser,
     _experiment_from_args,
@@ -31,7 +30,7 @@ from opsom.harness import (
 )
 from opsom import harness
 from opsom.objective import ObjectiveSpec, base_spec
-from opsom.optimizer import OptimizerConfig, RunRecord, run, run_cell, run_seed
+from opsom.optimizer import BLOCK_VALUES, OptimizerConfig, RunRecord, run, run_cell, run_seed
 from test_ortho_init import verify_oa
 
 
@@ -280,27 +279,33 @@ class TestExecute:
 
 class TestTaskLayout:
     @settings(max_examples=300, deadline=None)
-    @given(cells=st.integers(1, 40), cell_values=st.integers(1, 3 * TASK_VALUES), jobs=st.integers(1, 64))
+    @given(cells=st.integers(1, 40), cell_values=st.integers(1, 3 * BLOCK_VALUES), jobs=st.integers(1, 64))
     def test_every_cell_in_one_task(self, cells, cell_values, jobs):
         tasks = task_layout(cells, cell_values, jobs)
         assert sorted(i for task in tasks for i in task) == list(range(cells))
         assert len(tasks) >= min(jobs, cells)
-        # no task outgrows the size, unless one cell alone does
-        assert all(len(task) * cell_values <= max(TASK_VALUES, cell_values) for task in tasks)
-        if cell_values > TASK_VALUES:
-            assert all(len(task) == 1 for task in tasks)
+        # no task's stacked state outgrows the block budget, unless one cell alone does
+        assert all(len(task) * cell_values <= max(BLOCK_VALUES, cell_values) for task in tasks)
 
     @pytest.mark.parametrize("runs, d, jobs, sizes", [
         (2, 30, 2, [5, 5]),
-        (2, 50, 2, [3, 3, 2, 2]),
+        (2, 50, 2, [5, 5]),
         (2, 10, 1, [10]),
-        (25, 10, 1, [1] * 10),
+        (25, 10, 1, [3, 3, 2, 2]),
         (25, 50, 2, [1] * 10),
+        # the rest of the paper's 25-run protocol: tasks of three d=10 cells, every larger cell alone
+        (25, 10, 2, [3, 3, 2, 2]),
+        (25, 30, 1, [1] * 10),
+        (25, 30, 2, [1] * 10),
+        (25, 50, 1, [1] * 10),
+        (2, 30, 1, [10]),
+        (2, 50, 1, [5, 5]),
     ])
     def test_cells_per_task_at_population_40(self, runs, d, jobs, sizes):
         assert [len(task) for task in task_layout(10, runs * 40 * d, jobs)] == sizes
 
     def test_cells_stride_across_tasks(self):
+        # the `cli_d30_jobs2` benchmark shape: d=30, 2 runs, n=40, 2 jobs
         assert task_layout(10, 2 * 40 * 30, 2) == [range(0, 10, 2), range(1, 10, 2)]
 
 
@@ -367,12 +372,14 @@ class TestOutputs:
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         # every file of the acceptance criterion-3 invocation at 1 and 3 runs,
         # with 1 and 3 worker processes: each run count packs a (dimension,
-        # algorithm)'s 10 cells into one task with 1 job and into 3 with 3 jobs
-        for runs in ("1", "3"):
+        # algorithm)'s 10 cells into one task with 1 job and into 3 with 3 jobs;
+        # and of the paper's cell shape, 25 runs at n=40, whose cells share
+        # tasks of 3, 3, 2 and 2 with 1 job and with 2
+        for runs, pop, budget, pool in (("1", "8", "2000", "3"), ("3", "8", "2000", "3"), ("25", "40", "400", "2")):
             flags = ["run", "--algo", "opsom,pso", "--dim", "10", "--runs", runs, "--seed", "11",
-                     "--pop", "8", "--budget", "2000"]
+                     "--pop", pop, "--budget", budget]
             outputs = []
-            for jobs in ("1", "3"):
+            for jobs in ("1", pool):
                 out = tmp_path / f"runs{runs}_jobs{jobs}"
                 assert main(flags + ["--jobs", jobs, "--out", str(out)]) == 0
                 outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
