@@ -58,6 +58,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("dimensions", "algorithms"):  # a list would stay open to an append after the checks
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.suite_seed < 0:
             raise ValueError(f"suite_seed must be non-negative, got {self.suite_seed}")
         if self.runs < 1:
@@ -220,7 +222,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
     )
     return ExperimentConfig(
         suite_seed=args.suite_seed,
-        dimensions=tuple(dimensions),
+        dimensions=dimensions,
         runs=args.runs,
         algorithms=algorithms,
         optimizer=optimizer,
@@ -249,7 +251,7 @@ def main(argv=None) -> int:
         out = write_outputs(experiment, grouped)
         print(f"wrote {sum(len(v) for v in grouped.values())} runs to {out}")
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a budget too large to trace
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

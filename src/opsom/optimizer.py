@@ -55,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .archives import ArchiveSet, refresh_phi
+from .archives import CHI, PSI, ArchiveSet, refresh_phi
 from .mutation import draw_partners, mutate_elites
 from .objective import ObjectiveSpec, evaluate_batch
 from .ortho_init import OA_LEVELS, array_shape, build_initial_swarm
@@ -349,10 +349,10 @@ def _update_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerC
         return
     refresh_phi(archives, state)
     if config.uses_archives:
-        archives.psi.push(state.pbest_positions, state.pbest_fitness, improved, evict_u[:, :-1])
+        archives.push(PSI, state.pbest_positions, state.pbest_fitness, improved, evict_u[:, :-1])
         if np.count_nonzero(better):
-            archives.chi.push(state.gbest_position[:, None], state.gbest_fitness[:, None], better[:, None],
-                              evict_u[:, -1:])
+            archives.push(CHI, state.gbest_position[:, None], state.gbest_fitness[:, None], better[:, None],
+                          evict_u[:, -1:])
 
 
 def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:
@@ -360,7 +360,8 @@ def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None 
 
     `observer(state, archives)` is called after initialization and after every
     iteration; it reads the live state and archives, which are overwritten in
-    place, so it copies what it keeps, and it must not modify them.
+    place, so it copies what it keeps, and it must not modify them.  In its
+    one-run view, `archives.psi_fitness` holds psi's filled slots.
     """
     return run_cell(config, [spec], 1, observer)[0]
 

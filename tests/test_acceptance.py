@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsom.archives import ArchiveSet
+from opsom.archives import CHI, PSI, ArchiveSet
 from opsom.harness import ExperimentConfig, execute, main
 from opsom.mutation import draw_partners, mutate_elites
 from opsom.objective import base_spec, make_suite
@@ -141,10 +141,9 @@ def test_criterion_6_archive_invariants():
     observed = []
 
     def observer(state, archives):
-        chi_min = archives.chi.fitness[: len(archives.chi)].min()
         observed.append((
-            len(archives.phi_fitness), len(archives.psi), len(archives.chi),
-            chi_min == state.gbest_fitness,
+            len(archives.phi_fitness), len(archives.psi_fitness), len(archives.chi_fitness),
+            archives.chi_fitness.min() == state.gbest_fitness,
         ))
 
     run(OptimizerConfig(population=POPULATION, budget=20_000, seed=1), spec, observer=observer)
@@ -165,8 +164,8 @@ def test_criterion_7_scheme_selection_oracle():
         archives.phi_fitness[0, 0] = fits[0]
         u = np.random.default_rng(0).random(5)
         one = np.ones((1, 1), bool)
-        archives.psi.push(np.array([[[1.0]]]), np.array([[fits[1]]]), one, u[None, :1])
-        archives.chi.push(np.array([[[2.0]]]), np.array([[fits[2]]]), one, u[None, 1:2])
+        archives.push(PSI, np.array([[[1.0]]]), np.array([[fits[1]]]), one, u[None, :1])
+        archives.push(CHI, np.array([[[2.0]]]), np.array([[fits[2]]]), one, u[None, 1:2])
         guide = _archive_guides(archives, u[2:].reshape(1, 3, 1))
         brute = min(range(3), key=lambda i: (fits[i], i))
         ok &= guide[0, 0, 0] == float(brute)

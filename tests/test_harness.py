@@ -155,6 +155,14 @@ class TestExperimentConfig:
             config.runs = 0
         assert (config.optimizer.budget, config.runs) == (200, 1)
 
+    def test_lists_are_kept_as_tuples(self):
+        # a list stayed open to an append after every check had passed, and
+        # `execute` would then have drawn the d = 4096 suite, minutes of work
+        config = ExperimentConfig(dimensions=[10, 30], runs=1, algorithms=["opsom", "pso"])
+        assert config.dimensions == (10, 30) and config.algorithms == ("opsom", "pso")
+        with pytest.raises(AttributeError):
+            config.dimensions.append(4096)
+
 
 SMALL = dict(
     suite_seed=0,
@@ -596,3 +604,25 @@ class TestCli:
         assert status == 1
         assert "error: [Errno 20] Not a directory" in capsys.readouterr().err
         assert work_started == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unallocatable_budget_exits_1_without_traceback(self, tmp_path, capsys, jobs):
+        # 10^15 evaluations at n = 6 trace 1.7e14 iterations of every run, petabytes
+        # past the address space, so the allocation fails at once and touches no memory
+        out = tmp_path / "huge" / "sub"
+        status = main(["run", "--algo", "pso", "--dim", "2", "--runs", "1", "--pop", "6",
+                       "--budget", "1000000000000000", "--jobs", jobs, "--out", str(out)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: Unable to allocate [\d.]+ PiB", err) and "Traceback" not in err
+        assert not (tmp_path / "huge").exists() and tmp_path.exists()
+
+    def test_interrupt_removes_the_levels_made_and_propagates(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run_cell", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--algo", "pso", "--dim", "2", "--runs", "1", "--pop", "6", "--budget", "200",
+                  "--out", str(tmp_path / "a" / "b" / "c")])
+        assert not (tmp_path / "a").exists() and tmp_path.exists()

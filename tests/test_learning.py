@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from opsom.archives import ArchiveSet
+from opsom.archives import CHI, PSI, ArchiveSet
 from opsom.optimizer import _archive_guides
 from opsom.swarm_core import velocity_update
 
@@ -17,8 +17,8 @@ def singleton_archives(fits, positions):
     a.phi_positions[0, 0] = positions[0]
     a.phi_fitness[0, 0] = fits[0]
     one = np.ones((1, 1), bool)
-    a.psi.push(positions[1][None, None], np.array([[fits[1]]]), one, np.array([[0.5]]))
-    a.chi.push(positions[2][None, None], np.array([[fits[2]]]), one, np.array([[0.5]]))
+    a.push(PSI, positions[1][None, None], np.array([[fits[1]]]), one, np.array([[0.5]]))
+    a.push(CHI, positions[2][None, None], np.array([[fits[2]]]), one, np.array([[0.5]]))
     return a
 
 

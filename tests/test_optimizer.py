@@ -322,7 +322,7 @@ class TestTraceInvariants:
     def test_archives_never_empty_after_seeding(self):
         sizes = []
         run(small_config(budget=2_000), SPEC, observer=lambda s, a: sizes.append(
-            (len(a.phi_fitness), len(a.psi), len(a.chi))
+            (len(a.phi_fitness), len(a.psi_fitness), len(a.chi_fitness))
         ))
         assert all(p == 4 and q >= 1 and c >= 1 for p, q, c in sizes)
 
@@ -332,7 +332,7 @@ class TestTraceInvariants:
         seen = []
         run(small_config(budget=16), SPEC, observer=lambda s, a: seen.append((
             s.pbest_positions.copy(), s.pbest_fitness.copy(), s.gbest_position.copy(), s.gbest_fitness,
-            a.psi.positions, a.psi.fitness, a.chi.positions, a.chi.fitness, a.phi_positions.copy(),
+            a.psi_positions, a.psi_fitness, a.chi_positions, a.chi_fitness, a.phi_positions.copy(),
             a.phi_fitness.copy(),
         )))
         (pbest, pbest_fit, gbest, gbest_fit, psi, psi_fit, chi, chi_fit, phi, phi_fit), = seen
@@ -422,7 +422,7 @@ class TestAblations:
     def test_no_archives_skips_psi_and_chi(self):
         sizes = []
         run(small_config(budget=1_000, no_archives=True), SPEC,
-                  observer=lambda s, a: sizes.append((len(a.phi_fitness), len(a.psi), len(a.chi))))
+                  observer=lambda s, a: sizes.append((len(a.phi_fitness), len(a.psi_fitness), len(a.chi_fitness))))
         assert all(p == 4 and q == 0 and c == 0 for p, q, c in sizes)
 
     def test_baseline_writes_no_archive(self):
