@@ -290,6 +290,8 @@ def make_suite(suite_seed: int, dimension: int) -> list[ObjectiveSpec]:
     """
     if dimension < 2:
         raise ValueError("suite requires dimension >= 2")
+    if suite_seed < 0:  # named here, not by the generator's bare "expected non-negative integer"
+        raise ValueError(f"suite_seed must be non-negative, got {suite_seed}")
     rng = np.random.default_rng(suite_seed)
 
     def draw_blocks(bases, bias):

@@ -41,9 +41,9 @@ mutation) and e the number of mutated elites (n - m).  Their sum, the width
 B, depends only on n, d and the flags; the baseline's is (2, n, d): r1, then
 r2.  What depends on the uniforms alone, the mutation partners and the
 baseline's c1*r1 and c2*r2, is derived once per block.  A uniform u picks
-index `int(u * size)`.  Into a full archive, particle i's psi push
-overwrites the slot picked by eviction uniform i, and the chi push the slot
-picked by the last one.
+index `int(u * size)`.  In the one archive update, particle i's psi push into
+a full psi overwrites the slot picked by eviction uniform i, and the chi push,
+the top-ranked personal best, the slot picked by the last one.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .archives import CHI, PSI, ArchiveSet, refresh_phi
+from .archives import ArchiveSet
 from .mutation import draw_partners, mutate_elites
 from .objective import ObjectiveSpec, evaluate_batch
 from .ortho_init import OA_LEVELS, array_shape, build_initial_swarm
@@ -341,18 +341,14 @@ def _opsom_iteration(
 
 def _update_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerConfig, improved: np.ndarray,
                      better: np.ndarray, evict_u: np.ndarray) -> None:
-    """Refresh phi and push `update_bests`' improved personal bests (R, n) to psi and better
-    global bests (R,) to chi; `evict_u` holds the (R, n + 1) eviction uniforms."""
+    """`ArchiveSet.update` where it is needed; without archives it rebuilds phi alone."""
     # phi is read only by the guides and the mutation; it, psi and chi move
     # only when some personal best did
     if not (config.uses_archives or config.uses_mutation) or not np.count_nonzero(improved):
         return
-    refresh_phi(archives, state)
-    if config.uses_archives:
-        archives.push(PSI, state.pbest_positions, state.pbest_fitness, improved, evict_u[:, :-1])
-        if np.count_nonzero(better):
-            archives.push(CHI, state.gbest_position[:, None], state.gbest_fitness[:, None], better[:, None],
-                          evict_u[:, -1:])
+    if not config.uses_archives:  # no pushes: phi alone
+        improved, better = np.zeros_like(improved), np.zeros_like(better)
+    archives.update(state, improved, better, evict_u)
 
 
 def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsom.archives import CHI, PSI, ArchiveSet
+from opsom.archives import CHI, PHI, PSI, ArchiveSet
 from opsom.harness import ExperimentConfig, execute, main
 from opsom.mutation import draw_partners, mutate_elites
 from opsom.objective import base_spec, make_suite
@@ -160,12 +160,10 @@ def test_criterion_7_scheme_selection_oracle():
     for fits in itertools.product([1.0, 2.0, 3.0], repeat=3):
         # one entry per archive, positioned at its archive's index (phi 0, psi 1, chi 2)
         archives = ArchiveSet(1, 2, 1)
-        archives.phi_positions[0, 0] = 0.0
-        archives.phi_fitness[0, 0] = fits[0]
+        for k in (PHI, PSI, CHI):  # each archive's first slot
+            archives.positions[0, archives.start[k]], archives.fitness[0, archives.start[k]] = float(k), fits[k]
+        archives.fill[0] = 1
         u = np.random.default_rng(0).random(5)
-        one = np.ones((1, 1), bool)
-        archives.push(PSI, np.array([[[1.0]]]), np.array([[fits[1]]]), one, u[None, :1])
-        archives.push(CHI, np.array([[[2.0]]]), np.array([[fits[2]]]), one, u[None, 1:2])
         guide = _archive_guides(archives, u[2:].reshape(1, 3, 1))
         brute = min(range(3), key=lambda i: (fits[i], i))
         ok &= guide[0, 0, 0] == float(brute)

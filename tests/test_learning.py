@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from opsom.archives import CHI, PSI, ArchiveSet
+from opsom.archives import CHI, PHI, PSI, ArchiveSet
 from opsom.optimizer import _archive_guides
 from opsom.swarm_core import velocity_update
 
@@ -14,11 +14,9 @@ def singleton_archives(fits, positions):
     """One run's phi, psi and chi holding one (position, fitness) entry each, in that order."""
     positions = [np.asarray(p, dtype=float) for p in positions]
     a = ArchiveSet(1, 2, len(positions[0]))
-    a.phi_positions[0, 0] = positions[0]
-    a.phi_fitness[0, 0] = fits[0]
-    one = np.ones((1, 1), bool)
-    a.push(PSI, positions[1][None, None], np.array([[fits[1]]]), one, np.array([[0.5]]))
-    a.push(CHI, positions[2][None, None], np.array([[fits[2]]]), one, np.array([[0.5]]))
+    for k in (PHI, PSI, CHI):  # each archive's first slot
+        a.positions[0, a.start[k]], a.fitness[0, a.start[k]] = positions[k], fits[k]
+    a.fill[0] = 1
     return a
 
 

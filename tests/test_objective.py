@@ -143,6 +143,13 @@ class TestMakeSuite:
         with pytest.raises(ValueError):
             make_suite(0, 1)
 
+    def test_rejects_a_negative_seed_by_name(self):
+        # named by the library call itself, not only by the CLI's config, and
+        # not by the generator's bare "expected non-negative integer"
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ValueError, match=f"suite_seed must be non-negative, got {seed}"):
+                make_suite(seed, 10)
+
     def test_describe_suite(self):
         text = describe_suite(make_suite(0, 10), 0)
         lines = text.strip().splitlines()
