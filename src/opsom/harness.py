@@ -168,7 +168,7 @@ def write_outputs(config: ExperimentConfig, grouped: dict[tuple[str, int, str], 
         summary_lines.append(_summary_line(key, records))
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     for dim in config.dimensions:
-        (out / f"suite_d{dim}.txt").write_text(describe_suite(make_suite(config.suite_seed, dim), config.suite_seed))
+        (out / f"suite_d{dim}.txt").write_text(describe_suite(config.suite_seed, dim))
     return out
 
 

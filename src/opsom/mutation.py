@@ -3,15 +3,14 @@ scaled difference of two random elite peers.
 
 The j-th ranked elite moves toward the j-th entry of the phi archive, with
 per-dimension uniform[0, 1] scaling of both terms.  Replacement is
-unconditional; personal-best memory protects solution quality.  Velocities
-are untouched.
+unconditional; personal-best memory protects solution quality.  The result
+is not clamped here: the step clamps the whole swarm once, with
+`swarm_core.handle_bounds`, which leaves the elites' velocities untouched.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .objective import LOWER, UPPER
 
 
 def draw_partners(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,16 +43,14 @@ def mutate_elites(
     """Mutate every run's whole elite subgroup from one snapshot.
 
     `elite_positions` and `phi_positions` are (R, m, d).  Row j of run r becomes
-    x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), clamped into the box.
+    x_j + delta1*(phi_j - x_j) + delta2*(x_g - x_h), which may leave the box.
     `g` and `h` (R, m) are the partners `draw_partners` picks, as rows of the
     flat (R*m, d) elite stack (run r's partners plus r*m); `delta` is
     (R, 2, m, d) uniforms in [0, 1): delta1, then delta2.
     """
     stack = elite_positions.reshape(-1, elite_positions.shape[-1])
-    mutated = (
+    return (
         elite_positions
         + delta[:, 0] * (phi_positions - elite_positions)
         + delta[:, 1] * (stack.take(g, 0) - stack.take(h, 0))
     )
-    np.maximum(mutated, LOWER, out=mutated)
-    return np.minimum(mutated, UPPER, out=mutated)

@@ -309,13 +309,12 @@ def make_suite(suite_seed: int, dimension: int) -> list[ObjectiveSpec]:
     return suite
 
 
-def describe_suite(specs: list[ObjectiveSpec], suite_seed: int) -> str:
-    """One-line-per-function structured text description of the suite drawn from `suite_seed`."""
-    lines = []
-    for s in specs:
-        lines.append(
-            f"id={s.id} category={s.category} d={s.dimension} "
-            f"lower={LOWER!r} upper={UPPER!r} "
-            f"f_opt={s.f_opt!r} suite_seed={suite_seed}"
-        )
-    return "\n".join(lines) + "\n"
+def describe_suite(suite_seed: int, dimension: int) -> str:
+    """One line per function of `make_suite(suite_seed, dimension)`, read off the suite's layout without drawing it."""
+    layout = [(spec_id, category) for spec_id, category, _ in _BLOCK_FUNCTIONS]
+    layout += [(comp_id, "composite") for comp_id in _COMPOSITE_MIXES]
+    return "".join(
+        f"id={spec_id} category={category} d={dimension} lower={LOWER!r} upper={UPPER!r} "
+        f"f_opt={100.0 * (i + 1)!r} suite_seed={suite_seed}\n"
+        for i, (spec_id, category) in enumerate(layout)
+    )

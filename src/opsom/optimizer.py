@@ -18,10 +18,12 @@ iteration k a run has made init + n*k evaluations; its record computes
 deterministic for a fixed (config, spec, run seed), whichever runs and
 functions share their call.
 
-Learners: with mutation the swarm is sorted by fitness and split in half; the
-worse half learns (in ascending-fitness order) and the better half is
-mutated.  With no mutation, the baseline's case, all m = n particles learn in
-particle order.
+Learners: with mutation each run's particles are ranked by fitness, ties to
+the lower index, and the step moves one ranked copy of the swarm: its better
+half, the elites, is mutated, and its worse half learns in ascending-fitness
+order.  With no mutation, the baseline's case, all m = n particles learn in
+particle order.  Either way one clamp puts the whole swarm back in the box,
+zeroing the velocity of the learners' clamped coordinates only.
 
 Random stream: each run keeps its own generator, and initialization draws
 from it first.  After that the loop runs in blocks of T iterations (the last
@@ -66,7 +68,6 @@ from .swarm_core import (
     SwarmState,
     flat_rows,
     handle_bounds,
-    sort_and_split,
     update_bests,
     velocity_update,
 )
@@ -308,14 +309,17 @@ def _opsom_iteration(
     X, V = state.positions, state.velocities
     runs, n, d = X.shape
     if mutating:
-        # rows of the flat (R*n, d) views: `take` gathers them, assignment scatters to them
-        elites, learners = sort_and_split(state)
-        elites, learners = elites + flat_rows(runs, n), learners + flat_rows(runs, n)
+        # each run's particles best first, ties to the lower index, as rows of the flat (R*n, d)
+        # views: `take` gathers them, assignment scatters to them.  Laid out (2, R, n/2), every
+        # run's elites and then every run's learners, each half of the ranked copy is contiguous
+        order = (state.fitness.argsort(kind="stable") + flat_rows(runs, n)).reshape(runs, 2, -1).swapaxes(0, 1)
+        learners = order[1]
         X, V = X.reshape(-1, d), V.reshape(-1, d)
-        x, v = X.take(learners, 0), V.take(learners, 0)
+        moved = X.take(order, 0)
+        x, v = moved[1], V.take(learners, 0)
     else:
         # everyone learns, in particle order; `a[...]` is a view of the whole array
-        learners, x, v = ..., X, V
+        order, learners, x, v = ..., ..., X, V
 
     r = velocity_u[:, t]
     if archived:
@@ -325,12 +329,14 @@ def _opsom_iteration(
         guides = state.pbest_positions.reshape(-1, d).take(learners, 0) if mutating else state.pbest_positions
         a, b, c = INERTIA, r[:, 0], r[:, 1]
     velocity = velocity_update(v, x, guides, state.gbest_position[:, None], a, b, c)
-    X[learners], V[learners] = handle_bounds(x + velocity, velocity)
     if mutating:
-        # learners and elites are disjoint, so the elites mutate from their
-        # iteration-start positions; they keep their velocities
-        X[elites] = mutate_elites(X.take(elites, 0), archives.phi_positions, partner_g[:, t], partner_h[:, t],
-                                  delta[:, t])
+        x += velocity  # the learners move in place in `moved`
+        # the elites mutate from their iteration-start positions and keep their velocities
+        moved[0] = mutate_elites(moved[0], archives.phi_positions, partner_g[:, t], partner_h[:, t], delta[:, t])
+    else:
+        moved = x + velocity
+    # one clamp of the whole swarm; only the learners' clamped velocities are zeroed
+    X[order], V[learners] = handle_bounds(moved, velocity)
 
     fitness = [evaluate_batch(spec, rows) for spec, rows in zip(specs, state.positions.reshape(len(specs), -1, d))]
     state.fitness = np.concatenate(fitness).reshape(runs, n)

@@ -60,10 +60,6 @@ class SwarmState:
         update_bests(self)
         self.iteration = 0
 
-    @property
-    def n(self) -> int:
-        return self.positions.shape[-2]
-
     def view(self, run: int) -> SwarmState:
         """Run `run` alone: every array with the run axis dropped (views, not copies)."""
         view = object.__new__(SwarmState)
@@ -72,10 +68,18 @@ class SwarmState:
 
 
 def handle_bounds(position: np.ndarray, velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp out-of-box coordinates to the violated bound and zero their velocity in place."""
+    """Clamp every out-of-box coordinate of `position` to the violated bound.
+
+    `velocity` belongs to the trailing rows of `position`, the learners: the
+    last `velocity.size` values in C order.  Their clamped coordinates have
+    their velocity zeroed in place; the rows before them, the mutated elites,
+    have none to zero.
+    """
     clipped = np.maximum(position, LOWER)
     np.minimum(clipped, UPPER, out=clipped)
-    np.copyto(velocity, 0.0, where=clipped != position)
+    learners = slice(position.size - velocity.size, None)
+    outside = clipped.reshape(-1)[learners] != position.reshape(-1)[learners]
+    np.copyto(velocity, 0.0, where=outside.reshape(velocity.shape))
     return clipped, velocity
 
 
@@ -99,17 +103,6 @@ def update_bests(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
         state.gbest_position = np.where(better[:, None], best_position, state.gbest_position)
         state.gbest_fitness = np.where(better, best_fitness, state.gbest_fitness)
     return improved, better
-
-
-def sort_and_split(state: SwarmState) -> tuple[np.ndarray, np.ndarray]:
-    """Rank each run's particles by current fitness and split into (elite, regular) halves.
-
-    Elite is the better half; ties are broken toward the lower particle index.
-    Both returned (R, n/2) index arrays are in ascending-fitness order.
-    """
-    order = state.fitness.argsort(kind="stable")
-    half = state.n // 2
-    return order[:, :half], order[:, half:]
 
 
 def velocity_update(

@@ -21,7 +21,7 @@ from opsom.mutation import draw_partners, mutate_elites
 from opsom.objective import base_spec, make_suite
 from opsom.optimizer import OptimizerConfig, _archive_guides, _block_draws, _opsom_iteration, run, run_cell
 from opsom.ortho_init import construct_oa, map_to_search_space
-from opsom.swarm_core import COGNITIVE, INERTIA, SOCIAL, V_MAX, SwarmState, velocity_update
+from opsom.swarm_core import COGNITIVE, INERTIA, SOCIAL, V_MAX, SwarmState, handle_bounds, velocity_update
 from test_ortho_init import verify_oa
 
 
@@ -282,7 +282,9 @@ def test_criterion_10_equation_level_oracles():
         pick = rng.uniform(size=(2, m))
         d1, d2 = rng.uniform(size=(2, m, d))
         g, h = draw_partners(pick[None])
-        out = mutate_elites(elite_positions[None], phi[None], g, h, np.stack((d1, d2))[None])[0]
+        # the step's one clamp puts the mutated elites back in the box
+        out = handle_bounds(mutate_elites(elite_positions[None], phi[None], g, h, np.stack((d1, d2))[None])[0],
+                            np.empty((0, d)))[0]
         for j in range(m):
             # g is the pick[0]-th index other than j, h the pick[1]-th other than j and g
             g = [i for i in range(m) if i != j][int(pick[0, j] * (m - 1))]

@@ -358,6 +358,16 @@ class TestOutputs:
         assert all("median=" in line and "std=" in line for line in summary)
         assert (out / "suite_d2.txt").exists()
 
+    def test_each_suite_is_drawn_once(self, tmp_path, work_started):
+        # `suite_d<dim>.txt` is read off the suite's layout; the writer used to
+        # draw every suite a second time, 1.6 s of rotations at d = 1000
+        status = main(["run", "--algo", "opsom,pso", "--dim", "2,3", "--runs", "1", "--pop", "6",
+                       "--budget", "100", "--out", str(tmp_path / "res")])
+        assert status == 0
+        assert work_started.count("make_suite") == 2
+        assert (tmp_path / "res" / "suite_d3.txt").read_text().splitlines()[0] == (
+            "id=sphere category=unimodal d=3 lower=-100.0 upper=100.0 f_opt=100.0 suite_seed=0")
+
     def test_byte_identical_across_invocations(self, tmp_path):
         texts = []
         for sub in ("a", "b"):

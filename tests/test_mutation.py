@@ -1,4 +1,6 @@
-"""Tests for elite-position mutation and the distinct-partner draws."""
+"""Tests for elite-position mutation and the distinct-partner draws.  The
+mutation does not clamp; the box is checked through `handle_bounds`, the one
+clamp the step applies to the whole swarm."""
 
 import itertools
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsom.mutation import draw_partners, mutate_elites
+from opsom.swarm_core import handle_bounds
 
 
 def elites(*rows):
@@ -30,11 +33,15 @@ def mutate_run(elite_positions, phi_positions, u):
     return mutate_elites(elite_positions[None], phi_positions[None], g, h, u[2 * m :].reshape(1, 2, m, d))[0]
 
 
+def clamp(positions):
+    """The elite rows of `positions` (..., m, d) put back in the box by the step's one clamp."""
+    return handle_bounds(positions, np.empty((0, positions.shape[-1])))[0]
+
+
 def scalar_mutation(j, phi_position, elite_positions, delta1, delta2, g, h):
-    """Reference for one elite: x + delta1*(phi_j - x) + delta2*(x_g - x_h), clamped into the box."""
+    """Reference for one elite: x + delta1*(phi_j - x) + delta2*(x_g - x_h), not clamped."""
     x = elite_positions[j]
-    mutated = x + delta1 * (phi_position - x) + delta2 * (elite_positions[g] - elite_positions[h])
-    return np.clip(mutated, -100.0, 100.0)
+    return x + delta1 * (phi_position - x) + delta2 * (elite_positions[g] - elite_positions[h])
 
 
 def partner_uniforms(g, h):
@@ -98,12 +105,14 @@ class TestEliteMutate:
         np.testing.assert_array_equal(out, [2.0])
 
     def test_result_clamped_into_box(self):
+        # 95 + 99 - (-99) leaves the box; the step's clamp puts it on the wall
         positions = elites([95.0], [99.0], [-99.0])
         out = mutate_one(
             0, np.array([95.0]), positions, np.random.default_rng(0),
             delta1=np.zeros(1), delta2=np.ones(1), partners=(1, 2),
         )
-        np.testing.assert_array_equal(out, [100.0])
+        np.testing.assert_array_equal(out, [293.0])
+        np.testing.assert_array_equal(clamp(out[None]), [[100.0]])
 
     def test_contraction_toward_phi_with_zero_difference_term(self):
         rng = np.random.default_rng(1)
@@ -203,17 +212,19 @@ class TestMutateElites:
         partner_u = rng.random(2 * m)
         g, h = pairs(partner_u.reshape(2, m))
         d1, d2 = rng.uniform(0, 2, size=(2, m, d))  # wide enough to push rows past both walls
-        expected = np.clip(positions + d1 * (phi - positions) + d2 * (positions[g] - positions[h]), -100.0, 100.0)
+        mutated = positions + d1 * (phi - positions) + d2 * (positions[g] - positions[h])
+        expected = np.clip(mutated, -100.0, 100.0)
         assert (np.abs(expected) == 100.0).any() and (np.abs(expected) < 100.0).any()
         out = mutate_run(positions, phi, np.concatenate((partner_u, d1.ravel(), d2.ravel())))
-        assert out.tobytes() == expected.tobytes()
+        assert out.tobytes() == mutated.tobytes()
+        assert clamp(out).tobytes() == expected.tobytes()
 
     def test_all_outputs_inside_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             positions = rng.uniform(-100, 100, (8, 3))
             phi = rng.uniform(-100, 100, (8, 3))
-            out = mutate_run(positions, phi, rng.random(2 * 8 * 4))
+            out = clamp(mutate_run(positions, phi, rng.random(2 * 8 * 4)))
             assert ((out >= -100) & (out <= 100)).all()
 
     def test_stacked_runs_match_one_run_at_a_time(self):

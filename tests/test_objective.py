@@ -151,11 +151,16 @@ class TestMakeSuite:
                 make_suite(seed, 10)
 
     def test_describe_suite(self):
-        text = describe_suite(make_suite(0, 10), 0)
+        text = describe_suite(0, 10)
         lines = text.strip().splitlines()
         assert len(lines) == 10
         assert lines[0].startswith("id=sphere category=unimodal d=10")
         assert "f_opt=100.0" in lines[0]
+        # read off the layout, the text is the one the drawn specs give
+        for seed, dim in ((0, 10), (3, 2), (7, 31)):
+            drawn = "".join(f"id={s.id} category={s.category} d={s.dimension} lower=-100.0 upper=100.0 "
+                            f"f_opt={s.f_opt!r} suite_seed={seed}\n" for s in make_suite(seed, dim))
+            assert describe_suite(seed, dim) == drawn
 
 
 class TestSpecValidation:

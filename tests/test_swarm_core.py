@@ -1,6 +1,6 @@
 """Tests for swarm state, the baseline PSO step (the optimizer's step function
-with every strategy off), boundary handling, best bookkeeping, and the
-elite/regular split.
+with every strategy off), boundary handling, best bookkeeping, and the step's
+ranked split of the swarm into mutated elites and learners.
 
 Most cases build a cell of one run from (n, d) arrays and read it back
 through `SwarmState.view(0)`; the multi-run cases check that runs stacked on
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsom.archives import ArchiveSet
 from opsom.objective import base_spec
 from opsom.optimizer import OptimizerConfig, _block_draws, _opsom_iteration
 from opsom.swarm_core import (
@@ -20,7 +21,6 @@ from opsom.swarm_core import (
     V_MAX,
     SwarmState,
     handle_bounds,
-    sort_and_split,
     update_bests,
     velocity_update,
 )
@@ -54,10 +54,53 @@ def step(state, spec, u):
     return baseline_step(state, spec, np.asarray(u)[None])
 
 
-def split(state):
-    """The (elite, regular) index arrays of a one-run state."""
-    elite, regular = sort_and_split(state)
-    return elite[0], regular[0]
+def opsom_step(state, phi, inertia, delta):
+    """One full-opsom iteration of every run through the step function, on hand-set uniforms.
+
+    The learner in rank slot j gets inertia `inertia[j]` and no pull (b = c =
+    0), so its velocity becomes inertia[j]*v before the clamp.  The elite in
+    rank slot j mutates with `delta` (2, e) or (2, e, d), toward phi_j =
+    `phi[j]`; its partners are the first indices the draw allows (all partner
+    uniforms 0).  psi and chi hold one zero row each, so guides can be drawn.
+    """
+    config = OptimizerConfig()
+    runs, n, d = state.positions.shape
+    m = e = n // 2
+    archives = ArchiveSet(runs, n, d)
+    archives.phi_positions[...] = phi
+    archives.fill[:, 1:] = 1
+    velocity = np.zeros((runs, 3, m, d))
+    velocity[:, 0] = np.reshape(inertia, (m, 1))
+    delta = np.broadcast_to(np.reshape(delta, (2, e, -1)), (runs, 2, e, d))
+    parts = (np.zeros((runs, 3 * m)), velocity, np.zeros((runs, 2 * e)), delta, np.zeros((runs, n + 1)))
+    u = np.concatenate([np.reshape(a, (runs, -1)) for a in parts], 1)
+    _opsom_iteration(state, archives, config, [base_spec("sphere", d)], _block_draws(config, u[:, None], n, d), 0)
+    return state
+
+
+def split(fitness):
+    """The particles the opsom step mutates and those it moves as learners, each in rank order.
+
+    Every particle of the (R, n) `fitness` starts at the origin with unit
+    velocity.  Elite slot j moves onto phi_j = j + 1 and keeps its velocity;
+    learner slot j takes velocity (j + 1)/(n + 1).  Returns (R, n/2) elite and
+    learner indices by slot, read back from the moved swarm.
+    """
+    fitness = np.asarray(fitness, dtype=float)
+    runs, n = fitness.shape
+    state = SwarmState(np.zeros((runs, n, 1)), np.ones((runs, n, 1)), fitness)
+    slots = np.arange(1.0, n // 2 + 1)
+    opsom_step(state, slots[:, None], slots / (n + 1), [np.ones(n // 2), np.zeros(n // 2)])
+    x, v = state.positions[..., 0], state.velocities[..., 0]
+    mutated = v == 1.0
+    assert (mutated.sum(1) == n // 2).all()
+    elite, learner = np.zeros((2, runs, n // 2), int)
+    for r, i in zip(*mutated.nonzero()):
+        elite[r, int(x[r, i]) - 1] = i
+    for r, i in zip(*(~mutated).nonzero()):
+        learner[r, round(v[r, i] * (n + 1)) - 1] = i
+        assert x[r, i] == v[r, i]  # it moved from the origin by its velocity
+    return elite, learner
 
 
 class TestSwarmState:
@@ -81,34 +124,45 @@ class TestSwarmState:
         np.testing.assert_array_equal(state.gbest_fitness, [1.0, 0.25])
         np.testing.assert_array_equal(state.gbest_position, [positions[0, 1], positions[1, 3]])
         run = state.view(1)
-        assert run.positions.shape == (4, 3) and run.gbest_fitness == 0.25 and run.n == 4
+        assert run.positions.shape == (4, 3) and run.gbest_fitness == 0.25
 
 
 class TestHandleBounds:
+    # the rows of a (n, d) swarm; `velocity` covers the last m, the learners,
+    # and the first n - m, the mutated elites, keep their velocities
     def test_single_coordinate_clamp(self):
-        pos, vel = handle_bounds(np.array([150.0, 0.0]), np.array([5.0, 5.0]))
-        np.testing.assert_array_equal(pos, [100.0, 0.0])
-        np.testing.assert_array_equal(vel, [0.0, 5.0])
+        pos, vel = handle_bounds(np.array([[150.0, 0.0], [150.0, 0.0]]), np.array([[5.0, 5.0]]))
+        np.testing.assert_array_equal(pos, [[100.0, 0.0], [100.0, 0.0]])
+        np.testing.assert_array_equal(vel, [[0.0, 5.0]])
 
     def test_in_bounds_unchanged(self):
-        pos, vel = handle_bounds(np.array([1.0, -2.0]), np.array([3.0, 4.0]))
-        np.testing.assert_array_equal(pos, [1.0, -2.0])
-        np.testing.assert_array_equal(vel, [3.0, 4.0])
+        pos, vel = handle_bounds(np.array([[1.0, -2.0], [1.0, -2.0]]), np.array([[3.0, 4.0]]))
+        np.testing.assert_array_equal(pos, [[1.0, -2.0], [1.0, -2.0]])
+        np.testing.assert_array_equal(vel, [[3.0, 4.0]])
 
     def test_both_coordinates(self):
-        pos, vel = handle_bounds(np.array([-200.0, -200.0]), np.array([-1.0, -1.0]))
-        np.testing.assert_array_equal(pos, [-100.0, -100.0])
-        np.testing.assert_array_equal(vel, [0.0, 0.0])
+        position = np.array([[-200.0, 200.0], [-200.0, -200.0]])
+        pos, vel = handle_bounds(position, np.array([[-1.0, -1.0]]))
+        np.testing.assert_array_equal(pos, [[-100.0, 100.0], [-100.0, -100.0]])
+        np.testing.assert_array_equal(vel, [[0.0, 0.0]])
+        # with no learner rows nothing is zeroed, and every row is still clamped
+        pos, vel = handle_bounds(position, np.empty((0, 2)))
+        np.testing.assert_array_equal(pos, [[-100.0, 100.0], [-100.0, -100.0]])
 
     def test_bitwise_equal_to_clip_form(self):
+        # the step's (2, R, n/2, d) layout: every run's elites, then every run's
+        # learners; velocity covers the trailing rows of the flat row stack
         rng = np.random.default_rng(4)
-        position = rng.uniform(-600.0, 600.0, (40, 12))
-        position[0, :4] = [-100.0, 100.0, -0.0, 0.0]  # on the walls, signed zeros
-        velocity = rng.uniform(-50, 50, (40, 12))
-        pos, vel = handle_bounds(position, velocity)
-        outside = (position < -100.0) | (position > 100.0)
-        assert pos.tobytes() == np.clip(position, -100.0, 100.0).tobytes()
-        assert vel.tobytes() == np.where(outside, 0.0, velocity).tobytes()
+        position = rng.uniform(-600.0, 600.0, (2, 3, 20, 12))
+        position[1, :, -1, :4] = [-100.0, 100.0, -0.0, 0.0]  # on the walls, signed zeros
+        for shape in ((2, 3, 20, 12), (3, 20, 12), (25, 12), (1, 12)):
+            velocity = rng.uniform(-50, 50, shape)
+            given = velocity.copy()
+            pos, vel = handle_bounds(position, given)
+            learners = position.reshape(-1, 12)[-(velocity.size // 12) :].reshape(shape)
+            outside = (learners < -100.0) | (learners > 100.0)
+            assert pos.tobytes() == np.clip(position, -100.0, 100.0).tobytes()
+            assert vel is given and vel.tobytes() == np.where(outside, 0.0, velocity).tobytes()
 
 
 class TestUpdateBests:
@@ -162,36 +216,58 @@ class TestUpdateBests:
 
 
 class TestSortAndSplit:
+    # the step ranks each run's particles by fitness: the better half mutates,
+    # the worse half learns, each in ascending-fitness order
     def test_ranking_by_value(self):
-        state = make_state(np.zeros((4, 2)), fitness=[3.0, 1.0, 4.0, 2.0])
-        elite, regular = split(state)
-        assert set(elite) == {1, 3} and set(regular) == {0, 2}
+        elite, learner = split([[3.0, 1.0, 4.0, 2.0, 6.0, 5.0]])
+        assert elite[0].tolist() == [1, 3, 0] and learner[0].tolist() == [2, 5, 4]
 
     def test_all_equal_takes_first_half(self):
-        state = make_state(np.zeros((4, 2)), fitness=[5.0, 5.0, 5.0, 5.0])
-        elite, regular = split(state)
-        assert list(elite) == [0, 1] and list(regular) == [2, 3]
+        # ties go to the lower index
+        elite, learner = split([[5.0] * 6])
+        assert elite[0].tolist() == [0, 1, 2] and learner[0].tolist() == [3, 4, 5]
 
     def test_smallest_case(self):
-        state = make_state(np.zeros((2, 2)), fitness=[2.0, 1.0])
-        elite, regular = split(state)
-        assert list(elite) == [1] and list(regular) == [0]
+        # the smallest population a config accepts; three elites give every elite two partners
+        elite, learner = split([[6.0, 5.0, 4.0, 3.0, 2.0, 1.0]])
+        assert elite[0].tolist() == [5, 4, 3] and learner[0].tolist() == [2, 1, 0]
 
     def test_disjoint_union_property(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            n = 2 * int(rng.integers(1, 20))
-            state = make_state(np.zeros((n, 2)), fitness=rng.uniform(size=n))
-            elite, regular = split(state)
-            assert len(elite) == len(regular) == n // 2
-            assert sorted(np.concatenate([elite, regular]).tolist()) == list(range(n))
-            assert state.fitness[0, elite].max() <= state.fitness[0, regular].min()
+            n = 2 * int(rng.integers(3, 20))
+            fitness = rng.uniform(size=(1, n))
+            fitness[0, rng.integers(n, size=3)] = fitness[0, 0]  # ties
+            elite, learner = split(fitness)
+            assert sorted(np.concatenate([elite[0], learner[0]]).tolist()) == list(range(n))
+            assert fitness[0, elite[0]].max() <= fitness[0, learner[0]].min()
+            assert np.concatenate([elite[0], learner[0]]).tolist() == fitness[0].argsort(kind="stable").tolist()
 
     def test_splits_each_run(self):
-        fitness = np.array([[3.0, 1.0, 4.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
-        elite, regular = sort_and_split(SwarmState(np.zeros((2, 4, 1)), np.zeros((2, 4, 1)), fitness))
-        np.testing.assert_array_equal(elite, [[1, 3], [0, 1]])
-        np.testing.assert_array_equal(regular, [[0, 2], [2, 3]])
+        elite, learner = split([[3.0, 1.0, 4.0, 2.0, 6.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(elite, [[1, 3, 0], [0, 1, 2]])
+        np.testing.assert_array_equal(learner, [[2, 5, 4], [3, 4, 5]])
+
+
+class TestSingleClamp:
+    # one clamp puts the whole swarm back in the box after the opsom step
+    def test_clamped_elite_keeps_velocity_and_clamped_learner_loses_it(self):
+        # ranks follow the particle index: 0-2 are the elites, 3-5 the learners
+        positions = np.array([[60.0, -60.0], [30.0, -30.0], [-60.0, 60.0], [99.0, 0.0], [-99.0, 0.0], [0.0, 0.0]])
+        velocities = np.array([[3.0, -3.0], [3.0, -3.0], [3.0, -3.0], [10.0, 10.0], [-10.0, 2.0], [2.0, 2.0]])
+        # run 1 holds the same swarm in reverse particle order, ranked alike
+        flip = slice(None, None, -1)
+        state = SwarmState(np.stack((positions, positions[flip])), np.stack((velocities, velocities[flip])),
+                           np.stack((np.arange(6.0), np.arange(6.0)[flip])))
+        # difference term only: elite 0 lands on 60 + 30 - (-60) = 150 and -150, elite 1 on
+        # 30 + 60 + 60 and its negative, elite 2 on -60 + 60 - 30 = -30 and 30; each learner
+        # moves by half its velocity
+        opsom_step(state, positions[:3], np.full(3, 0.5), [np.zeros(3), np.ones(3)])
+        moved = [[100.0, -100.0], [100.0, -100.0], [-30.0, 30.0], [100.0, 5.0], [-100.0, 1.0], [1.0, 1.0]]
+        kept = [*velocities[:3], [0.0, 5.0], [0.0, 1.0], [1.0, 1.0]]  # the elites' velocities are untouched
+        for run, rows in enumerate((slice(None), flip)):
+            np.testing.assert_array_equal(state.positions[run, rows], moved)
+            np.testing.assert_array_equal(state.velocities[run, rows], kept)
 
 
 class TestPsoStep:
