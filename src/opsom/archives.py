@@ -29,7 +29,8 @@ class ArchiveSet:
     slots, all written by `update`.  Archive k has `capacity[k]` rows from row
     `start[k]` on, of which `fill[:, k]` are filled, in push order (phi is
     always full); `phi_positions`, `phi_fitness` and their psi and chi
-    namesakes view them.  `view(r)` gives run r alone, cut to filled slots.
+    namesakes view all `capacity[k]` rows of every run, so run r's filled
+    psi rows are `psi_fitness[r, :fill[r, PSI]]`.
     """
 
     def __init__(self, runs: int, population_size: int, dimension: int):
@@ -47,22 +48,11 @@ class ArchiveSet:
         # per run (particle i to psi, the global best to chi) as a flat index into `fill` and `offsets`
         self._phi_rows = (self.offsets[:, PHI] + np.arange(self.capacity[PHI])).reshape(-1)
         self._archive = (flat_rows(runs, 3) + np.append(np.full(population_size, PSI), CHI)).reshape(-1)
-        self._name_rows(self.start + self.capacity)
-
-    def _name_rows(self, stop: np.ndarray) -> None:
-        # each archive's `*_positions` and `*_fitness` view its rows start[k]:stop[k]
+        # each archive's `*_positions` and `*_fitness` view all its rows, filled or not
         for k, name in enumerate(("phi", "psi", "chi")):
-            rows = slice(self.start[k], stop[k])
-            setattr(self, f"{name}_positions", self.positions[..., rows, :])
-            setattr(self, f"{name}_fitness", self.fitness[..., rows])
-
-    def view(self, run: int) -> ArchiveSet:
-        """Run `run` alone, with the run axis dropped."""
-        view = object.__new__(ArchiveSet)
-        view.__dict__.update(vars(self))
-        view.positions, view.fitness, view.fill = self.positions[run], self.fitness[run], self.fill[run]
-        view._name_rows(self.start + view.fill)
-        return view
+            rows = slice(self.start[k], self.start[k] + self.capacity[k])
+            setattr(self, f"{name}_positions", self.positions[:, rows])
+            setattr(self, f"{name}_fitness", self.fitness[:, rows])
 
     def update(self, state: SwarmState, improved: np.ndarray, better: np.ndarray, u: np.ndarray) -> None:
         """Rebuild phi and push the (R, n) `improved` personal bests to psi and the (R,) `better`

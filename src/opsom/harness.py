@@ -204,6 +204,8 @@ def _split_list(text: str) -> tuple[str, ...]:
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
+    if not args.out:  # Path("") is the current directory
+        raise ValueError("--out must name a directory, got ''")
     algorithms = _split_list(args.algo)
     dimensions = []
     for entry in _split_list(args.dim):

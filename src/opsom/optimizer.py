@@ -358,13 +358,7 @@ def _update_archives(archives: ArchiveSet, state: SwarmState, config: OptimizerC
 
 
 def run(config: OptimizerConfig, spec: ObjectiveSpec, observer: Observer | None = None) -> RunRecord:
-    """Run the configured algorithm on one problem and return its trace.
-
-    `observer(state, archives)` is called after initialization and after every
-    iteration; it reads the live state and archives, which are overwritten in
-    place, so it copies what it keeps, and it must not modify them.  In its
-    one-run view, `archives.psi_fitness` holds psi's filled slots.
-    """
+    """Run the configured algorithm on one problem and return its trace; `observer` is as in `run_cell`."""
     return run_cell(config, [spec], 1, observer)[0]
 
 
@@ -379,17 +373,19 @@ def run_cell(config: OptimizerConfig, specs: list[ObjectiveSpec], runs: int = 1,
     makes the K iterations its budget affords (see the module docstring) and
     keeps its own generator, so run r's record on spec j is bitwise the one
     `run` gives at seed `run_seed(config.seed, r)`; its `wall_time` is its
-    share of the call's time.  An observer watches a single run, so it needs
-    one run and one spec; it sees that run's state and archives with the run
-    axis dropped.
+    share of the call's time.
+
+    `observer(state, archives)` is called after initialization and after
+    every iteration with the loop's own state and archives, whose run axis
+    holds the records' runs in their order.  They are overwritten in place,
+    so it copies what it keeps, and it must not modify them.  Run i's filled
+    psi rows are `archives.psi_fitness[i, :archives.fill[i, PSI]]`.
     """
     if runs < 1 or not specs:
         raise ValueError("run_cell needs at least one run and one spec")
     dimensions = sorted({spec.dimension for spec in specs})
     if len(dimensions) > 1:
         raise ValueError(f"the specs of one call must share one dimension, got {dimensions}")
-    if observer is not None and runs * len(specs) > 1:
-        raise ValueError(f"an observer watches one run, got {runs * len(specs)} runs")
     init_cost = config.validate(dimensions[0])
     start = time.perf_counter()
     seeds = [run_seed(config.seed, r) for r in range(runs)]
@@ -414,7 +410,7 @@ def run_cell(config: OptimizerConfig, specs: list[ObjectiveSpec], runs: int = 1,
     while True:
         trace.snap(state)
         if observer is not None:
-            observer(state.view(0), archives.view(0))
+            observer(state, archives)
         k = state.iteration
         if k == iterations:
             return trace.records(config, seeds, specs, budget, init_cost, time.perf_counter() - start)

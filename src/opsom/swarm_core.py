@@ -60,12 +60,6 @@ class SwarmState:
         update_bests(self)
         self.iteration = 0
 
-    def view(self, run: int) -> SwarmState:
-        """Run `run` alone: every array with the run axis dropped (views, not copies)."""
-        view = object.__new__(SwarmState)
-        view.__dict__.update((k, v[run] if isinstance(v, np.ndarray) else v) for k, v in vars(self).items())
-        return view
-
 
 def handle_bounds(position: np.ndarray, velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp every out-of-box coordinate of `position` to the violated bound.

@@ -141,10 +141,8 @@ def test_criterion_6_archive_invariants():
     observed = []
 
     def observer(state, archives):
-        observed.append((
-            len(archives.phi_fitness), len(archives.psi_fitness), len(archives.chi_fitness),
-            archives.chi_fitness.min() == state.gbest_fitness,
-        ))
+        phi, psi, chi = archives.fill[0]
+        observed.append((phi, psi, chi, archives.chi_fitness[0, :chi].min() == state.gbest_fitness[0]))
 
     run(OptimizerConfig(population=POPULATION, budget=20_000, seed=1), spec, observer=observer)
     ok = all(
@@ -248,7 +246,6 @@ def test_criterion_10_equation_level_oracles():
         state.gbest_fitness = np.array([(gbest**2).sum()])
         r1, r2 = u = rng.uniform(size=(2, n, d))
         _opsom_iteration(state, None, baseline, [spec], _block_draws(baseline, u.reshape(1, 1, -1).copy(), n, d), 0)
-        state = state.view(0)
         for i in range(n):
             for k in range(d):
                 v = (INERTIA * velocities[i, k]
@@ -260,7 +257,7 @@ def test_criterion_10_equation_level_oracles():
                     x, v = -100.0, 0.0
                 elif x > 100.0:
                     x, v = 100.0, 0.0
-                worst = max(worst, abs(x - state.positions[i, k]), abs(v - state.velocities[i, k]))
+                worst = max(worst, abs(x - state.positions[0, i, k]), abs(v - state.velocities[0, i, k]))
 
     for _ in range(100):
         d = 6

@@ -54,9 +54,15 @@ def stock(archives, k, values, d=2):
     archives.fill[0, k] = len(values)
 
 
+def filled(archives, name, r=0, field="fitness"):
+    """Run r's filled rows of archive `name` ("phi", "psi" or "chi"), in slot order."""
+    k = ("phi", "psi", "chi").index(name)
+    return getattr(archives, f"{name}_{field}")[r, : archives.fill[r, k]]
+
+
 def newest_fitness(fitness, u):
     """The fitness in the slot that a one-row push with uniform `u` wrote into
-    a full archive whose one-run view holds `fitness`."""
+    a full archive whose filled rows hold `fitness`."""
     return fitness[int(u * len(fitness))]
 
 
@@ -81,8 +87,7 @@ class TestArchiveSet:
         a = ArchiveSet(1, 8, 2)
         assert a.capacity.tolist() == [4, 8, 8] and a.start.tolist() == [0, 4, 12]
         assert a.psi_fitness.shape == a.chi_fitness.shape == (1, 8) and a.phi_positions.shape == (1, 4, 2)
-        run = a.view(0)
-        assert len(run.phi_fitness) == 4 and len(run.psi_fitness) == len(run.chi_fitness) == 0
+        assert [len(filled(a, name)) for name in ("phi", "psi", "chi")] == [4, 0, 0]
 
     def test_runs_have_separate_fill_counts(self):
         a = ArchiveSet(3, 4, 2)
@@ -90,7 +95,7 @@ class TestArchiveSet:
         improved = np.array([[True, False, False, False], [True, True, False, False], [False] * 4])
         a.update(state, improved, np.array([False, True, False]), np.zeros((3, 5)))
         np.testing.assert_array_equal(a.fill, [[2, 1, 0], [2, 2, 1], [2, 0, 0]])
-        assert [len(a.view(r).psi_fitness) for r in range(3)] == [1, 2, 0]
+        assert [len(filled(a, "psi", r)) for r in range(3)] == [1, 2, 0]
 
 
 class TestRefreshPhi:
@@ -122,7 +127,7 @@ class TestRefreshPhi:
     def test_smallest_population(self):
         a = ArchiveSet(1, 2, 2)
         rebuild_phi(a, state_with_pbests([5.0, 4.0]))
-        assert len(a.view(0).phi_fitness) == 1 and a.phi_fitness[0, 0] == 4.0
+        assert len(filled(a, "phi")) == 1 and a.phi_fitness[0, 0] == 4.0
 
     def test_matches_brute_force_selection(self):
         rng = np.random.default_rng(0)
@@ -145,9 +150,8 @@ class TestPushes:
     def test_first_insert(self):
         a = ArchiveSet(1, 4, 2)
         push_one(a, PSI, *row(1.0), 0.5)
-        run = a.view(0)
-        assert run.psi_fitness.tolist() == [1.0]
-        np.testing.assert_array_equal(run.psi_positions[0], [1.0, 1.0])
+        assert filled(a, "psi").tolist() == [1.0]
+        np.testing.assert_array_equal(filled(a, "psi", field="positions")[0], [1.0, 1.0])
 
     def test_capacity_eviction_keeps_newest(self):
         u = np.random.default_rng(1).random(5)
@@ -155,7 +159,7 @@ class TestPushes:
         for v in range(4):
             push_one(a, PSI, *row(float(v)), u[v])
         push_one(a, PSI, *row(99.0), u[4])
-        psi = a.view(0).psi_fitness
+        psi = filled(a, "psi")
         assert len(psi) == 4
         assert newest_fitness(psi, u[4]) == 99.0
         # the other slots keep their rows
@@ -167,7 +171,7 @@ class TestPushes:
         a = ArchiveSet(1, 6, 2)
         for v in range(200):
             push_one(a, CHI, *row(float(-v)), u[v])
-            chi = a.view(0).chi_fitness
+            chi = filled(a, "chi")
             assert len(chi) == min(v + 1, 6)
             assert (newest_fitness(chi, u[v]) if v >= 6 else chi[v]) == float(-v)
 
@@ -177,7 +181,7 @@ class TestPushes:
         a = ArchiveSet(1, 4, 2)
         for v in [5.0, 4.0, 2.5, 1.0, 0.5, 0.1]:
             push_one(a, CHI, *row(v), next(u))
-            assert a.view(0).chi_fitness.min() == v
+            assert filled(a, "chi").min() == v
 
     def test_eviction_is_random_among_older_entries(self):
         # with a 2-slot archive the third push overwrites either older entry
@@ -189,7 +193,7 @@ class TestPushes:
             push_one(a, PSI, *row(1.0), u[0])
             push_one(a, PSI, *row(2.0), u[1])
             push_one(a, PSI, *row(3.0), u[2])
-            fitness = a.view(0).psi_fitness.tolist()
+            fitness = filled(a, "psi").tolist()
             assert 3.0 in fitness
             survivors.update(set(fitness) - {3.0})
         assert survivors == {1.0, 2.0}
@@ -202,8 +206,8 @@ class TestPushes:
             push_one(a, PSI, [float(v)], float(v), 0.0)
         state = SwarmState(np.arange(10.0, 14.0).reshape(1, 4, 1), np.zeros((1, 4, 1)), np.arange(10.0, 14.0)[None])
         a.update(state, np.ones((1, 4), bool), np.zeros(1, bool), np.array([[0.3, 0.9, 0.4, 0.49, 0.0]]))
-        assert a.view(0).psi_fitness.tolist() == [0.0, 13.0, 2.0, 11.0]
-        assert a.view(0).psi_positions[:, 0].tolist() == [0.0, 13.0, 2.0, 11.0]
+        assert filled(a, "psi").tolist() == [0.0, 13.0, 2.0, 11.0]
+        assert filled(a, "psi", field="positions")[:, 0].tolist() == [0.0, 13.0, 2.0, 11.0]
 
     def test_fills_free_slots_before_evicting(self):
         # 3 of 4 slots taken: particle 0 fills slot 3, particle 2 then overwrites it
@@ -213,7 +217,7 @@ class TestPushes:
         state = SwarmState(np.arange(10.0, 14.0).reshape(1, 4, 1), np.zeros((1, 4, 1)), np.arange(10.0, 14.0)[None])
         a.update(state, np.array([[True, False, True, False]]), np.zeros(1, bool),
                  np.array([[0.1, 0.1, 0.8, 0.1, 0.0]]))
-        assert a.view(0).psi_fitness.tolist() == [0.0, 1.0, 2.0, 12.0]
+        assert filled(a, "psi").tolist() == [0.0, 1.0, 2.0, 12.0]
 
     @pytest.mark.parametrize("k, name", [(PSI, "psi"), (CHI, "chi")], ids=["psi", "chi"])
     @settings(max_examples=60, deadline=None)
@@ -256,8 +260,6 @@ class TestPushes:
             filled = slice(len(ref))
             np.testing.assert_array_equal(positions[r, filled], np.array([p for p, _ in ref]).reshape(-1, d))
             np.testing.assert_array_equal(fitness[r, filled], [f for _, f in ref])
-            listed = getattr(a.view(r), f"{name}_fitness")
-            assert listed.tolist() == [f for _, f in ref]  # a one-run view lists its slots in order
 
     @settings(max_examples=40, deadline=None)
     @given(runs=st.integers(1, 3), half=st.integers(1, 6), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
@@ -321,8 +323,8 @@ class TestPushes:
         improved = np.array([[False, True, False, True]])
         evict_u = np.array([[0.0, 0.3, 0.55, 0.8, 0.6]])
         _update_archives(a, state, OptimizerConfig(), improved, np.ones(1, bool), evict_u)
-        assert a.view(0).psi_fitness.tolist() == [100.0, 1.0, 102.0, 2.0]
-        assert a.view(0).chi_fitness.tolist() == [100.0, 101.0, 1.0, 103.0]
+        assert filled(a, "psi").tolist() == [100.0, 1.0, 102.0, 2.0]
+        assert filled(a, "chi").tolist() == [100.0, 101.0, 1.0, 103.0]
 
 
 class TestSampleRepresentatives:
@@ -374,9 +376,7 @@ class TestSampleRepresentatives:
         a = self.seeded(4)
         guides = _archive_guides(a, np.random.default_rng(1).random((1, 3, 8)))
         guides[:] = -1.0
-        run = a.view(0)
-        assert (run.phi_positions >= 0).all()
-        assert (run.psi_positions >= 0).all() and (run.chi_positions >= 0).all()
+        assert all((filled(a, name, field="positions") >= 0).all() for name in ("phi", "psi", "chi"))
 
     def test_picks_in_slot_order(self):
         # the representative of u is the row in slot int(u * size), whenever
@@ -390,7 +390,7 @@ class TestSampleRepresentatives:
         for v, u in zip(range(7), (0.0, 0.0, 0.0, 0.0, 0.6, 0.1, 0.9)):
             slot_push(ref, float(v), 4, u)
         assert ref == [5.0, 1.0, 4.0, 6.0]
-        assert a.view(0).psi_fitness.tolist() == ref
+        assert filled(a, "psi").tolist() == ref
         for k, value in enumerate(ref):
             # psi's row in slot k wins against phi (50) and chi (>= 40)
             u = np.array([[[0.0], [(k + 0.5) / 4], [0.0]]])

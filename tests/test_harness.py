@@ -603,6 +603,14 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert work_started == [] and not out.exists()
 
+    def test_empty_output_dir_exits_1_without_output(self, tmp_path, monkeypatch, capsys, work_started):
+        # Path("") is the current directory, which used to receive every file
+        monkeypatch.chdir(tmp_path)
+        status = main(["run", "--dim", "2", "--runs", "1", "--pop", "6", "--budget", "60", "--out", ""])
+        assert status == 1
+        assert capsys.readouterr().err == "error: --out must name a directory, got ''\n"
+        assert work_started == [] and list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_dir(self, tmp_path, capsys, work_started):
         # the directory is made before any run; every run used to end before the refusal
         blocker = tmp_path / "blocker"

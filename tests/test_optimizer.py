@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsom.archives import CHI, PSI
 from opsom.objective import base_spec, make_suite
 from opsom.optimizer import (
     OptimizerConfig,
@@ -321,28 +322,25 @@ class TestTraceInvariants:
 
     def test_archives_never_empty_after_seeding(self):
         sizes = []
-        run(small_config(budget=2_000), SPEC, observer=lambda s, a: sizes.append(
-            (len(a.phi_fitness), len(a.psi_fitness), len(a.chi_fitness))
-        ))
+        run(small_config(budget=2_000), SPEC, observer=lambda s, a: sizes.append(a.fill[0].tolist()))
         assert all(p == 4 and q >= 1 and c >= 1 for p, q, c in sizes)
 
     def test_archives_seeded_from_the_initial_swarm(self):
         # psi holds every personal best in particle order, chi the global
         # best alone, phi the top half by fitness
         seen = []
-        run(small_config(budget=16), SPEC, observer=lambda s, a: seen.append((
-            s.pbest_positions.copy(), s.pbest_fitness.copy(), s.gbest_position.copy(), s.gbest_fitness,
-            a.psi_positions, a.psi_fitness, a.chi_positions, a.chi_fitness, a.phi_positions.copy(),
-            a.phi_fitness.copy(),
-        )))
-        (pbest, pbest_fit, gbest, gbest_fit, psi, psi_fit, chi, chi_fit, phi, phi_fit), = seen
-        np.testing.assert_array_equal(psi, pbest)
-        np.testing.assert_array_equal(psi_fit, pbest_fit)
-        np.testing.assert_array_equal(chi, gbest[None])
-        np.testing.assert_array_equal(chi_fit, [gbest_fit])
+        # budget 16 affords no iteration, so the one observed state is also the final one
+        run(small_config(budget=16), SPEC, observer=lambda s, a: seen.append((s, a)))
+        (s, a), = seen
+        pbest, pbest_fit = s.pbest_positions[0], s.pbest_fitness[0]
+        psi, chi = a.fill[0, PSI], a.fill[0, CHI]
+        np.testing.assert_array_equal(a.psi_positions[0, :psi], pbest)
+        np.testing.assert_array_equal(a.psi_fitness[0, :psi], pbest_fit)
+        np.testing.assert_array_equal(a.chi_positions[0, :chi], s.gbest_position)
+        np.testing.assert_array_equal(a.chi_fitness[0, :chi], s.gbest_fitness)
         top = np.argsort(pbest_fit, kind="stable")[:4]
-        np.testing.assert_array_equal(phi, pbest[top])
-        np.testing.assert_array_equal(phi_fit, pbest_fit[top])
+        np.testing.assert_array_equal(a.phi_positions[0], pbest[top])
+        np.testing.assert_array_equal(a.phi_fitness[0], pbest_fit[top])
 
     def test_run_dispatcher(self):
         rec = run(small_config(algorithm="pso"), SPEC)
@@ -421,8 +419,7 @@ class TestAblations:
 
     def test_no_archives_skips_psi_and_chi(self):
         sizes = []
-        run(small_config(budget=1_000, no_archives=True), SPEC,
-                  observer=lambda s, a: sizes.append((len(a.phi_fitness), len(a.psi_fitness), len(a.chi_fitness))))
+        run(small_config(budget=1_000, no_archives=True), SPEC, observer=lambda s, a: sizes.append(a.fill[0].tolist()))
         assert all(p == 4 and q == 0 and c == 0 for p, q, c in sizes)
 
     def test_baseline_writes_no_archive(self):
@@ -430,7 +427,7 @@ class TestAblations:
         seen = []
         run(small_config(budget=1_000, algorithm="pso"), SPEC, observer=lambda s, a: seen.append(
             (a.fill.tolist(), a.phi_fitness.tolist(), np.count_nonzero(a.phi_positions))))
-        assert len(seen) > 10 and all(view == ([4, 0, 0], [0.0] * 4, 0) for view in seen)
+        assert len(seen) > 10 and all(view == ([[4, 0, 0]], [[0.0] * 4], 0) for view in seen)
 
     def test_ablation_flags_change_the_trajectory(self):
         base = run(small_config(budget=2_000), SPEC)
@@ -691,11 +688,31 @@ class TestRunCell:
             with pytest.raises(ValueError, match="at least one run and one spec"):
                 run_cell(small_config(), specs, runs)
 
-    def test_observer_watches_a_single_run(self):
-        # it counts runs: two runs on one spec, or one run on two specs
-        for runs, specs in ((2, [SPEC]), (1, [SPEC] * 2)):
-            with pytest.raises(ValueError, match="observer watches one run, got 2 runs"):
-                run_cell(small_config(), specs, runs, observer=lambda state, archives: None)
+    def test_observer_sees_the_stacked_state(self):
+        # 3 runs on each of two specs: the observer sees all 6 on the run axis, at every call
+        specs = make_suite(5, 10)[2:4]
+        seen = []
+        records = run_cell(small_config(), specs, 3, observer=lambda s, a: seen.append(
+            (s.positions.shape, a.fill.shape)))
+        assert len(seen) == len(records[0].errors) > 2
+        assert set(seen) == {((6, 8, 10), (6, 3))}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_observer_leaves_the_records_alone(self, variant):
+        # an observer that reads everything it is shown changes no record bit
+        config = variant_config(variant, 11)
+        specs = make_suite(5, 10)[2:4]
+
+        def observer(state, archives):
+            for x in (*vars(state).values(), *vars(archives).values()):
+                np.asarray(x).sum()
+
+        for watched, alone in zip(run_cell(config, specs, 3, observer), run_cell(config, specs, 3), strict=True):
+            for name in RECORD_ARRAYS:
+                a, b = getattr(alone, name), getattr(watched, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            for name in RECORD_SCALARS:
+                assert getattr(alone, name) == getattr(watched, name), name
 
     def test_shared_wall_time(self):
         records = run_cell(small_config(), [SPEC], 3)

@@ -13,7 +13,7 @@ def test_readme_python_examples_run_as_written(capsys):
     # the run example and the observer example that builds on it run in order in one namespace
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert len(blocks) == 2
-    assert "record.evaluations[-1]" in blocks[0] and "len(archives.psi_fitness)" in blocks[1]
+    assert "record.evaluations[-1]" in blocks[0] and "archives.chi_fitness[0, :chi]" in blocks[1]
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)

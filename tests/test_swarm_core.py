@@ -2,9 +2,9 @@
 with every strategy off), boundary handling, best bookkeeping, and the step's
 ranked split of the swarm into mutated elites and learners.
 
-Most cases build a cell of one run from (n, d) arrays and read it back
-through `SwarmState.view(0)`; the multi-run cases check that runs stacked on
-the leading axis do not affect each other."""
+Most cases build a cell of one run from (n, d) arrays and read back its run
+0; the multi-run cases check that runs stacked on the leading axis do not
+affect each other."""
 
 import numpy as np
 import pytest
@@ -105,9 +105,9 @@ def split(fitness):
 
 class TestSwarmState:
     def test_initial_bests(self):
-        state = make_state([[1.0, 0.0], [0.0, 0.0]]).view(0)
-        assert state.gbest_fitness == 0.0
-        np.testing.assert_array_equal(state.gbest_position, [0.0, 0.0])
+        state = make_state([[1.0, 0.0], [0.0, 0.0]])
+        assert state.gbest_fitness.tolist() == [0.0]
+        np.testing.assert_array_equal(state.gbest_position, [[0.0, 0.0]])
         np.testing.assert_array_equal(state.pbest_fitness, state.fitness)
 
     def test_shape_validation(self):
@@ -123,8 +123,7 @@ class TestSwarmState:
         state = SwarmState(positions, np.zeros_like(positions), np.array([[3.0, 1.0, 2.0, 5.0], [0.5, 4.0, 4.0, 0.25]]))
         np.testing.assert_array_equal(state.gbest_fitness, [1.0, 0.25])
         np.testing.assert_array_equal(state.gbest_position, [positions[0, 1], positions[1, 3]])
-        run = state.view(1)
-        assert run.positions.shape == (4, 3) and run.gbest_fitness == 0.25
+        assert state.positions.shape == (2, 4, 3)
 
 
 class TestHandleBounds:
@@ -172,9 +171,8 @@ class TestUpdateBests:
         state.positions = np.array([[[9.0, 9.0]]])
         improved, better = update_bests(state)
         assert improved.tolist() == [[False]] and better.tolist() == [False]
-        run = state.view(0)
-        assert run.pbest_fitness[0] == 3.0
-        np.testing.assert_array_equal(run.pbest_positions[0], [1.0, 0.0])
+        assert state.pbest_fitness.tolist() == [[3.0]]
+        np.testing.assert_array_equal(state.pbest_positions, [[[1.0, 0.0]]])
 
     def test_improvement_cascades_to_gbest(self):
         state = make_state([[1.0, 0.0]], fitness=[3.0])
@@ -182,10 +180,9 @@ class TestUpdateBests:
         state.positions = np.array([[[0.5, 0.5]]])
         improved, better = update_bests(state)
         assert improved.tolist() == [[True]] and better.tolist() == [True]
-        run = state.view(0)
-        assert run.pbest_fitness[0] == 2.0
-        assert run.gbest_fitness == 2.0
-        np.testing.assert_array_equal(run.gbest_position, [0.5, 0.5])
+        assert state.pbest_fitness.tolist() == [[2.0]]
+        assert state.gbest_fitness.tolist() == [2.0]
+        np.testing.assert_array_equal(state.gbest_position, [[0.5, 0.5]])
 
     def test_tie_keeps_incumbent(self):
         state = make_state([[1.0, 0.0]], fitness=[3.0])
@@ -193,9 +190,8 @@ class TestUpdateBests:
         state.positions = np.array([[[7.0, 7.0]]])
         improved, better = update_bests(state)
         assert improved.tolist() == [[False]] and better.tolist() == [False]
-        run = state.view(0)
-        np.testing.assert_array_equal(run.pbest_positions[0], [1.0, 0.0])
-        np.testing.assert_array_equal(run.gbest_position, [1.0, 0.0])
+        np.testing.assert_array_equal(state.pbest_positions, [[[1.0, 0.0]]])
+        np.testing.assert_array_equal(state.gbest_position, [[1.0, 0.0]])
 
     def test_runs_update_independently(self):
         # run 0 improves its global best, run 1 only a personal best, run 2 nothing
